@@ -24,8 +24,12 @@ is 1 instead of 1/2; in symbolic mode all weights are then exact integers.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NearResonanceError, SizeGuardError
 from .symbol import BifurcationPoint, WaveNumberPair, eval_symbol
@@ -39,6 +43,7 @@ __all__ = [
     "coefficient_u",
     "coefficient_u2",
     "numeric_session",
+    "grid_session",
     "limit_session",
     "expand_symbolic",
     "expansion_size",
@@ -276,6 +281,24 @@ class CoefficientSession:
 def numeric_session(ctx: MultiplierContext) -> CoefficientSession:
     """Create a numeric evaluation session at a concrete context."""
     return CoefficientSession(ctx.pair, _FloatAlgebra(lambda k: multiplier(ctx, k)))
+
+
+def grid_session(contexts: Sequence[MultiplierContext]) -> CoefficientSession:
+    """Create one numeric session over many contexts of the same pair.
+
+    ell(k) is the array of ``multiplier(ctx, k)`` over ``contexts``, so a
+    single pass of the recursion yields every coefficient as an array
+    over the contexts.  numpy float64 addition and multiplication round
+    like Python floats, so each entry is bitwise identical to the value
+    of :func:`numeric_session` at that context.  A target that never
+    applies ell stays a plain float.
+    """
+
+    @functools.cache
+    def ell(k: int) -> np.ndarray:
+        return np.array([multiplier(ctx, k) for ctx in contexts])
+
+    return CoefficientSession(contexts[0].pair, _FloatAlgebra(ell))
 
 
 def limit_session(pair: WaveNumberPair, endpoint: str) -> CoefficientSession:

@@ -19,6 +19,7 @@ with the two asymptotic predictions for kappa0 used as cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,11 +127,13 @@ def eval_symbol_deriv(T: float, xi: float) -> float:
     return fp / (2.0 * math.sqrt(f))
 
 
+@functools.lru_cache(maxsize=4096)
 def turning_point(T: float) -> float:
     """Locate the unique interior minimum xi_T of m_T for 0 < T < 1/3.
 
     The bracket is found by scanning xi = 2**j, j = -20..40, for a sign
-    change of the derivative, then refined by Brent's method.
+    change of the derivative, then refined by Brent's method.  Results
+    are cached by T: every pair of a scan samples the same tension grid.
     """
     T = float(T)
     if not 0.0 < T < WEAK_TENSION_LIMIT:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -26,6 +26,7 @@ from .coefficients import (
     LIMIT_HIGH_T,
     LIMIT_LOW_T,
     MultiplierContext,
+    grid_session,
     limit_session,
     numeric_session,
     phi_target_indices,
@@ -117,29 +118,52 @@ class PairVerdict:
     error: str | None = None
 
 
+def _warn_k1_one(pair: WaveNumberPair) -> None:
+    if pair.k1 == 1:
+        warnings.warn(
+            "phi is strictly positive for pairs with k1 = 1; "
+            "no symmetry breaking can occur",
+            UserWarning,
+            stacklevel=3,
+        )
+
+
+def _check_values(pair: WaveNumberPair, grid: np.ndarray, values: np.ndarray) -> None:
+    """Raise on the first non-finite phi; enforce positivity for k1 = 1."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        T = float(grid[bad[0]])
+        raise DomainError(
+            f"phi is not finite in double precision at T = {T!r}",
+            pair=pair.astuple(),
+            T=T,
+        )
+    if pair.k1 == 1 and not np.all(values > 0.0):
+        i = int(np.argmin(values))
+        raise AssertionError(
+            f"phi(T={grid[i]}; 1, {pair.k2}) = {values[i]} violates the positivity invariant"
+        )
+
+
 def phi_eval(pair: WaveNumberPair, T: float) -> PhiSample:
     """Evaluate phi(T; k1, k2) at the solved bifurcation point.
 
     Pairs with k1 = 1 are allowed but flagged with a UserWarning, since
     phi is then provably positive and never yields symmetry breaking;
     positivity is also enforced at runtime.
+
+    Raises
+    ------
+    DomainError
+        If phi overflows double precision (large pairs near T = 1/3).
     """
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)
-    if pair.k1 == 1:
-        warnings.warn(
-            "phi is strictly positive for pairs with k1 = 1; "
-            "no symmetry breaking can occur",
-            UserWarning,
-            stacklevel=2,
-        )
+    _warn_k1_one(pair)
     point = double_bifurcation(pair, T)
     session = numeric_session(MultiplierContext.from_bifurcation(point))
     value = session.u2(*phi_target_indices(pair))
-    if pair.k1 == 1 and not value > 0.0:
-        raise AssertionError(
-            f"phi(T={T}; 1, {pair.k2}) = {value} violates the positivity invariant"
-        )
+    _check_values(pair, np.array([point.T]), np.array([value]))
     return PhiSample(T=float(T), value=value, bifurcation=point)
 
 
@@ -151,11 +175,29 @@ def _clustered_grid(grid_size: int, lo: float, hi: float) -> np.ndarray:
 
 
 def phi_curve(pair: WaveNumberPair, grid_size: int = DEFAULT_GRID_SIZE) -> list[PhiSample]:
-    """Sample phi on the endpoint-clustered grid over (delta, 1/3 - delta)."""
+    """Sample phi on the endpoint-clustered grid over (delta, 1/3 - delta).
+
+    The coefficient recursion runs once over the whole grid, with every
+    multiplier an array over the grid's bifurcation points; each value
+    is bitwise identical to :func:`phi_eval` at that tension.
+    """
+    if not isinstance(pair, WaveNumberPair):
+        pair = WaveNumberPair(*pair)
     if grid_size < 2:
         raise DomainError("curve needs at least two points", grid_size=grid_size)
+    _warn_k1_one(pair)
     grid = _clustered_grid(grid_size, T_MARGIN, WEAK_TENSION_LIMIT - T_MARGIN)
-    return [phi_eval(pair, float(T)) for T in grid]
+    points = [double_bifurcation(pair, float(T)) for T in grid]
+    session = grid_session([MultiplierContext.from_bifurcation(p) for p in points])
+    # Overflow surfaces as inf or nan, which _check_values reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = session.u2(*phi_target_indices(pair))
+    # A target that never applies ell (M = 0) comes back as one float.
+    values = np.full_like(grid, value)
+    _check_values(pair, grid, values)
+    return [
+        PhiSample(T=p.T, value=float(v), bifurcation=p) for p, v in zip(points, values)
+    ]
 
 
 def phi_limits(pair: WaveNumberPair) -> tuple[float, float]:
@@ -282,7 +324,7 @@ def pair_scan(
     if k_max < 3:
         raise DomainError("scan needs k_max >= 3", k_max=k_max)
     verdicts: list[PairVerdict] = []
-    work: list[tuple[int, int, bool, int]] = []
+    work: list[tuple[int, int]] = []
     for k1 in range(1, k_max):
         for k2 in range(k1 + 1, k_max + 1):
             status = exclusion_check(k1, k2)
@@ -293,12 +335,19 @@ def pair_scan(
                     )
                 )
             else:
-                work.append((k1, k2, refine, grid_size))
-    if jobs > 1 and len(work) > 1:
+                work.append((k1, k2))
+    # Exclusion is scale invariant, so every surviving raw pair reduces to
+    # a surviving coprime pair; each of those is classified once.
+    reduced = sorted({WaveNumberPair(k1, k2).astuple() for k1, k2 in work})
+    items = [(k1, k2, refine, grid_size) for k1, k2 in reduced]
+    if jobs > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            classified = list(pool.map(_classify_pair, work))
+            classified = list(pool.map(_classify_pair, items))
     else:
-        classified = [_classify_pair(item) for item in work]
-    verdicts.extend(classified)
+        classified = [_classify_pair(item) for item in items]
+    shared = dict(zip(reduced, classified))
+    for k1, k2 in work:
+        verdict = shared[WaveNumberPair(k1, k2).astuple()]
+        verdicts.append(replace(verdict, k1=k1, k2=k2))
     verdicts.sort(key=lambda v: (v.k1, v.k2))
     return verdicts

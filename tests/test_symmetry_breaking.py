@@ -1,6 +1,7 @@
 """Tests for the phi sign function, its roots, limits, and the pair scan."""
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ import oracles
 from capwhitham import (
     DomainError,
     MultiplierContext,
+    NearResonanceError,
     STATUS_ADMITS,
     STATUS_EXCLUDED_DIFFERENCE,
     STATUS_EXCLUDED_DIVISOR,
@@ -22,6 +24,7 @@ from capwhitham import (
     phi_limits,
     phi_root,
 )
+from capwhitham import coefficients, symmetry_breaking
 
 PAIR_2_5 = WaveNumberPair(2, 5)
 
@@ -209,3 +212,71 @@ def test_excluded_pairs_no_sign_change_on_fine_grid():
 def test_pair_scan_rejects_small_kmax():
     with pytest.raises(DomainError):
         pair_scan(2)
+
+
+def test_phi_curve_bitwise_equals_eval():
+    # The batched recursion must reproduce the scalar one exactly, also
+    # for (1, 2), where phi never applies a multiplier (M = 0).
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for pair in (WaveNumberPair(1, 2), WaveNumberPair(7, 10)):
+            samples = phi_curve(pair, 32)
+            assert len(samples) == 32
+            for s in samples:
+                scalar = phi_eval(pair, s.T)
+                assert s.value == scalar.value
+                assert type(s.value) is float
+                assert s.bifurcation == scalar.bifurcation
+
+
+def test_phi_curve_propagates_near_resonance(monkeypatch):
+    original = coefficients.multiplier
+    grid_T = phi_curve(PAIR_2_5, 16)[5].T
+
+    def resonant(ctx, k):
+        if ctx.T == grid_T and k == 6:
+            raise NearResonanceError("forced resonance", k=k, denominator=0.0)
+        return original(ctx, k)
+
+    monkeypatch.setattr(coefficients, "multiplier", resonant)
+    with pytest.raises(NearResonanceError):
+        phi_curve(PAIR_2_5, 16)
+
+
+def test_nonfinite_phi_raises_and_is_recorded():
+    # phi(T; 23, 30) overflows to nan next to T = 1/3.
+    pair = WaveNumberPair(23, 30)
+    T = 1.0 / 3.0 - 1e-4
+    with pytest.raises(DomainError) as scalar:
+        phi_eval(pair, T)
+    assert scalar.value.context["pair"] == (23, 30)
+    assert scalar.value.context["T"] == T
+    with pytest.raises(DomainError) as batched:
+        phi_curve(pair, 2)
+    assert batched.value.context["pair"] == (23, 30)
+    assert batched.value.context["T"] == pytest.approx(T, abs=1e-15)
+    verdict = symmetry_breaking._classify_pair((23, 30, True, 16))
+    assert verdict.status == STATUS_UNDECIDED
+    assert verdict.error.startswith("DomainError: phi is not finite")
+
+
+def test_pair_scan_classifies_each_reduced_pair_once(monkeypatch):
+    original = symmetry_breaking._classify_pair
+    seen = []
+
+    def counting(item):
+        seen.append(item[:2])
+        return original(item)
+
+    monkeypatch.setattr(symmetry_breaking, "_classify_pair", counting)
+    verdicts = {(v.k1, v.k2): v for v in pair_scan(10, refine=True, grid_size=64)}
+    assert len(seen) == len(set(seen))
+    assert all(WaveNumberPair(*p).astuple() == p for p in seen)
+    assert (6, 10) not in seen and (3, 5) in seen
+    v610, v35 = verdicts[(6, 10)], verdicts[(3, 5)]
+    assert (v610.k1, v610.k2) == (6, 10)
+    assert replace(v610, k1=3, k2=5) == v35
+
+
+def test_pair_scan_jobs_equivalence_with_reduced_pairs():
+    assert pair_scan(10, jobs=2) == pair_scan(10, jobs=1)
