@@ -218,12 +218,8 @@ def _cmd_phi(args, cfg) -> tuple[list[Path], int]:
                 "pair": [pair.k1, pair.k2],
                 "samples": [{"T": s.T, "phi": s.value} for s in samples],
             }
-            import json as _json
-
             paths.append(
-                emitters.write_text(
-                    out / "phi_curve.json", _json.dumps(body, indent=2) + "\n"
-                )
+                emitters.write_text(out / "phi_curve.json", emitters.json_text(body))
             )
         else:
             paths.append(
@@ -273,13 +269,12 @@ def _cmd_wave(args, cfg) -> tuple[list[Path], int]:
         r1=args.r1, r2=args.r2, theta1=args.theta1, theta2=args.theta2
     )
     settings = SolverSettings(K=cfg.K, tol_w=cfg.tol_w, tol_newton=cfg.tol_newton)
-    asymmetric = asymmetry_test(pair, params, settings.asymmetry_tol)
+    asymmetric = asymmetry_test(pair, params)
     out = Path(cfg.out)
     try:
         profile, report = solve_wave(pair, params, args.T, settings)
     except ConvergenceError as exc:
         body = emitters.wave_report_dict(
-            None,
             None,
             pair,
             params,
@@ -287,19 +282,13 @@ def _cmd_wave(args, cfg) -> tuple[list[Path], int]:
             asymmetric,
             error={"message": exc.message, "context": repr(exc.context)},
         )
-        import json as _json
-
-        path = emitters.write_text(
-            out / "wave_report.json", _json.dumps(body, indent=2) + "\n"
-        )
+        path = emitters.write_text(out / "wave_report.json", emitters.json_text(body))
         print(path)
         raise
-    body = emitters.wave_report_dict(profile, report, pair, params, settings.K, asymmetric)
-    import json as _json
-
+    body = emitters.wave_report_dict(report, pair, params, settings.K, asymmetric)
     paths = [
         emitters.write_text(out / "wave_profile.csv", emitters.wave_profile_csv(profile)),
-        emitters.write_text(out / "wave_report.json", _json.dumps(body, indent=2) + "\n"),
+        emitters.write_text(out / "wave_report.json", emitters.json_text(body)),
     ]
     return paths, (EXIT_OK if report.converged else EXIT_CONVERGENCE)
 

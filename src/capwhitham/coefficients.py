@@ -40,8 +40,6 @@ __all__ = [
     "Monomial",
     "PhiExpansion",
     "multiplier",
-    "coefficient_u",
-    "coefficient_u2",
     "numeric_session",
     "grid_session",
     "limit_session",
@@ -312,21 +310,6 @@ def limit_session(pair: WaveNumberPair, endpoint: str) -> CoefficientSession:
         return limit_ratio(pair, endpoint, k)
 
     return CoefficientSession(pair, _FloatAlgebra(rho))
-
-
-def coefficient_u(ctx: MultiplierContext, alpha: MultiIndex, beta: MultiIndex) -> float:
-    """Evaluate u_hat_{alpha,beta} at a context (fresh memo session).
-
-    Base cases: the four first-order coefficients with a single unit
-    entry in alpha or beta equal 1/2; higher orders follow the
-    ell-weighted convolution recursion.
-    """
-    return numeric_session(ctx).u(alpha, beta)
-
-
-def coefficient_u2(ctx: MultiplierContext, alpha: MultiIndex, beta: MultiIndex) -> float:
-    """Evaluate (u^2)_hat_{alpha,beta} at a context (fresh memo session)."""
-    return numeric_session(ctx).u2(alpha, beta)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ import os
 from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
+from .symmetry_breaking import _ROOT_XTOL, DEFAULT_GRID_SIZE
+from .waves import SolverSettings
 
 __all__ = ["RunConfig", "CONFIG_ENV_VAR", "load_config_file", "resolve_config"]
 
@@ -22,11 +24,11 @@ CONFIG_ENV_VAR = "CAPWHITHAM_CONFIG"
 class RunConfig:
     """Tolerances, sizes, parallelism and output destination of a run."""
 
-    tol_root: float = 1e-10
-    tol_w: float = 1e-14
-    tol_newton: float = 1e-12
-    grid: int = 200
-    K: int = 64
+    tol_root: float = _ROOT_XTOL
+    tol_w: float = SolverSettings.tol_w
+    tol_newton: float = SolverSettings.tol_newton
+    grid: int = DEFAULT_GRID_SIZE
+    K: int = SolverSettings.K
     jobs: int = 1
     out: str = "."
     format: str = ""
@@ -43,7 +45,7 @@ class RunConfig:
             raise DomainError(
                 "sizes must be positive", grid=self.grid, K=self.K, jobs=self.jobs
             )
-        if self.format not in ("", "csv", "json", "svg"):
+        if self.format not in ("", "csv", "json"):
             raise DomainError("unknown output format", format=self.format)
 
 

@@ -22,6 +22,7 @@ from .waves import SolveReport, WaveProfile
 __all__ = [
     "fmt_float",
     "write_text",
+    "json_text",
     "bifurcation_csv",
     "bifurcation_json",
     "phi_sample_json",
@@ -50,7 +51,8 @@ def write_text(path: Path, text: str) -> Path:
     return path
 
 
-def _json_text(obj) -> str:
+def json_text(obj) -> str:
+    """Indented JSON with a trailing newline, the form of every JSON file."""
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -73,7 +75,7 @@ def bifurcation_csv(points: list[BifurcationPoint]) -> str:
 
 
 def bifurcation_json(pair, points: list[BifurcationPoint]) -> str:
-    return _json_text(
+    return json_text(
         {
             "pair": [pair.k1, pair.k2],
             "points": [_point_dict(p) for p in points],
@@ -82,7 +84,7 @@ def bifurcation_json(pair, points: list[BifurcationPoint]) -> str:
 
 
 def phi_sample_json(pair, sample: PhiSample) -> str:
-    return _json_text(
+    return json_text(
         {
             "pair": [pair.k1, pair.k2],
             "T": sample.T,
@@ -109,7 +111,7 @@ def _root_dict(root: PhiRoot) -> dict:
 
 
 def phi_roots_json(pair, roots: list[PhiRoot]) -> str:
-    return _json_text(
+    return json_text(
         {"pair": [pair.k1, pair.k2], "roots": [_root_dict(r) for r in roots]}
     )
 
@@ -126,7 +128,7 @@ def phi_roots_csv(roots: list[PhiRoot]) -> str:
 
 
 def phi_limits_json(pair, low: float, high: float) -> str:
-    return _json_text(
+    return json_text(
         {"pair": [pair.k1, pair.k2], "limit_low": low, "limit_high": high}
     )
 
@@ -165,12 +167,12 @@ def verdicts_json(verdicts: list[PairVerdict]) -> str:
                 "error": v.error,
             }
         )
-    return _json_text(items)
+    return json_text(items)
 
 
 def expansion_json(expansion: PhiExpansion) -> str:
     """Canonical serialization of an exact expansion (lex-sorted monomials)."""
-    return _json_text(expansion.to_dict())
+    return json_text(expansion.to_dict())
 
 
 def wave_profile_csv(profile: WaveProfile, n: int = 1024) -> str:
@@ -183,7 +185,6 @@ def wave_profile_csv(profile: WaveProfile, n: int = 1024) -> str:
 
 
 def wave_report_dict(
-    profile: WaveProfile | None,
     report: SolveReport | None,
     pair,
     params,

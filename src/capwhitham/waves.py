@@ -112,28 +112,34 @@ class WaveProfile:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances and sizes for the wave solvers.
+    """Truncation order, tolerances and the w-Newton switch of the wave solvers.
 
-    ``amplitude_cap`` bounds ||v||_inf before attempting the w fixed
-    point; the plain iteration additionally stops contracting well below
-    the cap when the multiplier values are large (near (2,5) bifurcation
-    points the observed radius is about 0.013 per mode amplitude), which
-    is when the Newton fallback takes over if ``allow_w_newton`` is set.
+    The plain fixed-point iteration for w stops contracting well below
+    the amplitude cap when the multiplier values are large (near (2,5)
+    bifurcation points the observed radius is about 0.013 per mode
+    amplitude), which is when the Newton fallback takes over if
+    ``allow_w_newton`` is set.
     """
 
     K: int = 64
     tol_w: float = 1e-14
-    max_iter_w: int = 200
     tol_newton: float = 1e-12
-    max_iter_newton: int = 50
-    fd_step_rel: float = 1e-7
-    amplitude_cap: float = 0.3
     allow_w_newton: bool = True
-    tol_residual_j: float = 1e-10
-    tol_orthogonality: float = 1e-12
-    tol_lindep: float = 1e-12
-    asymmetry_tol: float = 1e-12
-    sine_guard: float = 1e-10
+
+
+# Iteration budgets of the w fixed point and the parameter Newton.
+_MAX_ITER_W = 200
+_MAX_ITER_NEWTON = 50
+# Relative step of the parameter Newton's finite-difference Jacobian.
+_FD_STEP_REL = 1e-7
+# Bound on ||v||_inf before the w fixed point is attempted.
+_AMPLITUDE_CAP = 0.3
+# A report is converged when all three residuals are below these.
+_TOL_RESIDUAL_J = 1e-10
+_TOL_ORTHOGONALITY = 1e-12
+_TOL_LINDEP = 1e-12
+# Smallest |sin(k1 k2 (theta1 - theta2))| the asymmetric solve divides by.
+_SINE_GUARD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -141,7 +147,7 @@ class SolveReport:
     """Outcome of a wave solve.
 
     ``converged`` is true exactly when all three residual fields are
-    below their configured tolerances; ``g_inf`` records the final
+    below their fixed tolerances; ``g_inf`` records the final
     scaled kernel equations, whose attainable floor is limited by the
     division by amplitude monomials rather than by the solution quality.
     """
@@ -265,11 +271,11 @@ def solve_w(
     K = v.K
     pair = v.pair
     vmax = float(np.max(np.abs(_to_grid(v.modes, 4 * K + 4))))
-    if vmax > settings.amplitude_cap:
+    if vmax > _AMPLITUDE_CAP:
         raise DomainError(
             "kernel amplitude exceeds the contraction cap",
             amplitude=vmax,
-            cap=settings.amplitude_cap,
+            cap=_AMPLITUDE_CAP,
         )
     ctx = MultiplierContext(pair=pair, c=c, kappa=kappa, T=T)
     ell = _ell_values(ctx, K)
@@ -301,7 +307,7 @@ def _solve_w_picard(
     history: list[float] = []
     growth = 0
     prev_delta = math.inf
-    for iteration in range(1, settings.max_iter_w + 1):
+    for iteration in range(1, _MAX_ITER_W + 1):
         # Diverging iterates may overflow; nonfinite deltas are counted
         # as growth below, so silence the transient warnings.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -323,7 +329,7 @@ def _solve_w_picard(
         w = w_next
     raise ConvergenceError(
         "fixed point did not reach tolerance",
-        iterations=settings.max_iter_w,
+        iterations=_MAX_ITER_W,
         last_delta=history[-1],
         tol=settings.tol_w,
     )
@@ -515,39 +521,6 @@ def linear_dependence_residual(profile: WaveProfile) -> float:
     return pair.k1 * params.r1 * s1 + pair.k2 * params.r2 * s2
 
 
-def _report_from_profile(
-    profile: WaveProfile,
-    settings: SolverSettings,
-    mode: str,
-    w_method: str,
-    iterations_w: int,
-    iterations_newton: int,
-    g_inf: float,
-) -> SolveReport:
-    rj = residual_j_inf(profile)
-    orth, _ = variational_identity(profile)
-    lindep = linear_dependence_residual(profile)
-    converged = (
-        rj <= settings.tol_residual_j
-        and abs(orth) <= settings.tol_orthogonality
-        and abs(lindep) <= settings.tol_lindep
-    )
-    return SolveReport(
-        converged=converged,
-        mode=mode,
-        w_method=w_method,
-        iterations_w=iterations_w,
-        iterations_newton=iterations_newton,
-        residual_J_inf=rj,
-        residual_orthogonality=orth,
-        residual_lindep=lindep,
-        g_inf=g_inf,
-        c=profile.c,
-        kappa=profile.kappa,
-        T=profile.T,
-    )
-
-
 def _newton_on_parameters(eval_g, x0: np.ndarray, settings: SolverSettings):
     """Newton iteration with finite-difference Jacobian and stagnation stop.
 
@@ -563,13 +536,13 @@ def _newton_on_parameters(eval_g, x0: np.ndarray, settings: SolverSettings):
     ginf = float(np.max(np.abs(g)))
     best = (ginf, x.copy(), g, state)
     stall = 0
-    for step_count in range(1, settings.max_iter_newton + 1):
+    for step_count in range(1, _MAX_ITER_NEWTON + 1):
         if ginf <= settings.tol_newton:
             return x, g, state, step_count - 1
         dim = len(x)
         jac = np.empty((dim, dim))
         for jcol in range(dim):
-            h = settings.fd_step_rel * max(abs(x[jcol]), 1e-3)
+            h = _FD_STEP_REL * max(abs(x[jcol]), 1e-3)
             xp = x.copy()
             xp[jcol] += h
             gp, _ = eval_g(xp)
@@ -610,9 +583,82 @@ def _newton_on_parameters(eval_g, x0: np.ndarray, settings: SolverSettings):
             return xb, gb, sb, step_count
     raise ConvergenceError(
         "Newton did not converge or stagnate within the step budget",
-        steps=settings.max_iter_newton,
+        steps=_MAX_ITER_NEWTON,
         residual=float(best[0]),
     )
+
+
+def _solve_kernel(
+    pair: WaveNumberPair,
+    params: ModalParameters,
+    T: float,
+    settings: SolverSettings,
+    mode: str,
+    equations: tuple[tuple[int, float], ...],
+) -> tuple[WaveProfile, SolveReport]:
+    """Newton on the scaled kernel equations of one wave mode.
+
+    Each entry (index, divisor) of ``equations`` is the equation
+    ``inner_products(profile)[index] / divisor = 0``.  Newton runs on the
+    first ``len(equations)`` entries of (c, kappa, T) from the
+    bifurcation point at T, re-solving the remainder equation at every
+    evaluation; the other entries stay fixed at that point.  With no
+    equations the result is the zero wave at the bifurcation point.
+    """
+    # The zero wave needs no kernel profile, so no K >= 2*k2 either.
+    v = synthesize_v(pair, params, settings.K) if equations else None
+    point = double_bifurcation(pair, T)
+    start = (point.c0, point.kappa0, float(T))
+    free = len(equations)
+
+    def eval_g(x: np.ndarray):
+        c, kappa, t = (*x, *start[free:])
+        result = solve_w(v, c, kappa, t, settings)
+        profile = assemble_profile(v, result.w, c, kappa, t)
+        projections = inner_products(profile)
+        g = np.array([projections[index] / divisor for index, divisor in equations])
+        return g, (profile, result)
+
+    if equations:
+        _, g, (profile, wres), steps = _newton_on_parameters(
+            eval_g, np.array(start[:free]), settings
+        )
+        w_method, iterations_w, g_inf = wres.method, wres.iterations, float(np.max(np.abs(g)))
+    else:
+        c, kappa, t = start
+        profile = WaveProfile(
+            modes=np.zeros(settings.K + 1, dtype=complex),
+            K=settings.K,
+            pair=pair,
+            params=ModalParameters(0.0, 0.0),
+            c=c,
+            kappa=kappa,
+            T=t,
+        )
+        w_method, iterations_w, steps, g_inf = "none", 0, 0, 0.0
+    rj = residual_j_inf(profile)
+    orth, _ = variational_identity(profile)
+    lindep = linear_dependence_residual(profile)
+    converged = (
+        rj <= _TOL_RESIDUAL_J
+        and abs(orth) <= _TOL_ORTHOGONALITY
+        and abs(lindep) <= _TOL_LINDEP
+    )
+    report = SolveReport(
+        converged=converged,
+        mode=mode,
+        w_method=w_method,
+        iterations_w=iterations_w,
+        iterations_newton=steps,
+        residual_J_inf=rj,
+        residual_orthogonality=orth,
+        residual_lindep=lindep,
+        g_inf=g_inf,
+        c=profile.c,
+        kappa=profile.kappa,
+        T=profile.T,
+    )
+    return profile, report
 
 
 def solve_wave(
@@ -643,62 +689,18 @@ def solve_wave(
         pair = WaveNumberPair(*pair)
     settings = settings or SolverSettings()
     params = params.reduced(pair)
-    if params.r1 == 0.0 and params.r2 == 0.0:
-        return _trivial_solution(pair, T_init, settings)
-    if not asymmetry_test(pair, params, settings.asymmetry_tol):
+    if not asymmetry_test(pair, params):
         return symmetric_solve(pair, params, T_init, settings)
     k1, k2 = pair.k1, pair.k2
     sine = math.sin(k1 * k2 * (params.theta1 - params.theta2))
-    if abs(sine) < settings.sine_guard:
+    if abs(sine) < _SINE_GUARD:
         raise DegenerateDirectionError(
             "sine factor numerically zero; use the symmetric solver",
             sine=sine,
         )
-    v = synthesize_v(pair, params, settings.K)
-    point = double_bifurcation(pair, T_init)
     monomial = params.r1 ** (k2 - 1) * params.r2**k1 * sine
-
-    def eval_g(x: np.ndarray):
-        c, kappa, T = x
-        result = solve_w(v, c, kappa, T, settings)
-        profile = assemble_profile(v, result.w, c, kappa, T)
-        c1, c2, s1, _ = inner_products(profile)
-        g = np.array([c1 / params.r1, c2 / params.r2, s1 / monomial])
-        return g, (profile, result)
-
-    x0 = np.array([point.c0, point.kappa0, float(T_init)])
-    x, g, (profile, wres), steps = _newton_on_parameters(eval_g, x0, settings)
-    report = _report_from_profile(
-        profile,
-        settings,
-        mode="asymmetric",
-        w_method=wres.method,
-        iterations_w=wres.iterations,
-        iterations_newton=steps,
-        g_inf=float(np.max(np.abs(g))),
-    )
-    return profile, report
-
-
-def _trivial_solution(
-    pair: WaveNumberPair, T: float, settings: SolverSettings
-) -> tuple[WaveProfile, SolveReport]:
-    """The zero wave at the bifurcation point itself (r1 = r2 = 0)."""
-    point = double_bifurcation(pair, T)
-    profile = WaveProfile(
-        modes=np.zeros(settings.K + 1, dtype=complex),
-        K=settings.K,
-        pair=pair,
-        params=ModalParameters(0.0, 0.0),
-        c=point.c0,
-        kappa=point.kappa0,
-        T=float(T),
-    )
-    report = _report_from_profile(
-        profile, settings, mode="trivial", w_method="none",
-        iterations_w=0, iterations_newton=0, g_inf=0.0,
-    )
-    return profile, report
+    equations = ((0, params.r1), (1, params.r2), (2, monomial))
+    return _solve_kernel(pair, params, T_init, settings, "asymmetric", equations)
 
 
 def symmetric_solve(
@@ -720,49 +722,11 @@ def symmetric_solve(
         pair = WaveNumberPair(*pair)
     settings = settings or SolverSettings()
     params = params.reduced(pair)
-    if asymmetry_test(pair, params, settings.asymmetry_tol):
+    if asymmetry_test(pair, params):
         raise DomainError("parameters are asymmetric; use solve_wave")
-    if params.r1 == 0.0 and params.r2 == 0.0:
-        return _trivial_solution(pair, T, settings)
-    v = synthesize_v(pair, params, settings.K)
-    point = double_bifurcation(pair, T)
-    bimodal = params.r1 > 0.0 and params.r2 > 0.0
-
-    if bimodal:
-        def eval_g(x: np.ndarray):
-            c, kappa = x
-            result = solve_w(v, c, kappa, T, settings)
-            profile = assemble_profile(v, result.w, c, kappa, T)
-            c1, c2, _, _ = inner_products(profile)
-            g = np.array([c1 / params.r1, c2 / params.r2])
-            return g, (profile, result)
-
-        x0 = np.array([point.c0, point.kappa0])
-        mode = "symmetric"
-    else:
-        kappa0 = point.kappa0
-        divisor = params.r1 if params.r1 > 0.0 else params.r2
-        index = 0 if params.r1 > 0.0 else 1
-
-        def eval_g(x: np.ndarray):
-            (c,) = x
-            result = solve_w(v, c, kappa0, T, settings)
-            profile = assemble_profile(v, result.w, c, kappa0, T)
-            projections = inner_products(profile)
-            g = np.array([projections[index] / divisor])
-            return g, (profile, result)
-
-        x0 = np.array([point.c0])
-        mode = "unimodal"
-
-    x, g, (profile, wres), steps = _newton_on_parameters(eval_g, x0, settings)
-    report = _report_from_profile(
-        profile,
-        settings,
-        mode=mode,
-        w_method=wres.method,
-        iterations_w=wres.iterations,
-        iterations_newton=steps,
-        g_inf=float(np.max(np.abs(g))),
+    # One cosine equation per nonzero amplitude; none gives the zero wave.
+    equations = tuple(
+        (index, r) for index, r in enumerate((params.r1, params.r2)) if r != 0.0
     )
-    return profile, report
+    mode = ("trivial", "unimodal", "symmetric")[len(equations)]
+    return _solve_kernel(pair, params, T, settings, mode, equations)

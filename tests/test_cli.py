@@ -294,6 +294,26 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_rejects_svg_format(tmp_path, capsys):
+    # No command writes its table as SVG, so the config file may not ask
+    # for it (the --format flag already refuses it).
+    cfg = tmp_path / "svg.cfg"
+    cfg.write_text("format = svg\n")
+    out = tmp_path / "out"
+    for argv in (
+        ("phi", "eval", "--k1", "2", "--k2", "5", "--T", "0.1"),
+        ("phi", "curve", "--k1", "2", "--k2", "5", "--grid", "10"),
+        ("bifurcate", "--k1", "2", "--k2", "5", "--T", "0.1"),
+    ):
+        code, stdout, err = _run(
+            capsys, "--config", str(cfg), *argv, "--out", str(out)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert _stderr_envelope(err)["message"] == "unknown output format"
+    assert not out.exists()
+
+
 def test_stdout_lists_every_written_file(tmp_path, capsys):
     code, out, err = _run(
         capsys,

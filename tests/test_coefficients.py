@@ -16,8 +16,6 @@ from capwhitham import (
     NearResonanceError,
     SizeGuardError,
     WaveNumberPair,
-    coefficient_u,
-    coefficient_u2,
     double_bifurcation,
     eval_symbol,
     expand_symbolic,
@@ -153,13 +151,6 @@ def test_seven_term_grouping_identity():
     # so the comparison tolerance scales with the terms, not the result.
     scale = max(abs(p) for p in parts)
     assert abs(sess.u2((4, 0), (0, 2)) - sum(parts)) <= 1e-13 * scale
-
-
-def test_convenience_wrappers_match_session():
-    ctx = _context()
-    sess = numeric_session(ctx)
-    assert coefficient_u(ctx, (2, 0), (0, 1)) == sess.u((2, 0), (0, 1))
-    assert coefficient_u2(ctx, (2, 0), (0, 1)) == sess.u2((2, 0), (0, 1))
 
 
 def test_phi_target_indices():

@@ -333,6 +333,7 @@ def test_solve_wave_trivial_and_symmetric_routing():
     _, report_sym = solve_wave(PAIR_2_5, params, 0.1215)
     assert report_sym.mode == "symmetric"
     assert report_sym.converged
+    assert report_sym == symmetric_solve(PAIR_2_5, params, 0.1215)[1]
 
 
 def test_solve_wave_degenerate_direction_guard():
@@ -364,15 +365,17 @@ def test_symmetric_solve_bimodal():
 
 
 def test_symmetric_solve_unimodal_quadratic_speed_shift():
+    # Unimodal in k1 (projection 0) and in k2 (projection 1).
     point = _point()
-    deviations = []
-    for h in (0.002, 0.001):
-        profile, report = symmetric_solve(PAIR_2_5, ModalParameters(h, 0.0), 0.1215)
-        assert report.mode == "unimodal"
-        assert report.converged
-        assert report.kappa == point.kappa0
-        deviations.append(report.c - point.c0)
-    assert deviations[0] / deviations[1] == pytest.approx(4.0, abs=1.2)
+    for params_of in (lambda h: ModalParameters(h, 0.0), lambda h: ModalParameters(0.0, h)):
+        deviations = []
+        for h in (0.002, 0.001):
+            profile, report = symmetric_solve(PAIR_2_5, params_of(h), 0.1215)
+            assert report.mode == "unimodal"
+            assert report.converged
+            assert report.kappa == point.kappa0
+            deviations.append(report.c - point.c0)
+        assert deviations[0] / deviations[1] == pytest.approx(4.0, abs=1.2)
 
 
 def test_symmetric_solve_rejects_asymmetric_parameters():
