@@ -66,6 +66,12 @@ class ModalParameters:
     theta2: float = 0.0
 
     def __post_init__(self):
+        values = (self.r1, self.r2, self.theta1, self.theta2)
+        if not all(math.isfinite(value) for value in values):
+            raise DomainError(
+                "modal parameters must be finite",
+                r1=self.r1, r2=self.r2, theta1=self.theta1, theta2=self.theta2,
+            )
         if self.r1 < 0.0 or self.r2 < 0.0:
             raise DomainError("amplitudes must be nonnegative", r1=self.r1, r2=self.r2)
 
@@ -352,6 +358,37 @@ def _unpack(x: np.ndarray, free: list[int], K: int) -> np.ndarray:
     return w
 
 
+def _w_jacobian(u: np.ndarray, ell: np.ndarray, free: list[int]) -> np.ndarray:
+    """Packed Jacobian of F(w) = w - L P_W (v+w)^2 at u = v + w.
+
+    The derivative of u^2 along delta is 2*u*delta.  At output mode k a
+    real unit at free mode m > 0 gives u[k-m] + u[k+m], an imaginary
+    unit i*(u[k-m] - u[k+m]), and the real unit at mode 0 gives u[k]
+    alone, where u[-j] = conj(u[j]) and u[j] = 0 for j > K.  Gathering
+    the Toeplitz (k-m) and Hankel (k+m) entries from one extended
+    spectrum and scaling row k by 2*ell(k) gives the four real blocks of
+    the ``_pack`` layout without any FFT.
+    """
+    K = len(u) - 1
+    modes = np.asarray(free)
+    nf = len(modes)
+    ext = np.concatenate([np.conj(u[:0:-1]), u, np.zeros(K)])
+    toeplitz = K + modes[:, None] - modes[None, :]
+    hankel = K + modes[:, None] + modes[None, :]
+    a_re, a_im = ext.real[toeplitz], ext.imag[toeplitz]
+    b_re, b_im = ext.real[hankel], ext.imag[hankel]
+    # Column m = 0 takes u[k] once: its Hankel entry repeats the Toeplitz one.
+    b_re[:, 0] = b_im[:, 0] = 0.0
+    scale = (2.0 * ell[modes])[:, None]
+    jac = np.empty((2 * nf - 1, 2 * nf - 1))
+    jac[:nf, :nf] = -scale * (a_re + b_re)
+    jac[nf:, :nf] = -scale[1:] * (a_im + b_im)[1:]
+    jac[:nf, nf:] = scale * (a_im - b_im)[:, 1:]
+    jac[nf:, nf:] = -scale[1:] * (a_re - b_re)[1:, 1:]
+    jac[np.diag_indices_from(jac)] += 1.0
+    return jac
+
+
 def _newton_w_step(
     v_modes: np.ndarray,
     ell: np.ndarray,
@@ -361,9 +398,7 @@ def _newton_w_step(
     settings: SolverSettings,
 ) -> tuple[np.ndarray, int]:
     """Damped Newton for F(w) = w - L P_W (v+w)^2 from the given start."""
-    n = 4 * K + 4
     x = _pack(w0, free)
-    dim = len(x)
 
     def residual(xv: np.ndarray) -> np.ndarray:
         w = _unpack(xv, free, K)
@@ -374,15 +409,7 @@ def _newton_w_step(
     for iteration in range(1, 61):
         if norm <= settings.tol_w:
             return _unpack(x, free, K), iteration
-        w = _unpack(x, free, K)
-        u_grid = _to_grid(v_modes + w, n)
-        jac = np.empty((dim, dim))
-        for j in range(dim):
-            basis = np.zeros(dim)
-            basis[j] = 1.0
-            delta = _unpack(basis, free, K)
-            prod = _from_grid(u_grid * _to_grid(delta, n), K)
-            jac[:, j] = basis - _pack(2.0 * ell * prod, free)
+        jac = _w_jacobian(v_modes + _unpack(x, free, K), ell, free)
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:

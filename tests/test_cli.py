@@ -251,6 +251,25 @@ def test_wave_fold_exit_code_and_report(tmp_path, capsys):
     assert str(tmp_path / "wave_report.json") in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--r1", "nan", "--r2", "0.01"), ("--r1", "0.01", "--r2", "0.01", "--theta1", "inf")],
+)
+def test_wave_rejects_non_finite_parameters(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    code, stdout, err = _run(
+        capsys,
+        "wave", "--k1", "2", "--k2", "5", *flags, "--T", "0.1215",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == ""
+    envelope = _stderr_envelope(err)
+    assert envelope["code"] == 2
+    assert envelope["message"] == "modal parameters must be finite"
+    assert not out.exists()
+
+
 def test_config_file_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     env_cfg = tmp_path / "env.cfg"
     env_cfg.write_text("grid = 10\n")

@@ -73,6 +73,20 @@ def test_modal_parameters_validation_and_reduction():
     )
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        (math.nan, 0.01, 0.0, 0.0),
+        (0.01, 0.01, math.inf, 0.0),
+        (0.01, -math.inf, 0.0, 0.0),
+        (0.01, 0.01, 0.0, math.nan),
+    ],
+)
+def test_modal_parameters_reject_non_finite(values):
+    with pytest.raises(DomainError, match="finite"):
+        ModalParameters(*values)
+
+
 def test_synthesize_places_half_amplitudes():
     params = ModalParameters(0.1, 0.2, theta1=0.3, theta2=0.15)
     v = synthesize_v(PAIR_2_5, params, K=16)
@@ -227,6 +241,87 @@ def test_solve_w_newton_agrees_with_picard_when_both_work():
     )
     assert picard.method == "picard"
     assert np.allclose(picard.w.modes, newton_modes, atol=1e-12)
+
+
+def _conv_square(u, K):
+    """Modes 0..K of the square of a half-spectrum profile, by direct convolution."""
+    full = np.concatenate([np.conj(u[:0:-1]), u])
+    return np.convolve(full, full)[2 * K : 3 * K + 1]
+
+
+def test_w_jacobian_matches_central_differences():
+    # F(x) = x - pack(ell * (v + unpack(x))^2) is quadratic in x, so a
+    # central difference of the packed residual equals the Jacobian up to
+    # rounding.  The residual, the packing and the square are rebuilt
+    # here without the package's FFT code.
+    from capwhitham.waves import _w_jacobian
+
+    K = 12
+    rng = np.random.default_rng(2024)
+    free = [k for k in range(K + 1) if k not in (2, 5)]
+    nf = len(free)
+    v = np.zeros(K + 1, dtype=complex)
+    v[[2, 5]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    ell = rng.standard_normal(K + 1)
+    ell[[2, 5]] = 0.0
+
+    def unpack(x):
+        w = np.zeros(K + 1, dtype=complex)
+        w[free] = x[:nf]
+        w[free[1:]] += 1j * x[nf:]
+        return w
+
+    def residual(x):
+        image = ell * _conv_square(v + unpack(x), K)
+        return x - np.concatenate([image[free].real, image[free[1:]].imag])
+
+    x0 = rng.standard_normal(2 * nf - 1)
+    u = v + unpack(x0)
+    assert u[0] != 0.0 and np.all(u[1:].imag != 0.0)
+
+    h = 1e-3
+    ref = np.empty((2 * nf - 1, 2 * nf - 1))
+    for j in range(2 * nf - 1):
+        e = np.zeros(2 * nf - 1)
+        e[j] = h
+        ref[:, j] = (residual(x0 + e) - residual(x0 - e)) / (2.0 * h)
+    jac = _w_jacobian(u, ell, free)
+    assert jac.shape == ref.shape
+    scale = float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(jac - ref))) <= 1e-9 * scale
+    # Mode 0 has one real unknown: its row and column, checked on their own.
+    assert np.all(ref[0] != 0.0) and np.all(ref[:, 0] != 0.0)
+    assert float(np.max(np.abs(jac[0] - ref[0]))) <= 1e-9 * scale
+    assert float(np.max(np.abs(jac[:, 0] - ref[:, 0]))) <= 1e-9 * scale
+    # Real-real block where k + m > K: the Hankel term u[k+m] is zero.
+    modes = np.array(free)
+    beyond = modes[:, None] + modes[None, :] > K
+    assert beyond.sum() > 0
+    block = jac[:nf, :nf][beyond] - ref[:nf, :nf][beyond]
+    assert float(np.max(np.abs(block))) <= 1e-9 * scale
+
+
+# Symmetric (2,5) waves whose remainder solve takes the Newton fallback,
+# with (iterations_w, iterations_newton, c, kappa) from the probed-Jacobian
+# solver that preceded the analytic one.
+NEWTON_PINS = [
+    (0.024, 64, 6, 4, 0.8564467496592129, 0.8442534174661641),
+    (0.02, 128, 6, 3, 0.8602531202372886, 0.844803605689403),
+]
+
+
+@pytest.mark.parametrize("r, K, iterations_w, iterations_newton, c, kappa", NEWTON_PINS)
+def test_symmetric_newton_fallback_pinned(r, K, iterations_w, iterations_newton, c, kappa):
+    params = ModalParameters(r, r, theta1=math.pi / 5.0, theta2=0.0)
+    _, report = symmetric_solve(PAIR_2_5, params, T0, SolverSettings(K=K))
+    assert report.converged
+    assert report.w_method == "newton"
+    assert (report.iterations_w, report.iterations_newton) == (
+        iterations_w,
+        iterations_newton,
+    )
+    assert abs(report.c - c) <= 1e-12
+    assert abs(report.kappa - kappa) <= 1e-12
 
 
 def test_variational_identity_random_profiles():
