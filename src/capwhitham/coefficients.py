@@ -1,4 +1,4 @@
-"""Resolvent multiplier and the memoized Taylor-Fourier coefficient recursion.
+"""Resolvent multiplier and the Taylor-Fourier coefficient table.
 
 Small-amplitude solutions of the steady equation expand in powers of the
 two modal amplitudes.  Their Taylor-Fourier coefficients u_hat_{alpha,beta},
@@ -8,28 +8,27 @@ convolution recursion weighted by the multiplier
     ell(k) = 0                     for |k| in {k1, k2}
     ell(k) = 1 / (c - m_T(kappa*|k|))   otherwise,
 
-with m_T(0) = 1 at k = 0.  The recursion runs here over a pluggable scalar
-algebra, giving three interchangeable evaluation modes:
+with m_T(0) = 1 at k = 0.  One function fills the recursion as a table
+below a target; the evaluation modes differ only in ell's value type:
 
-* numeric -- floats, ell evaluated at a concrete (c, kappa, T);
-* limit-ratio -- floats, ell replaced by its normalized endpoint limits
-  rho(n) = lim ell(n)/ell(k2+1) as T -> 0 or T -> 1/3 (valid because every
-  term of the target is homogeneous of the same degree in ell);
+* numeric -- floats at a concrete (c, kappa, T), or arrays over a grid;
+* limit-ratio -- ell replaced by its normalized endpoint limits
+  rho(n) = lim ell(n)/ell(k2+1) as T -> 0 and T -> 1/3 (valid because
+  every term of the target is homogeneous of the same degree in ell);
 * symbolic -- exact integer-weighted monomials in the ell factors.
 
-Internally the engine computes the scaled values
-s(alpha, beta) = 2**(|alpha|+|beta|) * u_hat_{alpha,beta}, whose base case
-is 1 instead of 1/2; in symbolic mode all weights are then exact integers.
+The table holds the scaled values
+s(alpha, beta) = 2**(|alpha|+|beta|) * u_hat_{alpha,beta}, whose base
+case is 1 instead of 1/2; in symbolic mode all weights are then exact
+integers.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
-from collections.abc import Sequence
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NearResonanceError, SizeGuardError
 from .symbol import BifurcationPoint, WaveNumberPair, eval_symbol
@@ -41,13 +40,10 @@ __all__ = [
     "PhiExpansion",
     "multiplier",
     "numeric_session",
-    "grid_session",
-    "limit_session",
     "expand_symbolic",
     "expansion_size",
     "limit_ratio",
     "phi_target_indices",
-    "CoefficientSession",
     "LIMIT_LOW_T",
     "LIMIT_HIGH_T",
     "NEAR_RESONANCE_TOL",
@@ -117,152 +113,88 @@ def multiplier(ctx: MultiplierContext, k: int) -> float:
     return 1.0 / den
 
 
-class _FloatAlgebra:
-    """Float scalars with ell(k) drawn from a callable."""
-
-    zero = 0.0
-    one = 1.0
-
-    def __init__(self, ell):
-        self._ell = ell
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def apply_ell(self, k, value):
-        return self._ell(k) * value
-
-
-class _MonomialAlgebra:
+class _Monomials(dict):
     """Exact integer-weighted monomials {sorted factor tuple: coeff}.
 
-    Applying ell(k) appends the factor |k| to every monomial.  Kernel or
-    zero wavenumbers never occur on the phi path for a coprime pair;
-    encountering one would silently change the term count, so it raises.
+    Every weight is a sum of products of positive integers, so no
+    coefficient ever cancels to zero.
     """
 
-    zero: dict = {}
-    one = {(): 1}
-
-    def __init__(self, pair: WaveNumberPair):
-        self._forbidden = {0, pair.k1, pair.k2}
-
-    def add(self, a, b):
-        out = dict(a)
-        for factors, coeff in b.items():
-            total = out.get(factors, 0) + coeff
-            if total:
-                out[factors] = total
-            else:
-                del out[factors]
+    def __add__(self, other):
+        out = _Monomials(self)
+        get = out.get
+        for factors, coeff in other.items():
+            out[factors] = get(factors, 0) + coeff
         return out
 
-    def mul(self, a, b):
-        out: dict = {}
-        for fa, ca in a.items():
-            for fb, cb in b.items():
+    def __mul__(self, other):
+        out = _Monomials()
+        get = out.get
+        for fa, ca in self.items():
+            for fb, cb in other.items():
                 key = tuple(sorted(fa + fb))
-                total = out.get(key, 0) + ca * cb
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
+                out[key] = get(key, 0) + ca * cb
         return out
 
-    def apply_ell(self, k, value):
-        k = abs(int(k))
-        if k in self._forbidden:
-            raise AssertionError(
-                f"phi-path purity violated: ell({k}) arose in a symbolic expansion"
-            )
-        return {tuple(sorted(factors + (k,))): coeff for factors, coeff in value.items()}
+
+def _scaled_u2(pair: WaveNumberPair, alpha: MultiIndex, beta: MultiIndex, ell, zero, one):
+    """Scaled square coefficient 2**order * (u^2)_hat_{alpha,beta}.
+
+    Fills s over the box below (alpha, beta) in lexicographic order, in
+    which every strict sub-cell comes first.  Each cell sums
+    s(left) * s(right) over its splittings in lexicographic order of the
+    left half, skipping order-zero halves (the zero coefficient), and
+    stores ell(k) times the sum; the corner returns the sum itself.
+    """
+    k1, k2 = pair.k1, pair.k2
+    corner = (*alpha, *beta)
+    s = {}
+    for cell in itertools.product(*(range(n + 1) for n in corner)):
+        order = sum(cell)
+        total = zero
+        for left in itertools.product(*(range(n + 1) for n in cell)):
+            if 0 < sum(left) < order:
+                total = total + s[left] * s[tuple(map(operator.sub, cell, left))]
+        if cell == corner:
+            return total
+        if order < 2:
+            s[cell] = one if order else zero
+        else:
+            s[cell] = ell(k1 * (cell[0] - cell[2]) + k2 * (cell[1] - cell[3])) * total
 
 
-class CoefficientSession:
-    """One memoized evaluation session of the coefficient recursion.
+@dataclass(frozen=True)
+class _NumericSession:
+    """General coefficients u_hat and (u^2)_hat at one context.
 
-    Memo tables are confined to the session; sessions are independent,
-    deterministic, and safe to use from parallel workers.  Keys are
-    canonicalized to the lexicographically smaller of (alpha, beta) and
-    (beta, alpha), which halves the tables and enforces the index
-    symmetry by construction.
+    Every call fills a fresh table in the lexicographically larger of
+    (alpha, beta) and (beta, alpha).  The swap only negates the
+    wavenumber and ell is even, so the index symmetry holds exactly.
     """
 
-    def __init__(self, pair: WaveNumberPair, algebra):
-        self.pair = pair
-        self.algebra = algebra
-        self._memo_u: dict = {}
-        self._memo_u2: dict = {}
+    ctx: MultiplierContext
 
-    @staticmethod
-    def _key(alpha: MultiIndex, beta: MultiIndex):
-        return min((alpha, beta), (beta, alpha))
-
-    def _wavenumber(self, alpha: MultiIndex, beta: MultiIndex) -> int:
-        k1, k2 = self.pair.k1, self.pair.k2
-        return k1 * (alpha[0] - beta[0]) + k2 * (alpha[1] - beta[1])
-
-    def scaled_u(self, alpha: MultiIndex, beta: MultiIndex):
+    def scaled_u(self, alpha: MultiIndex, beta: MultiIndex) -> float:
         """Scaled coefficient s(alpha, beta) = 2**order * u_hat_{alpha,beta}."""
         order = alpha[0] + alpha[1] + beta[0] + beta[1]
-        if order == 0:
-            return self.algebra.zero
-        if order == 1:
-            return self.algebra.one
-        key = self._key(alpha, beta)
-        hit = self._memo_u.get(key)
-        if hit is not None:
-            return hit
-        conv = self._convolution(alpha, beta)
-        value = self.algebra.apply_ell(self._wavenumber(alpha, beta), conv)
-        self._memo_u[key] = value
-        return value
+        if order < 2:
+            return 1.0 if order else 0.0
+        k1, k2 = self.ctx.pair.k1, self.ctx.pair.k2
+        k = k1 * (alpha[0] - beta[0]) + k2 * (alpha[1] - beta[1])
+        return self.ctx.ell(k) * self.scaled_u2(alpha, beta)
 
-    def scaled_u2(self, alpha: MultiIndex, beta: MultiIndex):
+    def scaled_u2(self, alpha: MultiIndex, beta: MultiIndex) -> float:
         """Scaled square coefficient 2**order * (u^2)_hat_{alpha,beta}."""
         order = alpha[0] + alpha[1] + beta[0] + beta[1]
         if order < 2:
             raise DomainError(
                 "square coefficients need |alpha|+|beta| >= 2", alpha=alpha, beta=beta
             )
-        key = self._key(alpha, beta)
-        hit = self._memo_u2.get(key)
-        if hit is not None:
-            return hit
-        value = self._convolution(alpha, beta)
-        self._memo_u2[key] = value
-        return value
-
-    def _convolution(self, alpha: MultiIndex, beta: MultiIndex):
-        """Sum of s(alpha', beta') * s(alpha'', beta'') over all splittings.
-
-        Splittings with an order-zero half contribute nothing (the zero
-        coefficient) and are skipped.
-        """
-        a1, a2 = alpha
-        b1, b2 = beta
-        order = a1 + a2 + b1 + b2
-        algebra = self.algebra
-        total = algebra.zero
-        for p1 in range(a1 + 1):
-            for p2 in range(a2 + 1):
-                for q1 in range(b1 + 1):
-                    for q2 in range(b2 + 1):
-                        left = p1 + p2 + q1 + q2
-                        if left == 0 or left == order:
-                            continue
-                        term = algebra.mul(
-                            self.scaled_u((p1, p2), (q1, q2)),
-                            self.scaled_u((a1 - p1, a2 - p2), (b1 - q1, b2 - q2)),
-                        )
-                        total = algebra.add(total, term)
-        return total
+        larger = max((alpha, beta), (beta, alpha))
+        return _scaled_u2(self.ctx.pair, *larger, self.ctx.ell, 0.0, 1.0)
 
     def u(self, alpha: MultiIndex, beta: MultiIndex) -> float:
-        """Unscaled u_hat_{alpha,beta} (float algebras only)."""
+        """Unscaled u_hat_{alpha,beta}."""
         order = alpha[0] + alpha[1] + beta[0] + beta[1]
         if order < 1:
             raise DomainError(
@@ -271,45 +203,14 @@ class CoefficientSession:
         return self.scaled_u(alpha, beta) / 2.0**order
 
     def u2(self, alpha: MultiIndex, beta: MultiIndex) -> float:
-        """Unscaled (u^2)_hat_{alpha,beta} (float algebras only)."""
+        """Unscaled (u^2)_hat_{alpha,beta}."""
         order = alpha[0] + alpha[1] + beta[0] + beta[1]
         return self.scaled_u2(alpha, beta) / 2.0**order
 
 
-def numeric_session(ctx: MultiplierContext) -> CoefficientSession:
-    """Create a numeric evaluation session at a concrete context."""
-    return CoefficientSession(ctx.pair, _FloatAlgebra(lambda k: multiplier(ctx, k)))
-
-
-def grid_session(contexts: Sequence[MultiplierContext]) -> CoefficientSession:
-    """Create one numeric session over many contexts of the same pair.
-
-    ell(k) is the array of ``multiplier(ctx, k)`` over ``contexts``, so a
-    single pass of the recursion yields every coefficient as an array
-    over the contexts.  numpy float64 addition and multiplication round
-    like Python floats, so each entry is bitwise identical to the value
-    of :func:`numeric_session` at that context.  A target that never
-    applies ell stays a plain float.
-    """
-
-    @functools.cache
-    def ell(k: int) -> np.ndarray:
-        return np.array([multiplier(ctx, k) for ctx in contexts])
-
-    return CoefficientSession(contexts[0].pair, _FloatAlgebra(ell))
-
-
-def limit_session(pair: WaveNumberPair, endpoint: str) -> CoefficientSession:
-    """Create a session with ell replaced by its normalized endpoint limits."""
-    k1, k2 = pair.k1, pair.k2
-
-    def rho(k: int) -> float:
-        k = abs(int(k))
-        if k == k1 or k == k2:
-            return 0.0
-        return limit_ratio(pair, endpoint, k)
-
-    return CoefficientSession(pair, _FloatAlgebra(rho))
+def numeric_session(ctx: MultiplierContext) -> _NumericSession:
+    """Coefficients of the recursion at a concrete context."""
+    return _NumericSession(ctx)
 
 
 @dataclass(frozen=True)
@@ -387,9 +288,10 @@ def expansion_size(pair: WaveNumberPair) -> tuple[int, int]:
 def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
     """Exact symbolic expansion of 2**(k1+k2-1) * phi in monomials of ell.
 
-    Runs the scaled recursion over the integer monomial algebra and
-    groups equal factor multisets.  The expansion is refused up front if
-    its exact term count N exceeds the size guard.
+    Fills the scaled table with integer-weighted monomials, in which
+    ell(k) appends the factor |k|, and groups equal factor multisets.
+    The expansion is refused up front if its exact term count N exceeds
+    the size guard.
 
     Raises
     ------
@@ -405,9 +307,20 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
             size=n_expected,
             guard=SIZE_GUARD,
         )
-    session = CoefficientSession(pair, _MonomialAlgebra(pair))
+    # Kernel or zero wavenumbers never occur on the phi path of a coprime
+    # pair; one would silently change the term count, so it raises.
+    forbidden = {0, pair.k1, pair.k2}
+
+    def ell(k: int) -> _Monomials:
+        k = abs(k)
+        if k in forbidden:
+            raise AssertionError(
+                f"phi-path purity violated: ell({k}) arose in a symbolic expansion"
+            )
+        return _Monomials({(k,): 1})
+
     alpha, beta = phi_target_indices(pair)
-    raw = session.scaled_u2(alpha, beta)
+    raw = _scaled_u2(pair, alpha, beta, ell, _Monomials(), _Monomials({(): 1}))
     monomials = tuple(
         Monomial(coeff=coeff, factors=factors)
         for factors, coeff in sorted(raw.items())

@@ -14,6 +14,7 @@ divisor or difference criteria), admitting, or undecided.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -26,9 +27,8 @@ from .coefficients import (
     LIMIT_HIGH_T,
     LIMIT_LOW_T,
     MultiplierContext,
-    grid_session,
-    limit_session,
-    numeric_session,
+    _scaled_u2,
+    limit_ratio,
     phi_target_indices,
 )
 from .errors import CapWhithamError, DomainError
@@ -105,7 +105,7 @@ class PairVerdict:
     ``k1``/``k2`` are the raw enumerated values and ``reduced`` the
     coprime pair actually analysed.  Excluded statuses carry no limits
     or roots; per-pair failures are recorded in ``error`` with status
-    undecided rather than aborting a scan.
+    undecided rather than aborting a scan, with any limits computed first.
     """
 
     k1: int
@@ -145,6 +145,12 @@ def _check_values(pair: WaveNumberPair, grid: np.ndarray, values: np.ndarray) ->
         )
 
 
+def _phi(pair: WaveNumberPair, ell):
+    """phi from the coefficient table, with ell(k) a float or an array."""
+    alpha, beta = phi_target_indices(pair)
+    return _scaled_u2(pair, alpha, beta, ell, 0.0, 1.0) / 2.0 ** (pair.k1 + pair.k2 - 1)
+
+
 def phi_eval(pair: WaveNumberPair, T: float) -> PhiSample:
     """Evaluate phi(T; k1, k2) at the solved bifurcation point.
 
@@ -161,8 +167,7 @@ def phi_eval(pair: WaveNumberPair, T: float) -> PhiSample:
         pair = WaveNumberPair(*pair)
     _warn_k1_one(pair)
     point = double_bifurcation(pair, T)
-    session = numeric_session(MultiplierContext.from_bifurcation(point))
-    value = session.u2(*phi_target_indices(pair))
+    value = _phi(pair, MultiplierContext.from_bifurcation(point).ell)
     _check_values(pair, np.array([point.T]), np.array([value]))
     return PhiSample(T=float(T), value=value, bifurcation=point)
 
@@ -177,7 +182,7 @@ def _clustered_grid(grid_size: int, lo: float, hi: float) -> np.ndarray:
 def phi_curve(pair: WaveNumberPair, grid_size: int = DEFAULT_GRID_SIZE) -> list[PhiSample]:
     """Sample phi on the endpoint-clustered grid over (delta, 1/3 - delta).
 
-    The coefficient recursion runs once over the whole grid, with every
+    The coefficient table is filled once over the whole grid, with every
     multiplier an array over the grid's bifurcation points; each value
     is bitwise identical to :func:`phi_eval` at that tension.
     """
@@ -188,10 +193,11 @@ def phi_curve(pair: WaveNumberPair, grid_size: int = DEFAULT_GRID_SIZE) -> list[
     _warn_k1_one(pair)
     grid = _clustered_grid(grid_size, T_MARGIN, WEAK_TENSION_LIMIT - T_MARGIN)
     points = [double_bifurcation(pair, float(T)) for T in grid]
-    session = grid_session([MultiplierContext.from_bifurcation(p) for p in points])
+    contexts = [MultiplierContext.from_bifurcation(p) for p in points]
+    ell = functools.cache(lambda k: np.array([ctx.ell(k) for ctx in contexts]))
     # Overflow surfaces as inf or nan, which _check_values reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        value = session.u2(*phi_target_indices(pair))
+        value = _phi(pair, ell)
     # A target that never applies ell (M = 0) comes back as one float.
     values = np.full_like(grid, value)
     _check_values(pair, grid, values)
@@ -204,14 +210,22 @@ def phi_limits(pair: WaveNumberPair) -> tuple[float, float]:
     """Normalized limits of phi/ell(k2+1)^M at T -> 0 and T -> 1/3.
 
     Every term of phi is homogeneous of degree M in the multiplier
-    values, so the limits equal the coefficient recursion run with ell
-    replaced by its normalized endpoint ratios.
+    values, so the limits equal the coefficient table filled with ell
+    replaced by its normalized endpoint ratios, both endpoints at once.
     """
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)
-    alpha, beta = phi_target_indices(pair)
-    low = limit_session(pair, LIMIT_LOW_T).u2(alpha, beta)
-    high = limit_session(pair, LIMIT_HIGH_T).u2(alpha, beta)
+
+    def rho(k: int):
+        if abs(k) in (pair.k1, pair.k2):
+            return 0.0
+        return np.array(
+            [limit_ratio(pair, LIMIT_LOW_T, k), limit_ratio(pair, LIMIT_HIGH_T, k)]
+        )
+
+    value = _phi(pair, rho)
+    # A target that never applies ell (M = 0) comes back as one float.
+    low, high = np.broadcast_to(value, 2).tolist()
     return low, high
 
 
@@ -281,6 +295,7 @@ def _classify_pair(item: tuple[int, int, bool, int]) -> PairVerdict:
     """Worker body: classify one surviving pair (never raises)."""
     k1, k2, refine, grid_size = item
     reduced = WaveNumberPair(k1, k2)
+    low = high = None
     try:
         low, high = phi_limits(reduced)
         if low * high < 0.0:
@@ -301,7 +316,7 @@ def _classify_pair(item: tuple[int, int, bool, int]) -> PairVerdict:
     except (CapWhithamError, ArithmeticError, ValueError) as exc:
         return PairVerdict(
             k1=k1, k2=k2, reduced=reduced, status=STATUS_UNDECIDED,
-            error=f"{type(exc).__name__}: {exc}",
+            limit_low=low, limit_high=high, error=f"{type(exc).__name__}: {exc}",
         )
 
 

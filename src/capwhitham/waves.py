@@ -703,14 +703,17 @@ def solve_wave(
     the remainder equation at every evaluation.  Symmetric parameters
     route to :func:`symmetric_solve` at fixed T.
 
+    A stalled parameter Newton does not raise: it returns its best
+    iterate, however large its residual, with ``converged=False``.
+
     Raises
     ------
     DegenerateDirectionError
         If the parameters pass the asymmetry test but the sine factor is
         below the guard; use the symmetric solver.
     ConvergenceError
-        If the remainder or parameter iteration fails (in particular for
-        amplitudes beyond the small-solution fold).
+        If the remainder or parameter iteration fails outright (in
+        particular for amplitudes beyond the small-solution fold).
     """
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)

@@ -21,9 +21,9 @@ from capwhitham import (
     expand_symbolic,
     expansion_size,
     limit_ratio,
-    limit_session,
     multiplier,
     numeric_session,
+    phi_limits,
     phi_target_indices,
 )
 
@@ -273,19 +273,16 @@ def test_limit_ratio_matches_finite_tension():
         assert limit_ratio(PAIR_2_5, LIMIT_HIGH_T, n) == pytest.approx(finite, rel=1e-3)
 
 
-def test_limit_session_matches_symbolic_substitution():
+def test_phi_limits_match_symbolic_substitution():
     # Evaluating the exact expansion with the endpoint ratios reproduces
-    # the normalized limit computed by the recursion, at both endpoints
-    # and for two pairs.
+    # the normalized limits computed by the table, at both endpoints and
+    # for two pairs.
     for pair in (PAIR_2_5, WaveNumberPair(3, 7)):
         expansion = expand_symbolic(pair)
-        for endpoint in (LIMIT_LOW_T, LIMIT_HIGH_T):
-            sess = limit_session(pair, endpoint)
-            target = phi_target_indices(pair)
-            via_recursion = sess.u2(*target)
+        for endpoint, via_table in zip((LIMIT_LOW_T, LIMIT_HIGH_T), phi_limits(pair)):
             rho = lambda n: limit_ratio(pair, endpoint, n)
             via_expansion = expansion.evaluate(rho) / 2.0**expansion.prefactor_exponent
-            assert via_recursion == pytest.approx(via_expansion, rel=1e-12)
+            assert via_table == pytest.approx(via_expansion, rel=1e-12)
 
 
 def test_recursion_against_series_squaring_oracle_small():
@@ -312,3 +309,19 @@ def test_sessions_are_independent_per_context():
     a = numeric_session(_context(0.1))
     b = numeric_session(_context(0.2))
     assert a.u((2, 0), (0, 0)) != b.u((2, 0), (0, 0))
+
+
+def test_coefficients_do_not_depend_on_call_history():
+    # Criterion 6's 205 indices through one shared session and through a
+    # fresh session per index give bitwise equal values.
+    ctx = _context(0.2)
+    shared = numeric_session(ctx)
+    indices = [
+        ((a1, a2), (b1, b2))
+        for a1, a2, b1, b2 in itertools.product(range(7), repeat=4)
+        if 2 <= a1 + a2 + b1 + b2 <= 6
+    ]
+    assert len(indices) == 205
+    via_shared = [shared.u2(*index) for index in indices]
+    via_fresh = [numeric_session(ctx).u2(*index) for index in indices]
+    assert via_shared == via_fresh

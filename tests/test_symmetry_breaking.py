@@ -258,6 +258,10 @@ def test_nonfinite_phi_raises_and_is_recorded():
     verdict = symmetry_breaking._classify_pair((23, 30, True, 16))
     assert verdict.status == STATUS_UNDECIDED
     assert verdict.error.startswith("DomainError: phi is not finite")
+    # The endpoint limits were computed before the root scan failed.
+    assert (verdict.limit_low, verdict.limit_high) == phi_limits(pair)
+    assert verdict.limit_low == pytest.approx(1.2095079056959491e-45, rel=1e-12)
+    assert verdict.limit_high == pytest.approx(6.716036949548955e-26, rel=1e-12)
 
 
 def test_pair_scan_classifies_each_reduced_pair_once(monkeypatch):
@@ -280,3 +284,36 @@ def test_pair_scan_classifies_each_reduced_pair_once(monkeypatch):
 
 def test_pair_scan_jobs_equivalence_with_reduced_pairs():
     assert pair_scan(10, jobs=2) == pair_scan(10, jobs=1)
+
+
+# float.hex values printed at commit 88042b7, by the memoized recursion
+# that the coefficient table replaced.
+_CURVE_PINS = {
+    (2, 5): ["-0x1.60f972ab9e416p+26", "-0x1.fc599fcbabab5p+16",
+             "0x1.8b4d4bed35e29p+24", "0x1.9ac50381ad085p+102"],
+    (7, 12): ["0x1.2f6f8d393ae27p+133", "0x1.bc6d7f58cd55cp+98",
+              "0x1.01323d12f249cp+123", "0x1.1a61840ef1e12p+425"],
+    (11, 12): ["0x1.7fc5e20d14731p+168", "0x1.fa3be4c5e5d91p+126",
+               "0x1.e4f9be251f25dp+156", "0x1.62f95bf3c132ap+532"],
+}
+_LIMIT_PINS = {
+    (2, 5): ("-0x1.b37c6bda956e6p-3", "0x1.3f8ca850c83d4p+9"),
+    (7, 12): ("0x1.78258ce95f706p-14", "0x1.8e1b7220d374dp+13"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_CURVE_PINS))
+def test_phi_curve_bitwise_pins(pair):
+    samples = phi_curve(WaveNumberPair(*pair), 200)
+    got = [samples[i].value.hex() for i in (0, 57, 123, 199)]
+    assert got == _CURVE_PINS[pair]
+
+
+@pytest.mark.parametrize("pair", sorted(_LIMIT_PINS))
+def test_phi_limits_bitwise_pins(pair):
+    low, high = phi_limits(WaveNumberPair(*pair))
+    assert (low.hex(), high.hex()) == _LIMIT_PINS[pair]
+
+
+def test_phi_eval_bitwise_pin():
+    assert phi_eval(PAIR_2_5, 0.1215).value.hex() == "0x1.2f1cbef6c7000p+6"
