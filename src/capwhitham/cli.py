@@ -23,7 +23,7 @@ from .errors import (
     DomainError,
     SizeGuardError,
 )
-from .symbol import WaveNumberPair, double_bifurcation
+from .symbol import WaveNumberPair, bifurcation_grid
 from .symmetry_breaking import (
     STATUS_ADMITS,
     pair_scan,
@@ -148,7 +148,7 @@ def _cmd_bifurcate(args, cfg) -> tuple[list[Path], int]:
     if args.T is None and args.T_grid is None:
         raise DomainError("bifurcate needs --T or --T-grid")
     tensions = [args.T] if args.T is not None else _parse_t_grid(args.T_grid)
-    points = [double_bifurcation(pair, T) for T in tensions]
+    points = bifurcation_grid(pair, tensions)
     out = Path(cfg.out)
     if (cfg.format or "csv") == "json":
         path = emitters.write_text(

@@ -25,10 +25,13 @@ integers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NearResonanceError, SizeGuardError
 from .symbol import BifurcationPoint, WaveNumberPair, eval_symbol
@@ -68,7 +71,9 @@ class MultiplierContext:
     """Environment (pair, c, kappa, T) of the multiplier ell(k).
 
     Usually built at (or near) a solved bifurcation point, where the
-    kernel modes k1, k2 are the only integer resonances.
+    kernel modes k1, k2 are the only integer resonances.  c, kappa and T
+    may be arrays of one shape, such as the bifurcation points of a
+    tension grid; ell(k) is then an array over them.
     """
 
     pair: WaveNumberPair
@@ -77,7 +82,8 @@ class MultiplierContext:
     T: float
 
     def __post_init__(self):
-        if not (self.c > 0.0 and self.kappa > 0.0 and self.T > 0.0):
+        positive = np.greater(self.c, 0.0) & np.greater(self.kappa, 0.0) & np.greater(self.T, 0.0)
+        if not positive.all():
             raise DomainError(
                 "context requires c, kappa, T > 0",
                 c=self.c,
@@ -89,28 +95,40 @@ class MultiplierContext:
     def from_bifurcation(cls, point: BifurcationPoint) -> "MultiplierContext":
         return cls(pair=point.pair, c=point.c0, kappa=point.kappa0, T=point.T)
 
-    def ell(self, k: int) -> float:
+    def ell(self, k):
         return multiplier(self, k)
 
 
-def multiplier(ctx: MultiplierContext, k: int) -> float:
+def multiplier(ctx: MultiplierContext, k):
     """Evaluate ell(k) = (c - m_T(kappa*|k|))**-1, zeroed on kernel modes.
+
+    k may be an integer array, and the context array-valued; the result
+    broadcasts over both and is a float when neither is an array.  Every
+    element is bitwise equal to the scalar evaluation.
 
     Raises
     ------
     NearResonanceError
-        If |c - m_T(kappa*k)| < 1e-13 for a non-kernel wavenumber k.
+        If |c - m_T(kappa*k)| < 1e-13 for a non-kernel wavenumber k; the
+        first such element (in C order) is named, together with its index
+        ``element`` when the context is array-valued.
     """
-    k = abs(int(k))
-    if k == ctx.pair.k1 or k == ctx.pair.k2:
-        return 0.0
-    m = 1.0 if k == 0 else eval_symbol(ctx.T, ctx.kappa * k)
-    den = ctx.c - m
-    if abs(den) < NEAR_RESONANCE_TOL:
+    k = np.abs(np.asarray(k, dtype=int))
+    kernel = (k == ctx.pair.k1) | (k == ctx.pair.k2)
+    den = np.subtract(ctx.c, eval_symbol(ctx.T, ctx.kappa * k))
+    near = ~kernel & (np.abs(den) < NEAR_RESONANCE_TOL)
+    if near.any():
+        i = int(np.flatnonzero(near)[0])
+        context = {"k": int(np.broadcast_to(k, near.shape).flat[i])}
+        if any(np.ndim(v) for v in (ctx.c, ctx.kappa, ctx.T)):
+            context["element"] = i
         raise NearResonanceError(
-            "wave speed resonates with a non-kernel mode", k=k, denominator=den
+            "wave speed resonates with a non-kernel mode",
+            **context,
+            denominator=float(np.ravel(den)[i]),
         )
-    return 1.0 / den
+    ell = np.divide(1.0, den, out=np.zeros(den.shape), where=~kernel)
+    return ell if ell.ndim else float(ell)
 
 
 class _Monomials(dict):
@@ -191,7 +209,7 @@ class _NumericSession:
                 "square coefficients need |alpha|+|beta| >= 2", alpha=alpha, beta=beta
             )
         larger = max((alpha, beta), (beta, alpha))
-        return _scaled_u2(self.ctx.pair, *larger, self.ctx.ell, 0.0, 1.0)
+        return _scaled_u2(self.ctx.pair, *larger, functools.cache(self.ctx.ell), 0.0, 1.0)
 
     def u(self, alpha: MultiIndex, beta: MultiIndex) -> float:
         """Unscaled u_hat_{alpha,beta}."""

@@ -15,6 +15,9 @@ spanned by the modes k1 and k2.
 This module evaluates the symbol and its derivative in closed form,
 locates the turning point, and solves for bifurcation points, together
 with the two asymptotic predictions for kappa0 used as cross-checks.
+The symbol functions take floats or arrays, and every root solve runs
+through one array-valued Brent solver, so a whole tension grid is
+solved at once.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 
@@ -37,6 +39,7 @@ __all__ = [
     "eval_symbol_deriv",
     "turning_point",
     "double_bifurcation",
+    "bifurcation_grid",
     "kappa_asymptote_low_T",
     "kappa_asymptote_high_T",
     "WEAK_TENSION_LIMIT",
@@ -59,72 +62,253 @@ _RESIDUAL_TOL = 1e-13
 # Absolute tolerance on bracketing root solves.
 _BRACKET_XTOL = 1e-14
 
+# Relative tolerance and iteration cap of Brent's method.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
 
-def tanhc(x: float) -> float:
+# Geometric scan xi = 2**j, j = -20..40, that brackets the turning point.
+_TURNING_LADDER = np.ldexp(1.0, np.arange(-20, 41))
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """Apply a scalar math function elementwise.
+
+    numpy's SIMD tanh differs from libm's in the last bit for many
+    arguments; going through ``math`` keeps every array value bitwise
+    equal to the scalar one.
+    """
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _result(values: np.ndarray):
+    """A float for a scalar computation, the array otherwise."""
+    return values if values.ndim else float(values)
+
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.flatnonzero(mask)[0])
+
+
+def _cosh_squared(x: float) -> float:
+    return math.cosh(x) ** 2
+
+
+def _tanhc(x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """tanh(x)/x for x >= 0, given th = tanh(x)."""
+    # out starts at 1, the series value at x = 0, so the series runs on
+    # 0 < x < cutoff only.
+    out = np.divide(th, x, out=np.ones_like(x), where=~(x < _SERIES_CUTOFF))
+    small = (0.0 < x) & (x < _SERIES_CUTOFF)
+    if small.any():
+        x2 = x[small] * x[small]
+        out[small] = 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0 - 17.0 * x2**3 / 315.0
+    return out
+
+
+def _dtanhc(x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """d/dx [tanh(x)/x] for x >= 0, given th = tanh(x)."""
+    small = x < _SERIES_CUTOFF
+    sech2 = 1.0 / _libm(_cosh_squared, np.minimum(x, _SECH_ARG_CAP))
+    out = np.divide(x * sech2 - th, x * x, out=np.zeros_like(x), where=~small)
+    if small.any():
+        xs = x[small]
+        x2 = xs * xs
+        out[small] = -(2.0 / 3.0) * xs + (8.0 / 15.0) * xs * x2 - (34.0 / 105.0) * xs * x2 * x2
+    return out
+
+
+def tanhc(x):
     """Return tanh(x)/x, an even function with value 1 at x = 0."""
-    x = abs(float(x))
-    if x < _SERIES_CUTOFF:
-        x2 = x * x
-        return 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0 - 17.0 * x2**3 / 315.0
-    return math.tanh(x) / x
+    x = np.abs(np.asarray(x, dtype=float))
+    return _result(_tanhc(x, _libm(math.tanh, x)))
 
 
-def dtanhc(x: float) -> float:
+def dtanhc(x):
     """Return d/dx [tanh(x)/x], an odd function vanishing at x = 0."""
-    x = float(x)
-    sign = 1.0
-    if x < 0.0:
-        sign, x = -1.0, -x
-    if x < _SERIES_CUTOFF:
-        x2 = x * x
-        return sign * (-(2.0 / 3.0) * x + (8.0 / 15.0) * x * x2 - (34.0 / 105.0) * x * x2 * x2)
-    th = math.tanh(x)
-    sech2 = 1.0 / math.cosh(min(x, _SECH_ARG_CAP)) ** 2
-    return sign * (x * sech2 - th) / (x * x)
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    value = _dtanhc(ax, _libm(math.tanh, ax))
+    return _result(np.where(x < 0.0, -value, value))
 
 
-def eval_symbol(T: float, xi: float) -> float:
+def _symbol(T, xi: np.ndarray) -> np.ndarray:
+    x = np.abs(xi)
+    return np.sqrt((1.0 + T * xi * xi) * _tanhc(x, _libm(math.tanh, x)))
+
+
+def _symbol_deriv(T, xi: np.ndarray) -> np.ndarray:
+    """m_T'(xi) for xi > 0."""
+    th = _libm(math.tanh, xi)
+    tc = _tanhc(xi, th)
+    a = 1.0 + T * xi * xi
+    fp = 2.0 * T * xi * tc + a * _dtanhc(xi, th)
+    return fp / (2.0 * np.sqrt(a * tc))
+
+
+def _validated(T, xi, xi_ok, message: str) -> tuple[np.ndarray, np.ndarray]:
+    T, xi = np.asarray(T, dtype=float), np.asarray(xi, dtype=float)
+    positive = T > 0.0
+    if not positive.all():
+        raise DomainError("surface tension T must be positive", T=float(T.flat[_first(~positive)]))
+    ok = xi_ok(xi)
+    if not ok.all():
+        raise DomainError(message, xi=float(xi.flat[_first(~ok)]))
+    return T, xi
+
+
+def eval_symbol(T, xi):
     """Evaluate the dispersion symbol m_T(xi).
 
     Parameters
     ----------
-    T : float
+    T : float or array
         Surface tension parameter, T > 0.
-    xi : float
-        Frequency; any finite real, the symbol is even.
+    xi : float or array
+        Frequency; any finite real, the symbol is even.  T and xi
+        broadcast against each other.
 
     Returns
     -------
-    float
+    float or ndarray
         m_T(xi) = sqrt((1 + T*xi**2) * tanh(xi)/xi), with the removable
-        singularity at xi = 0 evaluated by series (value 1).
+        singularity at xi = 0 evaluated by series (value 1); a float when
+        both arguments are scalars.  Every element is bitwise equal to
+        the scalar evaluation.
     """
-    T = float(T)
-    xi = float(xi)
-    if not T > 0.0:
-        raise DomainError("surface tension T must be positive", T=T)
-    if not math.isfinite(xi):
-        raise DomainError("frequency xi must be finite", xi=xi)
-    return math.sqrt((1.0 + T * xi * xi) * tanhc(xi))
+    T, xi = _validated(T, xi, np.isfinite, "frequency xi must be finite")
+    return _result(_symbol(T, xi))
 
 
-def eval_symbol_deriv(T: float, xi: float) -> float:
+def eval_symbol_deriv(T, xi):
     """Evaluate the closed-form derivative d/dxi m_T(xi) for xi > 0.
 
     Writing f(xi) = (1 + T*xi**2) * tanh(xi)/xi, the derivative is
     f'(xi) / (2*sqrt(f(xi))) with
-    f'(xi) = 2*T*xi*tanhc(xi) + (1 + T*xi**2)*dtanhc(xi).
+    f'(xi) = 2*T*xi*tanhc(xi) + (1 + T*xi**2)*dtanhc(xi).  T and xi
+    broadcast like in :func:`eval_symbol`.
     """
-    T = float(T)
-    xi = float(xi)
-    if not T > 0.0:
-        raise DomainError("surface tension T must be positive", T=T)
-    if not (math.isfinite(xi) and xi > 0.0):
-        raise DomainError("xi must be finite and positive", xi=xi)
-    tc = tanhc(xi)
-    f = (1.0 + T * xi * xi) * tc
-    fp = 2.0 * T * xi * tc + (1.0 + T * xi * xi) * dtanhc(xi)
-    return fp / (2.0 * math.sqrt(f))
+    T, xi = _validated(
+        T, xi, lambda xi: np.isfinite(xi) & (xi > 0.0), "xi must be finite and positive"
+    )
+    return _result(_symbol_deriv(T, xi))
+
+
+def _brentq(f, a, b, xtol: float, fa=None, fb=None):
+    """Roots of f in the brackets [a, b] by Brent's method, elementwise.
+
+    A port of scipy's C ``brentq`` (rtol = 4*eps, at most 100
+    iterations), run in lockstep over arrays of brackets: ``f`` maps an
+    array of abscissae to the array of its values, and each element
+    takes exactly the iterates of a scalar solve.  Finished elements keep
+    their abscissa, so ``f`` sees them again unchanged.  ``fa`` and
+    ``fb`` may pass f(a) and f(b) when they are known.  Scalar brackets
+    give a float root.
+
+    Raises
+    ------
+    ValueError
+        If f is NaN at an iterate, or f(a) and f(b) have the same sign.
+    ConvergenceError
+        If an element has not converged after 100 iterations.
+    """
+    xpre, xcur = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+    def call(x):
+        fx = np.asarray(f(x), dtype=float)
+        nan = np.isnan(fx)
+        if nan.any():
+            x_nan = np.broadcast_to(x, fx.shape).flat[_first(nan)]
+            raise ValueError(f"The function value at x={x_nan} is NaN; solver cannot continue.")
+        return fx
+
+    fpre = call(xpre) if fa is None else np.asarray(fa, dtype=float)
+    fcur = call(xcur) if fb is None else np.asarray(fb, dtype=float)
+    root = np.where(fpre == 0.0, xpre, xcur)
+    active = (fpre != 0.0) & (fcur != 0.0)
+    if (active & (np.signbit(fpre) == np.signbit(fcur))).any():
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = np.zeros_like(xcur)
+    # Finished elements keep xcur and root; the rest of their state is
+    # never read again.
+    for _ in range(_BRENT_MAXITER):
+        if not active.any():
+            return _result(root)
+        # Keep the root bracketed by (xcur, xblk).  fpre is never zero on
+        # an active element, and one whose fcur is zero converges below
+        # whatever the bracket.
+        flip = np.signbit(fpre) != np.signbit(fcur)
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, spre, scur)
+        # Make xcur the best estimate.
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        abs_sbis = np.abs(sbis)
+        done = active & ((fcur == 0.0) | (abs_sbis < delta))
+        root = np.where(done, xcur, root)
+        active &= ~done
+
+        with np.errstate(all="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        abs_spre = np.abs(spre)
+        short = (
+            (abs_spre > delta)
+            & (np.abs(fcur) < np.abs(fpre))
+            & (2 * np.abs(stry) < np.minimum(abs_spre, 3 * abs_sbis - delta))
+        )
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        xcur = np.where(active, xcur + step, xcur)
+        fcur = call(xcur)
+    if active.any():
+        raise ConvergenceError(
+            f"Brent's method did not converge in {_BRENT_MAXITER} iterations",
+            x=float(xcur.flat[_first(active)]),
+        )
+    return _result(root)
+
+
+def _check_tensions(T: np.ndarray, what: str) -> None:
+    inside = (0.0 < T) & (T < WEAK_TENSION_LIMIT)
+    if not inside.all():
+        raise DomainError(
+            f"{what} only for 0 < T < 1/3", T=float(T.flat[_first(~inside)])
+        )
+
+
+def _turning_points(T: np.ndarray) -> np.ndarray:
+    """Turning points xi_T for an array of tensions, in one Brent solve.
+
+    Each bracket is the first sign change of m_T' on the geometric scan
+    xi = 2**j, j = -20..40, refined by Brent's method.
+    """
+    T = np.asarray(T, dtype=float)
+    _check_tensions(T, "turning point exists")
+    d = _symbol_deriv(T[:, None], _TURNING_LADDER)
+    prev, nxt = d[:, :-1], d[:, 1:]
+    change = ((prev < 0.0) & (0.0 <= nxt)) | ((prev <= 0.0) & (0.0 < nxt))
+    found = change.any(axis=1)
+    if not found.all():
+        raise ConvergenceError(
+            "no sign change of m_T' on the geometric scan", T=float(T[_first(~found)])
+        )
+    j = change.argmax(axis=1)
+    return _brentq(
+        lambda x: _symbol_deriv(T, x),
+        _TURNING_LADDER[j],
+        _TURNING_LADDER[j + 1],
+        _BRACKET_XTOL,
+    )
 
 
 @functools.lru_cache(maxsize=4096)
@@ -133,26 +317,9 @@ def turning_point(T: float) -> float:
 
     The bracket is found by scanning xi = 2**j, j = -20..40, for a sign
     change of the derivative, then refined by Brent's method.  Results
-    are cached by T: every pair of a scan samples the same tension grid.
+    are cached by T.
     """
-    T = float(T)
-    if not 0.0 < T < WEAK_TENSION_LIMIT:
-        raise DomainError(
-            "turning point exists only for 0 < T < 1/3", T=T
-        )
-    prev_xi = 2.0**-20
-    prev_d = eval_symbol_deriv(T, prev_xi)
-    for j in range(-19, 41):
-        xi = 2.0**j
-        d = eval_symbol_deriv(T, xi)
-        if prev_d < 0.0 <= d or prev_d <= 0.0 < d:
-            return brentq(
-                lambda x: eval_symbol_deriv(T, x), prev_xi, xi, xtol=_BRACKET_XTOL
-            )
-        prev_xi, prev_d = xi, d
-    raise ConvergenceError(
-        "no sign change of m_T' on the geometric scan", T=T
-    )
+    return float(_turning_points(np.array([float(T)]))[0])
 
 
 @dataclass(frozen=True)
@@ -207,60 +374,117 @@ class BifurcationPoint:
     residual: float
 
 
+def _solve_bifurcations(pair: WaveNumberPair, T, xi_t=None):
+    """Arrays (c0, kappa0, residual) of the double bifurcation points at tensions T.
+
+    Every kappa0 is bracketed in (xi_T/k2, xi_T/k1), where the difference
+    m_T(k1*kappa) - m_T(k2*kappa) changes sign, and refined in one Brent
+    solve over the grid.  ``xi_t`` may pass the turning points of T.  A
+    failed check raises the error of the first failing tension in grid
+    order, as a loop of scalar solves would.
+    """
+    T = np.asarray(T, dtype=float)
+    _check_tensions(T, "double bifurcation points exist")
+    k1, k2 = pair.k1, pair.k2
+    if xi_t is None:
+        xi_t = _turning_points(T)
+    lo, hi = xi_t / k2, xi_t / k1
+    modes = np.array([k1, k2], dtype=float)
+
+    def gap(T, kappa):
+        m = _symbol(T[:, None], kappa[:, None] * modes)
+        return m[:, 0] - m[:, 1]
+
+    glo, ghi = gap(T, lo), gap(T, hi)
+    straddle = ((glo < 0.0) & (0.0 < ghi)) | ((ghi < 0.0) & (0.0 < glo))
+    failures = []
+    if not straddle.all():
+        i = _first(~straddle)
+        failures.append((i, ConvergenceError(
+            "bracket endpoints do not straddle a sign change",
+            T=float(T[i]),
+            bracket=(float(lo[i]), float(hi[i])),
+            gap_values=(float(glo[i]), float(ghi[i])),
+        )))
+    # The remaining checks run on the bracketed tensions only.
+    idx = np.flatnonzero(straddle)
+    Ts = T[idx]
+    kappa0 = np.full_like(T, np.nan)
+    c0 = np.full_like(T, np.nan)
+    residual = np.full_like(T, np.nan)
+    if idx.size:
+        kappa0[idx] = _brentq(lambda kappa: gap(Ts, kappa), lo[idx], hi[idx], _BRACKET_XTOL)
+        c0[idx] = _symbol(Ts, k1 * kappa0[idx])
+        residual[idx] = np.abs(gap(Ts, kappa0[idx]))
+        d1 = _symbol_deriv(Ts, k1 * kappa0[idx])
+        d2 = _symbol_deriv(Ts, k2 * kappa0[idx])
+        checks = [
+            (residual[idx] > _RESIDUAL_TOL, lambda i, j: ConvergenceError(
+                "bifurcation residual above tolerance",
+                T=float(T[i]), kappa0=float(kappa0[i]), residual=float(residual[i]),
+            )),
+            (~((d1 < 0.0) & (0.0 < d2)), lambda i, j: ConvergenceError(
+                "derivative signs violate the double-bifurcation invariant",
+                T=float(T[i]), kappa0=float(kappa0[i]), derivs=(float(d1[j]), float(d2[j])),
+            )),
+            (~((0.0 < c0[idx]) & (c0[idx] < 1.0)), lambda i, j: ConvergenceError(
+                "wave speed outside (0, 1)", T=float(T[i]), c0=float(c0[i])
+            )),
+        ]
+        # The first element failing any check is the first failure of
+        # some check; ties go to the earlier check, as in a scalar solve.
+        for bad, error in checks:
+            if bad.any():
+                j = _first(bad)
+                failures.append((int(idx[j]), error(int(idx[j]), j)))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return c0, kappa0, residual
+
+
+def _points(pair: WaveNumberPair, T, c0, kappa0, residual) -> list[BifurcationPoint]:
+    return [
+        BifurcationPoint(pair=pair, T=t, c0=c, kappa0=k, residual=r)
+        for t, c, k, r in zip(
+            np.asarray(T, dtype=float).tolist(), c0.tolist(), kappa0.tolist(), residual.tolist()
+        )
+    ]
+
+
+def bifurcation_grid(pair: WaveNumberPair, tensions) -> list[BifurcationPoint]:
+    """Solve the double bifurcation points at every tension of a grid at once.
+
+    Each point is bitwise equal to :func:`double_bifurcation` at its
+    tension; an invalid grid raises the error of its first failing
+    tension.
+    """
+    if not isinstance(pair, WaveNumberPair):
+        pair = WaveNumberPair(*pair)
+    T = np.asarray(tensions, dtype=float)
+    return _points(pair, T, *_solve_bifurcations(pair, T))
+
+
 def double_bifurcation(pair: WaveNumberPair, T: float) -> BifurcationPoint:
     """Solve m_T(k1*kappa) = m_T(k2*kappa) for the unique kappa0 > 0.
 
     The root is bracketed in (xi_T/k2, xi_T/k1) where the difference
     m_T(k1*kappa) - m_T(k2*kappa) changes sign, then refined by Brent's
     method.  The returned point satisfies the derivative-sign and speed
-    invariants of a double bifurcation point.
+    invariants of a double bifurcation point.  Points are cached by
+    (pair, T), like turning points by T: every wave solve at a tension
+    starts from its point.
     """
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)
-    T = float(T)
-    if not 0.0 < T < WEAK_TENSION_LIMIT:
-        raise DomainError(
-            "double bifurcation points exist only for 0 < T < 1/3", T=T
-        )
-    k1, k2 = pair.k1, pair.k2
-    xi_t = turning_point(T)
-    lo, hi = xi_t / k2, xi_t / k1
+    return _bifurcation_point(pair, float(T))
 
-    def gap(kappa: float) -> float:
-        return eval_symbol(T, k1 * kappa) - eval_symbol(T, k2 * kappa)
 
-    glo, ghi = gap(lo), gap(hi)
-    if not (glo < 0.0 < ghi or ghi < 0.0 < glo):
-        raise ConvergenceError(
-            "bracket endpoints do not straddle a sign change",
-            T=T,
-            bracket=(lo, hi),
-            gap_values=(glo, ghi),
-        )
-    kappa0 = brentq(gap, lo, hi, xtol=_BRACKET_XTOL)
-    c0 = eval_symbol(T, k1 * kappa0)
-    residual = abs(gap(kappa0))
-    if residual > _RESIDUAL_TOL:
-        raise ConvergenceError(
-            "bifurcation residual above tolerance",
-            T=T,
-            kappa0=kappa0,
-            residual=residual,
-        )
-    d1 = eval_symbol_deriv(T, k1 * kappa0)
-    d2 = eval_symbol_deriv(T, k2 * kappa0)
-    if not (d1 < 0.0 < d2):
-        raise ConvergenceError(
-            "derivative signs violate the double-bifurcation invariant",
-            T=T,
-            kappa0=kappa0,
-            derivs=(d1, d2),
-        )
-    if not 0.0 < c0 < 1.0:
-        raise ConvergenceError(
-            "wave speed outside (0, 1)", T=T, c0=c0
-        )
-    return BifurcationPoint(pair=pair, T=T, c0=c0, kappa0=kappa0, residual=residual)
+@functools.lru_cache(maxsize=4096)
+def _bifurcation_point(pair: WaveNumberPair, T: float) -> BifurcationPoint:
+    T = np.array([T])
+    _check_tensions(T, "double bifurcation points exist")
+    xi_t = np.array([turning_point(T[0])])
+    return _points(pair, T, *_solve_bifurcations(pair, T, xi_t))[0]
 
 
 def kappa_asymptote_low_T(pair: WaveNumberPair, T: float) -> float:

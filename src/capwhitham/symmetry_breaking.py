@@ -15,13 +15,11 @@ divisor or difference criteria), admitting, or undecided.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .coefficients import (
     LIMIT_HIGH_T,
@@ -36,7 +34,10 @@ from .symbol import (
     WEAK_TENSION_LIMIT,
     BifurcationPoint,
     WaveNumberPair,
-    double_bifurcation,
+    _brentq,
+    _points,
+    _solve_bifurcations,
+    _turning_points,
 )
 
 __all__ = [
@@ -151,6 +152,25 @@ def _phi(pair: WaveNumberPair, ell):
     return _scaled_u2(pair, alpha, beta, ell, 0.0, 1.0) / 2.0 ** (pair.k1 + pair.k2 - 1)
 
 
+def _phi_values(pair: WaveNumberPair, T, xi_t=None):
+    """phi at an array of tensions, with the arrays of its bifurcation points.
+
+    One grid solve gives the bifurcation points, and one pass of the
+    coefficient table, in which each ell(k) is a single array multiplier
+    call, gives phi.  Returns (phi, c0, kappa0, residual).
+    """
+    T = np.asarray(T, dtype=float)
+    c0, kappa0, residual = _solve_bifurcations(pair, T, xi_t)
+    ell = functools.cache(MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T).ell)
+    # Overflow surfaces as inf or nan, which _check_values reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _phi(pair, lambda k: ell(abs(k)))
+    # A target that never applies ell (M = 0) comes back as one float.
+    values = np.broadcast_to(value, T.shape)
+    _check_values(pair, T, values)
+    return values, c0, kappa0, residual
+
+
 def phi_eval(pair: WaveNumberPair, T: float) -> PhiSample:
     """Evaluate phi(T; k1, k2) at the solved bifurcation point.
 
@@ -166,10 +186,9 @@ def phi_eval(pair: WaveNumberPair, T: float) -> PhiSample:
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)
     _warn_k1_one(pair)
-    point = double_bifurcation(pair, T)
-    value = _phi(pair, MultiplierContext.from_bifurcation(point).ell)
-    _check_values(pair, np.array([point.T]), np.array([value]))
-    return PhiSample(T=float(T), value=value, bifurcation=point)
+    T = np.array([float(T)])
+    values, *point = _phi_values(pair, T)
+    return PhiSample(T=float(T[0]), value=float(values[0]), bifurcation=_points(pair, T, *point)[0])
 
 
 def _clustered_grid(grid_size: int, lo: float, hi: float) -> np.ndarray:
@@ -179,30 +198,33 @@ def _clustered_grid(grid_size: int, lo: float, hi: float) -> np.ndarray:
     return lo + (hi - lo) * q
 
 
+@functools.lru_cache(maxsize=16)
+def _tension_grid(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sampling grid and its turning points, shared by every pair."""
+    grid = _clustered_grid(grid_size, T_MARGIN, WEAK_TENSION_LIMIT - T_MARGIN)
+    xi_t = _turning_points(grid)
+    grid.flags.writeable = xi_t.flags.writeable = False
+    return grid, xi_t
+
+
 def phi_curve(pair: WaveNumberPair, grid_size: int = DEFAULT_GRID_SIZE) -> list[PhiSample]:
     """Sample phi on the endpoint-clustered grid over (delta, 1/3 - delta).
 
-    The coefficient table is filled once over the whole grid, with every
-    multiplier an array over the grid's bifurcation points; each value
-    is bitwise identical to :func:`phi_eval` at that tension.
+    The bifurcation points of the whole grid are solved at once, and the
+    coefficient table is filled once with every multiplier an array over
+    them; each value is bitwise identical to :func:`phi_eval` at that
+    tension.
     """
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)
     if grid_size < 2:
         raise DomainError("curve needs at least two points", grid_size=grid_size)
     _warn_k1_one(pair)
-    grid = _clustered_grid(grid_size, T_MARGIN, WEAK_TENSION_LIMIT - T_MARGIN)
-    points = [double_bifurcation(pair, float(T)) for T in grid]
-    contexts = [MultiplierContext.from_bifurcation(p) for p in points]
-    ell = functools.cache(lambda k: np.array([ctx.ell(k) for ctx in contexts]))
-    # Overflow surfaces as inf or nan, which _check_values reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = _phi(pair, ell)
-    # A target that never applies ell (M = 0) comes back as one float.
-    values = np.full_like(grid, value)
-    _check_values(pair, grid, values)
+    grid, xi_t = _tension_grid(grid_size)
+    values, *point = _phi_values(pair, grid, xi_t)
     return [
-        PhiSample(T=p.T, value=float(v), bifurcation=p) for p, v in zip(points, values)
+        PhiSample(T=p.T, value=v, bifurcation=p)
+        for p, v in zip(_points(pair, grid, *point), values.tolist())
     ]
 
 
@@ -236,10 +258,11 @@ def phi_root(
 ) -> list[PhiRoot]:
     """Locate all sign-change roots of phi on the sampling interval.
 
-    Samples phi at ``grid_size`` endpoint-clustered points, refines each
-    sign change by Brent's method to |dT| <= ``xtol``, and reports a
-    central-difference slope estimate per root.  An empty list is a
-    valid result.
+    Samples phi at ``grid_size`` endpoint-clustered points, refines every
+    sign change in one Brent solve over all brackets to |dT| <= ``xtol``,
+    and reports a central-difference slope estimate per root.  A sample
+    that is exactly zero is a root with a degenerate bracket.  An empty
+    list is a valid result.
     """
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)
@@ -247,31 +270,31 @@ def phi_root(
         raise DomainError("root scan needs at least 16 points", grid_size=grid_size)
     if not xtol > 0.0:
         raise DomainError("root tolerance must be positive", xtol=xtol)
-    samples = phi_curve(pair, grid_size)
-    grid = [s.T for s in samples]
-    values = [s.value for s in samples]
+    _warn_k1_one(pair)
+    T, xi_t = _tension_grid(grid_size)
+    values = _phi_values(pair, T, xi_t)[0]
 
-    def f(T: float) -> float:
-        return phi_eval(pair, T).value
+    def phi(T):
+        return _phi_values(pair, T)[0]
 
-    roots: list[PhiRoot] = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = values[i], values[i + 1]
-        if fa == 0.0:
-            roots.append(PhiRoot(T0=a, bracket=(a, a), slope=_slope(f, a)))
-            continue
-        if fa * fb < 0.0:
-            t0 = brentq(f, a, b, xtol=xtol)
-            roots.append(PhiRoot(T0=float(t0), bracket=(a, b), slope=_slope(f, t0)))
-    if values and values[-1] == 0.0:
-        t_last = grid[-1]
-        roots.append(PhiRoot(T0=t_last, bracket=(t_last, t_last), slope=_slope(f, t_last)))
-    return roots
-
-
-def _slope(f, t0: float) -> float:
-    return (f(t0 + _SLOPE_STEP) - f(t0 - _SLOPE_STEP)) / (2.0 * _SLOPE_STEP)
+    change = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    grid = T.tolist()
+    found = [(i, grid[i], grid[i]) for i in np.flatnonzero(values == 0.0).tolist()]
+    if change.size:
+        lo, hi = change, change + 1
+        refined = _brentq(phi, T[lo], T[hi], xtol, fa=values[lo], fb=values[hi])
+        found += [(i, t0, grid[i + 1]) for i, t0 in zip(change.tolist(), refined.tolist())]
+    if not found:
+        return []
+    found.sort()
+    T0 = np.array([t0 for _, t0, _ in found])
+    # Both slope evaluations of every root in one batch.
+    up, down = np.split(phi(np.concatenate([T0 + _SLOPE_STEP, T0 - _SLOPE_STEP])), 2)
+    slopes = (up - down) / (2.0 * _SLOPE_STEP)
+    return [
+        PhiRoot(T0=t0, bracket=(grid[i], b), slope=slope)
+        for (i, t0, b), slope in zip(found, slopes.tolist())
+    ]
 
 
 def exclusion_check(k1: int, k2: int) -> str:
@@ -338,6 +361,8 @@ def pair_scan(
     """
     if k_max < 3:
         raise DomainError("scan needs k_max >= 3", k_max=k_max)
+    if refine and grid_size < 16:
+        raise DomainError("root scan needs at least 16 points", grid_size=grid_size)
     verdicts: list[PairVerdict] = []
     work: list[tuple[int, int]] = []
     for k1 in range(1, k_max):

@@ -202,16 +202,12 @@ def _square_modes(modes: np.ndarray, K: int) -> np.ndarray:
 
 def _symbol_values(T: float, kappa: float, kmax: int) -> np.ndarray:
     """Vector of m_T(kappa*k) for k = 0..kmax."""
-    out = np.empty(kmax + 1)
-    out[0] = 1.0
-    for k in range(1, kmax + 1):
-        out[k] = eval_symbol(T, kappa * k)
-    return out
+    return eval_symbol(T, kappa * np.arange(kmax + 1))
 
 
 def _ell_values(ctx: MultiplierContext, K: int) -> np.ndarray:
     """Vector of ell(k) for k = 0..K (kernel modes are exactly zero)."""
-    return np.array([multiplier(ctx, k) for k in range(K + 1)])
+    return multiplier(ctx, np.arange(K + 1))
 
 
 def synthesize_v(pair: WaveNumberPair, params: ModalParameters, K: int = 64) -> WaveProfile:

@@ -1,0 +1,209 @@
+"""Array solves: the in-package Brent solver and the array symbol.
+
+Brent's method is checked bitwise against scipy's ``brentq``, and every
+array evaluation against the scalar one.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq
+
+from capwhitham import (
+    ConvergenceError,
+    DomainError,
+    MultiplierContext,
+    NearResonanceError,
+    WaveNumberPair,
+    double_bifurcation,
+    eval_symbol,
+    eval_symbol_deriv,
+    multiplier,
+    turning_point,
+)
+from capwhitham.symbol import _brentq, bifurcation_grid, dtanhc, tanhc
+from capwhitham.symmetry_breaking import _clustered_grid
+
+
+def _smooth(p):
+    # Only +, * and / enter, so a float and an array argument round alike.
+    return lambda x: (x - p[0]) * (1.0 + p[1] * x * x) / (2.0 + p[2] * x + x * x)
+
+
+def test_brentq_matches_scipy_bitwise():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(60):
+        p = (rng.uniform(-2.0, 2.0), rng.uniform(0.0, 3.0), rng.uniform(-1.0, 1.0))
+        f = _smooth(p)
+        a, b = float(rng.uniform(-3.0, p[0] - 0.01)), float(rng.uniform(p[0] + 0.01, 3.0))
+        for xtol in (1e-14, 1e-10, 1e-4):
+            assert _brentq(f, a, b, xtol).hex() == brentq(f, a, b, xtol=xtol).hex()
+            checked += 1
+    assert checked == 180
+
+
+def test_brentq_returns_an_endpoint_root():
+    f = lambda x: x - 1.0  # noqa: E731
+    for a, b in ((1.0, 2.5), (-0.5, 1.0)):
+        got = _brentq(f, a, b, 1e-12)
+        assert type(got) is float
+        assert got.hex() == brentq(f, a, b, xtol=1e-12).hex() == (1.0).hex()
+    got = _brentq(f, np.array([1.0, 0.0]), np.array([2.0, 1.0]), 1e-12)
+    assert got.tolist() == [1.0, 1.0]
+
+
+def test_brentq_lockstep_elements_take_scipy_iterates():
+    rng = np.random.default_rng(5)
+    params = rng.uniform([-1.0, 0.0, -1.0], [1.0, 30.0, 1.0], size=(40, 3))
+    a = params[:, 0] - rng.uniform(0.01, 2.0, 40)
+    b = params[:, 0] + rng.uniform(0.01, 2.0, 40)
+    got = _brentq(_smooth(params.T), a, b, 1e-13)
+    iterations = set()
+    for i, p in enumerate(params):
+        want, info = brentq(_smooth(p), a[i], b[i], xtol=1e-13, full_output=True)
+        assert got[i].hex() == want.hex()
+        iterations.add(info.iterations)
+    # Elements finish at different steps while the others go on.
+    assert len(iterations) > 3
+
+
+def test_brentq_errors():
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: np.where(x > 0.25, np.nan, x - 0.5), 0.0, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    # A jump with f = +-1 admits no short steps, so 100 iterations cannot
+    # shrink a bracket of 1e300 to the tolerance.
+    step = lambda x: np.where(x < 0.1, -1.0, 1.0)  # noqa: E731
+    with pytest.raises(RuntimeError):
+        brentq(lambda x: float(step(x)), -1e300, 1e300, xtol=1e-12)
+    with pytest.raises(ConvergenceError):
+        _brentq(step, -1e300, 1e300, 1e-12)
+
+
+# float.hex values printed at commit f5f7174 by scipy's brentq.
+_TURNING_PINS = {
+    1e-4: "0x1.9000000000000p+6",
+    0.05: "0x1.1d8965f3278f2p+2",
+    0.1215: "0x1.5ed2c36bddb93p+1",
+    0.2: "0x1.ddd77e77d840bp+0",
+    0.32: "0x1.17da583087aa0p-1",
+    1.0 / 3.0 - 1e-4: "0x1.8491ff8f70195p-5",
+}
+
+
+def test_turning_point_bitwise_pins():
+    for T, pin in _TURNING_PINS.items():
+        assert turning_point(T).hex() == pin
+
+
+@pytest.mark.parametrize("pair", [(2, 5), (7, 12), (11, 12)])
+def test_double_bifurcation_equals_grid_solve(pair):
+    pair = WaveNumberPair(*pair)
+    grid = _clustered_grid(200, 1e-4, 1.0 / 3.0 - 1e-4)
+    points = bifurcation_grid(pair, grid)
+    assert len(points) == 200
+    for T, point in zip(grid.tolist(), points):
+        assert double_bifurcation(pair, T) == point
+
+
+def test_bifurcation_grid_raises_first_failing_tension():
+    pair = WaveNumberPair(2, 5)
+    with pytest.raises(DomainError) as err:
+        bifurcation_grid(pair, [0.1, 0.2, 0.4, -1.0])
+    assert err.value.context == {"T": 0.4}
+    assert "double bifurcation points" in err.value.message
+
+# --- The array symbol and multiplier against scalar calls --------------------
+
+
+def _libm_symbol(T: float, xi: float) -> float:
+    # The scalar formula, with the tanhc series below 1e-2.
+    x = abs(xi)
+    if x < 1e-2:
+        x2 = x * x
+        tc = 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0 - 17.0 * x2**3 / 315.0
+    else:
+        tc = math.tanh(x) / x
+    return math.sqrt((1.0 + T * xi * xi) * tc)
+
+
+def test_array_symbol_bitwise_equals_scalar():
+    rng = np.random.default_rng(17)
+    xi = np.concatenate([
+        rng.uniform(0.0, 1e-2, 300),      # series branch
+        rng.uniform(1e-2, 20.0, 300),
+        rng.uniform(20.0, 400.0, 100),    # tanh saturated, sech^2 capped
+        [0.0, 1e-2, 20.0, 350.0],
+    ])
+    xi = np.concatenate([xi, -xi[::7]])
+    T = rng.uniform(1e-4, 1.0 / 3.0, xi.size)
+    m = eval_symbol(T, xi)
+    assert m.shape == xi.shape
+    for t, x, got in zip(T.tolist(), xi.tolist(), m.tolist()):
+        assert got == eval_symbol(t, x) == _libm_symbol(t, x)
+    for fn in (tanhc, dtanhc):
+        values = fn(xi)
+        assert all(v == fn(x) for v, x in zip(values.tolist(), xi.tolist()))
+    positive = np.abs(xi) + 1e-3
+    d = eval_symbol_deriv(T, positive)
+    assert all(v == eval_symbol_deriv(t, x) for v, t, x in zip(d.tolist(), T.tolist(), positive.tolist()))
+    # One tension broadcasts over a frequency grid, and a scalar stays a float.
+    assert eval_symbol(0.2, xi).tolist() == [eval_symbol(0.2, x) for x in xi.tolist()]
+    assert type(eval_symbol(0.2, 1.5)) is float
+
+
+def test_array_symbol_names_first_bad_element():
+    with pytest.raises(DomainError) as err:
+        eval_symbol(np.array([0.1, -0.2, -0.3]), 1.0)
+    assert err.value.context == {"T": -0.2}
+    with pytest.raises(DomainError) as err:
+        eval_symbol(0.1, np.array([1.0, np.inf, np.nan]))
+    assert err.value.context == {"xi": math.inf}
+
+
+def test_array_multiplier_bitwise_equals_scalar():
+    pair = WaveNumberPair(2, 5)
+    grid = np.linspace(0.01, 0.32, 40)
+    points = bifurcation_grid(pair, grid)
+    ctx = MultiplierContext(
+        pair=pair,
+        c=np.array([p.c0 for p in points]),
+        kappa=np.array([p.kappa0 for p in points]),
+        T=grid,
+    )
+    for k in (0, 1, 2, 3, 5, -7, 12, 60):
+        ell = multiplier(ctx, k)
+        assert ell.shape == grid.shape
+        for got, p in zip(ell.tolist(), points):
+            assert got == multiplier(MultiplierContext.from_bifurcation(p), k)
+    for k in (2, 5, -2):
+        assert multiplier(ctx, k).tolist() == [0.0] * grid.size
+    # A scalar context over an array of wavenumbers, kernel modes and k = 0.
+    one = MultiplierContext.from_bifurcation(points[7])
+    ks = np.arange(-3, 64)
+    assert multiplier(one, ks).tolist() == [multiplier(one, int(k)) for k in ks]
+    assert multiplier(one, np.array([2, 5])).tolist() == [0.0, 0.0]
+
+
+def test_array_multiplier_names_first_resonance():
+    pair = WaveNumberPair(2, 5)
+    points = bifurcation_grid(pair, [0.05, 0.1, 0.15, 0.2, 0.25])
+    c = np.array([p.c0 for p in points])
+    kappa = np.array([p.kappa0 for p in points])
+    T = np.array([p.T for p in points])
+    # Put the wave speed of element 3 onto the symbol value of mode 6.
+    c[3] = eval_symbol(T[3], kappa[3] * 6)
+    ctx = MultiplierContext(pair=pair, c=c, kappa=kappa, T=T)
+    multiplier(ctx, 4)
+    with pytest.raises(NearResonanceError) as err:
+        multiplier(ctx, -6)
+    assert err.value.context["k"] == 6
+    assert err.value.context["element"] == 3
+    one = MultiplierContext(pair=pair, c=float(c[3]), kappa=float(kappa[3]), T=float(T[3]))
+    with pytest.raises(NearResonanceError) as err:
+        multiplier(one, np.arange(10))
+    assert err.value.context["k"] == 6
+    assert "element" not in err.value.context

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,6 +211,20 @@ def test_pairs_refine_records_roots_json(tmp_path, capsys):
     assert by_pair[(2, 3)]["status"].startswith("excluded")
 
 
+def test_pairs_refine_rejects_small_grid(tmp_path, capsys):
+    # A refined scan needs the 16-point root grid; it fails up front
+    # instead of marking every refined pair undecided.
+    code, out, err = _run(
+        capsys, "pairs", "--kmax", "6", "--refine", "--grid", "8", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    envelope = _stderr_envelope(err)
+    assert envelope["code"] == 2
+    assert envelope["context"] == {"grid_size": 8}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pairs_rejects_small_kmax(tmp_path, capsys):
     code, _, err = _run(capsys, "pairs", "--kmax", "2", "--out", str(tmp_path))
     assert code == 2
@@ -345,3 +362,20 @@ def test_stdout_lists_every_written_file(tmp_path, capsys):
     assert printed == [tmp_path / "wave_profile.csv", tmp_path / "wave_report.json"]
     for path in printed:
         assert path.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; the command line must not load it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, capwhitham.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

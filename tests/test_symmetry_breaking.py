@@ -3,6 +3,7 @@
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import oracles
@@ -17,6 +18,7 @@ from capwhitham import (
     STATUS_UNDECIDED,
     WaveNumberPair,
     double_bifurcation,
+    eval_symbol,
     exclusion_check,
     pair_scan,
     phi_curve,
@@ -234,13 +236,19 @@ def test_phi_curve_propagates_near_resonance(monkeypatch):
     grid_T = phi_curve(PAIR_2_5, 16)[5].T
 
     def resonant(ctx, k):
-        if ctx.T == grid_T and k == 6:
-            raise NearResonanceError("forced resonance", k=k, denominator=0.0)
+        # The curve's context holds the whole grid: move the wave speed at
+        # the one tension grid_T onto the symbol value of mode 6.
+        at = np.asarray(ctx.T) == grid_T
+        if k == 6 and at.any():
+            assert np.count_nonzero(at) == 1
+            ctx = replace(ctx, c=np.where(at, eval_symbol(ctx.T, ctx.kappa * 6), ctx.c))
         return original(ctx, k)
 
     monkeypatch.setattr(coefficients, "multiplier", resonant)
-    with pytest.raises(NearResonanceError):
+    with pytest.raises(NearResonanceError) as err:
         phi_curve(PAIR_2_5, 16)
+    assert err.value.context["k"] == 6
+    assert err.value.context["element"] == 5
 
 
 def test_nonfinite_phi_raises_and_is_recorded():
@@ -317,3 +325,25 @@ def test_phi_limits_bitwise_pins(pair):
 
 def test_phi_eval_bitwise_pin():
     assert phi_eval(PAIR_2_5, 0.1215).value.hex() == "0x1.2f1cbef6c7000p+6"
+
+
+# float.hex values printed at commit f5f7174, refined by scipy's brentq.
+_ROOT_PINS = {
+    (2, 5): ("0x1.f18f28d971105p-4", "0x1.696eb6973c1fep+21"),
+    (3, 8): ("0x1.136764cc80263p-2", "0x1.50814e11093f1p+65"),
+    (4, 9): ("0x1.383f8cfe29871p-2", "0x1.c20f7f524601cp+104"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_ROOT_PINS))
+def test_phi_root_bitwise_pins(pair):
+    (root,) = phi_root(WaveNumberPair(*pair))
+    assert (root.T0.hex(), root.slope.hex()) == _ROOT_PINS[pair]
+
+
+def test_refined_pair_scan_rejects_small_grid():
+    with pytest.raises(DomainError) as err:
+        pair_scan(6, refine=True, grid_size=8)
+    assert err.value.context == {"grid_size": 8}
+    # Without refinement the grid is not used.
+    assert pair_scan(6, grid_size=8) == pair_scan(6)
