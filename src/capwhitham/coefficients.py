@@ -21,6 +21,13 @@ The table holds the scaled values
 s(alpha, beta) = 2**(|alpha|+|beta|) * u_hat_{alpha,beta}, whose base
 case is 1 instead of 1/2; in symbolic mode all weights are then exact
 integers.
+
+How a cell's splittings are summed is the value type's choice.  Floats
+and arrays add the products left to right from 0.0, so every numeric mode
+rounds alike.  Exact monomials are keyed by one integer that packs the
+exponent of each distinct |k| into a fixed-width bit field, so a product
+of monomials is an addition of keys; their cell sum multiplies each
+mirror pair of splittings once, with weight 2, into one dictionary.
 """
 
 from __future__ import annotations
@@ -132,53 +139,94 @@ def multiplier(ctx: MultiplierContext, k):
 
 
 class _Monomials(dict):
-    """Exact integer-weighted monomials {sorted factor tuple: coeff}.
+    """Exact integer-weighted monomials {packed key: coeff}.
 
-    Every weight is a sum of products of positive integers, so no
-    coefficient ever cancels to zero.
+    A key packs a monomial's exponents into one integer, with a
+    fixed-width bit field per distinct |k|; the field of ell(k) is
+    assigned when the table first asks for it.  The width bounds every
+    exponent, so multiplying two monomials adds their keys without carry
+    between fields.  Every weight is a sum of products of positive
+    integers, so no coefficient ever cancels to zero.
     """
-
-    def __add__(self, other):
-        out = _Monomials(self)
-        get = out.get
-        for factors, coeff in other.items():
-            out[factors] = get(factors, 0) + coeff
-        return out
 
     def __mul__(self, other):
         out = _Monomials()
         get = out.get
-        for fa, ca in self.items():
-            for fb, cb in other.items():
-                key = tuple(sorted(fa + fb))
+        for ka, ca in self.items():
+            for kb, cb in other.items():
+                key = ka + kb
                 out[key] = get(key, 0) + ca * cb
         return out
 
+    @staticmethod
+    def cell_sum(halves):
+        """Sum a * b over a cell's splittings, multiplying each mirror pair once.
 
-def _scaled_u2(pair: WaveNumberPair, alpha: MultiIndex, beta: MultiIndex, ell, zero, one):
+        ``halves`` lists the splittings in lexicographic order of the left
+        half, so halves[n-1-i] swaps the two halves of halves[i]: the
+        first half of the list is taken with weight 2 and a middle
+        splitting with weight 1.  The weights are exact, so the order of
+        the additions does not matter.
+        """
+        out = _Monomials()
+        get = out.get
+        n = len(halves)
+        for i in range((n + 1) // 2):
+            a, b = halves[i]
+            weight = 1 if 2 * i == n - 1 else 2
+            for ka, ca in a.items():
+                ca *= weight
+                for kb, cb in b.items():
+                    key = ka + kb
+                    out[key] = get(key, 0) + ca * cb
+        return out
+
+
+def _ordered_sum(halves):
+    """Sum a * b over a cell's splittings from 0.0, left to right (floats, arrays)."""
+    total = 0.0
+    for a, b in halves:
+        total = total + a * b
+    return total
+
+
+def _scaled_u2(
+    pair: WaveNumberPair,
+    alpha: MultiIndex,
+    beta: MultiIndex,
+    ell,
+    one=1.0,
+    cell_sum=_ordered_sum,
+):
     """Scaled square coefficient 2**order * (u^2)_hat_{alpha,beta}.
 
     Fills s over the box below (alpha, beta) in lexicographic order, in
-    which every strict sub-cell comes first.  Each cell sums
-    s(left) * s(right) over its splittings in lexicographic order of the
-    left half, skipping order-zero halves (the zero coefficient), and
-    stores ell(k) times the sum; the corner returns the sum itself.
+    which every strict sub-cell comes first.  Each cell of order >= 2
+    hands the pairs (s(left), s(right)) of its splittings, in
+    lexicographic order of the left half and skipping order-zero halves
+    (the zero coefficient), to ``cell_sum`` and stores ell(k) times the
+    sum; the corner, of order >= 2, returns the sum itself.  Order-one
+    cells hold ``one``.
     """
     k1, k2 = pair.k1, pair.k2
     corner = (*alpha, *beta)
     s = {}
     for cell in itertools.product(*(range(n + 1) for n in corner)):
         order = sum(cell)
-        total = zero
-        for left in itertools.product(*(range(n + 1) for n in cell)):
-            if 0 < sum(left) < order:
-                total = total + s[left] * s[tuple(map(operator.sub, cell, left))]
+        if order < 2:
+            if order:
+                s[cell] = one
+            continue
+        total = cell_sum(
+            [
+                (s[left], s[tuple(map(operator.sub, cell, left))])
+                for left in itertools.product(*(range(n + 1) for n in cell))
+                if 0 < sum(left) < order
+            ]
+        )
         if cell == corner:
             return total
-        if order < 2:
-            s[cell] = one if order else zero
-        else:
-            s[cell] = ell(k1 * (cell[0] - cell[2]) + k2 * (cell[1] - cell[3])) * total
+        s[cell] = ell(k1 * (cell[0] - cell[2]) + k2 * (cell[1] - cell[3])) * total
 
 
 @dataclass(frozen=True)
@@ -209,7 +257,7 @@ class _NumericSession:
                 "square coefficients need |alpha|+|beta| >= 2", alpha=alpha, beta=beta
             )
         larger = max((alpha, beta), (beta, alpha))
-        return _scaled_u2(self.ctx.pair, *larger, functools.cache(self.ctx.ell), 0.0, 1.0)
+        return _scaled_u2(self.ctx.pair, *larger, functools.cache(self.ctx.ell))
 
     def u(self, alpha: MultiIndex, beta: MultiIndex) -> float:
         """Unscaled u_hat_{alpha,beta}."""
@@ -307,9 +355,10 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
     """Exact symbolic expansion of 2**(k1+k2-1) * phi in monomials of ell.
 
     Fills the scaled table with integer-weighted monomials, in which
-    ell(k) appends the factor |k|, and groups equal factor multisets.
-    The expansion is refused up front if its exact term count N exceeds
-    the size guard.
+    ell(k) is the single monomial with exponent 1 in the bit field of
+    |k|, so equal factor multisets share one packed key.  The keys are
+    decoded to ascending factor tuples once, at the end.  The expansion
+    is refused up front if its exact term count N exceeds the size guard.
 
     Raises
     ------
@@ -328,6 +377,9 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
     # Kernel or zero wavenumbers never occur on the phi path of a coprime
     # pair; one would silently change the term count, so it raises.
     forbidden = {0, pair.k1, pair.k2}
+    # No exponent exceeds M, so M.bit_length() bits hold each field.
+    width = m_expected.bit_length()
+    slots = {}  # |k| -> index of its bit field
 
     def ell(k: int) -> _Monomials:
         k = abs(k)
@@ -335,13 +387,24 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
             raise AssertionError(
                 f"phi-path purity violated: ell({k}) arose in a symbolic expansion"
             )
-        return _Monomials({(k,): 1})
+        return _Monomials({1 << width * slots.setdefault(k, len(slots)): 1})
 
     alpha, beta = phi_target_indices(pair)
-    raw = _scaled_u2(pair, alpha, beta, ell, _Monomials(), _Monomials({(): 1}))
+    raw = _scaled_u2(pair, alpha, beta, ell, _Monomials({0: 1}), _Monomials.cell_sum)
+    fields = [(k, width * slot) for k, slot in sorted(slots.items())]
+    mask = (1 << width) - 1
+
+    def factors(key: int) -> tuple[int, ...]:
+        out = []
+        for k, shift in fields:
+            exponent = (key >> shift) & mask
+            if exponent:
+                out += [k] * exponent
+        return tuple(out)
+
     monomials = tuple(
-        Monomial(coeff=coeff, factors=factors)
-        for factors, coeff in sorted(raw.items())
+        Monomial(coeff=coeff, factors=f)
+        for f, coeff in sorted((factors(key), coeff) for key, coeff in raw.items())
     )
     total = sum(m.coeff for m in monomials)
     if total != n_expected:

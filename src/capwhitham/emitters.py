@@ -170,9 +170,34 @@ def verdicts_json(verdicts: list[PairVerdict]) -> str:
     return json_text(items)
 
 
+def _factors_text(factors: tuple[int, ...]) -> str:
+    if not factors:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, factors)) + "\n      ]"
+
+
 def expansion_json(expansion: PhiExpansion) -> str:
-    """Canonical serialization of an exact expansion (lex-sorted monomials)."""
-    return json_text(expansion.to_dict())
+    """Canonical serialization of an exact expansion (lex-sorted monomials).
+
+    Writes the bytes of ``json_text(expansion.to_dict())``.  The monomial
+    list, which can hold 10^4 entries, is formatted directly rather than
+    by the json module's pure-Python indenting encoder.
+    """
+    header = json_text(
+        {
+            "pair": [expansion.pair.k1, expansion.pair.k2],
+            "prefactor_exponent": expansion.prefactor_exponent,
+            "N": expansion.coefficient_total,
+            "M": expansion.factors_per_monomial,
+        }
+    )
+    items = ",\n".join(
+        f'    {{\n      "coeff": {m.coeff},\n      "factors": {_factors_text(m.factors)}\n    }}'
+        for m in expansion.monomials
+    )
+    monomials = f"[\n{items}\n  ]" if items else "[]"
+    # The header ends in "\n}\n"; the monomial list goes before that brace.
+    return header[:-3] + f',\n  "monomials": {monomials}\n}}\n'
 
 
 def wave_profile_csv(profile: WaveProfile, n: int = 1024) -> str:

@@ -149,7 +149,7 @@ def _check_values(pair: WaveNumberPair, grid: np.ndarray, values: np.ndarray) ->
 def _phi(pair: WaveNumberPair, ell):
     """phi from the coefficient table, with ell(k) a float or an array."""
     alpha, beta = phi_target_indices(pair)
-    return _scaled_u2(pair, alpha, beta, ell, 0.0, 1.0) / 2.0 ** (pair.k1 + pair.k2 - 1)
+    return _scaled_u2(pair, alpha, beta, ell) / 2.0 ** (pair.k1 + pair.k2 - 1)
 
 
 def _phi_values(pair: WaveNumberPair, T, xi_t=None):

@@ -8,15 +8,14 @@ for the dispersion symbol and the hand-typed grouped monomial list
 can arbitrate its correctness.
 
 ``series_squaring_oracle`` is a structurally independent implementation
-of the coefficient computation: instead of the memoized index recursion
-it iterates the truncated functional equation U = V + L[U^2] globally on
-a dense 4-index polynomial and squares by direct convolution.
+of the coefficient computation: instead of the index recursion it
+iterates the truncated functional equation U = V + L[U^2] globally on a
+dense 4-index polynomial and squares by a truncated direct sum.
 """
 
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import convolve
 
 # Dispersion symbol values m_T(xi) = sqrt((1 + T xi^2) tanh(xi) / xi).
 SYMBOL_T025_XI1 = 0.97570112992898912
@@ -81,6 +80,22 @@ def phi_from_monomials(ell) -> float:
     return total / 2.0**PREFACTOR_EXPONENT_2_5
 
 
+def _truncated_square(u, mask):
+    """Square of the dense polynomial u, keeping total degree inside ``mask``.
+
+    Sums u[p] * u[q] into entry p + q for every nonzero entry p, as one
+    shifted slice of u per p; products past the array or past the
+    degree mask are dropped.
+    """
+    n = u.shape[0]
+    sq = np.zeros_like(u)
+    for p in np.argwhere(u != 0.0):
+        a1, a2, b1, b2 = p
+        sq[a1:, a2:, b1:, b2:] += u[a1, a2, b1, b2] * u[: n - a1, : n - a2, : n - b1, : n - b2]
+    sq[~mask] = 0.0
+    return sq
+
+
 def series_squaring_oracle(k1: int, k2: int, ell, degree: int):
     """Solve U = V + L[U^2] globally on the truncated polynomial ring.
 
@@ -89,9 +104,9 @@ def series_squaring_oracle(k1: int, k2: int, ell, degree: int):
     V places 1/2 at the four first-order indices.  L multiplies entry
     (alpha, beta) by ell(k1 (a1-b1) + k2 (a2-b2)); ``ell`` must vanish on
     the kernel wavenumbers, which makes the four kernel equations and the
-    zeroth-order equation hold automatically.  Squaring uses direct
-    4-dimensional convolution, so this shares no code path with the
-    memoized recursion it checks.
+    zeroth-order equation hold automatically.  Squaring is a truncated
+    direct sum over the nonzero entries of U, so this shares no code path
+    with the table recursion it checks.
 
     Returns ``(u, u2)`` where u2 is the truncated square of u.
     """
@@ -113,15 +128,11 @@ def series_squaring_oracle(k1: int, k2: int, ell, degree: int):
 
     u = v.copy()
     for _ in range(degree + 2):
-        sq = convolve(u, u, mode="full", method="direct")[:n, :n, :n, :n]
-        sq[~mask] = 0.0
-        u_next = v + ell_arr * sq
+        u_next = v + ell_arr * _truncated_square(u, mask)
         if np.array_equal(u_next, u):
             break
         u = u_next
-    u2 = convolve(u, u, mode="full", method="direct")[:n, :n, :n, :n]
-    u2[~mask] = 0.0
-    return u, u2
+    return u, _truncated_square(u, mask)
 
 
 if __name__ == "__main__":

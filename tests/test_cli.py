@@ -1,5 +1,6 @@
 """Tests for the command-line interface: files, formats, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -42,6 +43,30 @@ def test_expand_writes_golden_bytes(tmp_path, capsys):
     assert data["prefactor_exponent"] == oracles.PREFACTOR_EXPONENT_2_5
     assert data["N"] == 630
     assert data["M"] == 4
+
+
+# SHA-256 of `capwhitham expand` output, N = 2 to 4.7e7 terms, pinned so
+# that the expansion and its writer cannot change a byte.
+EXPANSION_SHA256 = {
+    (1, 2): "d897e9cb8bc7ff545c2fd1d4953f3dd1ea6ebdbd64129692fb5147e15dc7f819",
+    (3, 7): "bc6c65738d492aba9a05271906f74d559ecd2707cc6d7a94c75abb66a33ac540",
+    (4, 7): "2d6fc51843b9c852ea62ff3ab567cb352e0ddb3e1f6b4cd6274bd39fdb3dd183",
+    (5, 7): "20ff5b0c83327812dd96248ff105c11b66b849634106c0d4078f05db097e35be",
+    (3, 8): "8966c33f77467022255c797ba7668180fb5599d45ecafe81f0588561c67f46ff",
+    (2, 9): "f11f43978f4e0663e52c2583891eb8541f230197ffd72644cf65c1dd775e1b32",
+    (4, 9): "1e871514365c81f9a62b475bf8bb3da738bc1b2979577f4d2a74b36b8f407808",
+    (5, 8): "3901112dda5def9112c725fef5ad7367fbc878c1ce2bf5b6867b69260f57537f",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(EXPANSION_SHA256), ids=lambda p: f"{p[0]}_{p[1]}")
+def test_expand_bytes_are_pinned(tmp_path, capsys, pair):
+    code, out, err = _run(
+        capsys, "expand", "--k1", str(pair[0]), "--k2", str(pair[1]), "--out", str(tmp_path)
+    )
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256((tmp_path / "expansion.json").read_bytes()).hexdigest()
+    assert digest == EXPANSION_SHA256[pair]
 
 
 def test_expand_is_deterministic(tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from capwhitham import emitters
 from capwhitham import (
     LIMIT_HIGH_T,
     LIMIT_LOW_T,
@@ -168,6 +169,13 @@ def test_expansion_2_5_exact_monomials():
     # Monomials arrive lexicographically sorted.
     factors = [m.factors for m in expansion.monomials]
     assert factors == sorted(factors)
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 5), (3, 7)])
+def test_expansion_json_matches_json_encoder(pair):
+    # (1, 2) has M = 0, so its factor lists are empty.
+    expansion = expand_symbolic(WaveNumberPair(*pair))
+    assert emitters.expansion_json(expansion) == emitters.json_text(expansion.to_dict())
 
 
 def test_expansion_sizes():
