@@ -69,6 +69,105 @@ def test_expand_bytes_are_pinned(tmp_path, capsys, pair):
     assert digest == EXPANSION_SHA256[pair]
 
 
+_PAIR = ("--k1", "2", "--k2", "5")
+_WAVE_SOLVED = (
+    "wave", *_PAIR, "--r1", "0.00125", "--r2", "0.00125",
+    "--theta1", "0.15707963", "--T", "0.121474418228",
+)
+_WAVE_FOLD = (
+    "wave", *_PAIR, "--r1", "0.05", "--r2", "0.05",
+    "--theta1", "0.15707963267948966", "--T", "0.1215",
+)
+_PHI_CURVE_SVG = "a3902ce8e9c7f1dc87fc6e0dc217f60af41d68f17e583448a504b9540f9ab56a"
+_PAIRS_SVG = "03606c3e698ec9777e13b4505161fbdbd435e6b277619ce3259d599f91da648d"
+
+# SHA-256 of every file each tabular request writes, in both formats, so
+# that the table writer cannot change a byte: (argv, exit code, digests).
+TABLE_SHA256 = {
+    "bifurcate-csv": (
+        ("bifurcate", *_PAIR, "--T-grid", "0.05:0.3:26", "--format", "csv"), 0,
+        {"bifurcate.csv": "2acb4565034cd0bcafbe7eaaff7df2e2bba1625d4765cd8b7fc3c1cbd27bb995"},
+    ),
+    "bifurcate-json": (
+        ("bifurcate", *_PAIR, "--T-grid", "0.05:0.3:26", "--format", "json"), 0,
+        {"bifurcate.json": "2551e72090e5d7233923bffdea0703cc853c0aa2e897bfb94c8edc03a40f6c08"},
+    ),
+    "phi-eval-csv": (
+        ("phi", "eval", *_PAIR, "--T", "0.1215", "--format", "csv"), 0,
+        {"phi_eval.csv": "57bc41ba5042d3ec267358f89c69f45c9e563792803ec6f7a8b874cdabf32ad6"},
+    ),
+    "phi-eval-json": (
+        ("phi", "eval", *_PAIR, "--T", "0.1215", "--format", "json"), 0,
+        {"phi_eval.json": "8415e2ed5149adfe5444a93502e2519da7bb5966237b977e7c4f93b630d13f72"},
+    ),
+    "phi-root-csv": (
+        ("phi", "root", "--k1", "4", "--k2", "9", "--format", "csv"), 0,
+        {"phi_roots.csv": "0341077b3d2e7a94365f68a5cc2b860ed579349b1eb9a39be05631fd3cf8c7f3"},
+    ),
+    "phi-root-json": (
+        ("phi", "root", "--k1", "4", "--k2", "9", "--format", "json"), 0,
+        {"phi_roots.json": "3651e07ef587e017d781260edf1de3082de209cb453f27d4c736b3bb67db31be"},
+    ),
+    "phi-limits-csv": (
+        ("phi", "limits", *_PAIR, "--format", "csv"), 0,
+        {"phi_limits.csv": "529b18530f66c8723ddc231ea827b1d23a3f06c67a0c20a2e1797e68757ce547"},
+    ),
+    "phi-limits-json": (
+        ("phi", "limits", *_PAIR, "--format", "json"), 0,
+        {"phi_limits.json": "b1a6d8174abe48e97a0582e9dbfc411a06d278ac7713d2d7bcd92ab2791ecdb7"},
+    ),
+    "phi-curve-csv": (
+        ("phi", "curve", *_PAIR, "--grid", "50", "--format", "csv"), 0,
+        {
+            "phi_curve.csv": "941c3da390ef53fd63f40d6d7c16f4896082dd3e42266dfa9b3e733b115819fc",
+            "phi_curve.svg": _PHI_CURVE_SVG,
+        },
+    ),
+    "phi-curve-json": (
+        ("phi", "curve", *_PAIR, "--grid", "50", "--format", "json"), 0,
+        {
+            "phi_curve.json": "f81d7269b2a9660d9ba027c592059e53c632a33623f5eb087146fa39b8a8d64d",
+            "phi_curve.svg": _PHI_CURVE_SVG,
+        },
+    ),
+    "pairs-csv": (
+        ("pairs", "--kmax", "12", "--refine", "--format", "csv"), 0,
+        {
+            "pairs.csv": "3f80ef8830fe4c35aa65192a2bcc4831e588133e8a672d47224319b81bbdf7cc",
+            "pairs.svg": _PAIRS_SVG,
+        },
+    ),
+    "pairs-json": (
+        ("pairs", "--kmax", "12", "--refine", "--format", "json"), 0,
+        {
+            "pairs.json": "2413b04507e9316262168436dd0755dffe0479ef25db76dffceeb7954c99bf9b",
+            "pairs.svg": _PAIRS_SVG,
+        },
+    ),
+    "wave-solved": (
+        _WAVE_SOLVED, 0,
+        {
+            "wave_profile.csv": "2f179f53b778cd015cbb0f369a80e9d3459c1027cb65ba63787ccb3de8ae4585",
+            "wave_report.json": "b2a4a67d23176fa5c932f902aef64bf8dbd585b3e916cb008f2ee432d1a18cc7",
+        },
+    ),
+    "wave-fold": (
+        _WAVE_FOLD, 3,
+        {"wave_report.json": "307a2477e62aa89ddc3aa6447a9d7bc5c6cde4139192ee0ebc76b8bc65e0155b"},
+    ),
+}
+
+
+@pytest.mark.parametrize("request_id", sorted(TABLE_SHA256))
+def test_table_bytes_are_pinned(tmp_path, capsys, request_id):
+    argv, expected_code, digests = TABLE_SHA256[request_id]
+    code, out, err = _run(capsys, *argv, "--out", str(tmp_path))
+    assert code == expected_code
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_expand_is_deterministic(tmp_path, capsys):
     first = tmp_path / "a"
     second = tmp_path / "b"
