@@ -143,95 +143,54 @@ def _parse_t_grid(spec: str) -> list[float]:
     return [float(t) for t in np.linspace(lo, hi, count)]
 
 
+def _records(columns, rows) -> list[dict]:
+    return [dict(zip(columns, row)) for row in rows]
+
+
 def _cmd_bifurcate(args, cfg) -> tuple[list[Path], int]:
     pair = _make_pair(args.k1, args.k2)
     if args.T is None and args.T_grid is None:
         raise DomainError("bifurcate needs --T or --T-grid")
     tensions = [args.T] if args.T is not None else _parse_t_grid(args.T_grid)
-    points = bifurcation_grid(pair, tensions)
-    out = Path(cfg.out)
-    if (cfg.format or "csv") == "json":
-        path = emitters.write_text(
-            out / "bifurcate.json", emitters.bifurcation_json(pair, points)
-        )
-    else:
-        path = emitters.write_text(out / "bifurcate.csv", emitters.bifurcation_csv(points))
+    columns = ("T", "c0", "kappa0", "residual")
+    rows = [(p.T, p.c0, p.kappa0, p.residual) for p in bifurcation_grid(pair, tensions)]
+    body = {"pair": [pair.k1, pair.k2], "points": _records(columns, rows)}
+    fmt = cfg.format or "csv"
+    path = emitters.write_table(cfg.out, "bifurcate", fmt, columns, rows, body)
     return [path], EXIT_OK
 
 
 def _cmd_phi(args, cfg) -> tuple[list[Path], int]:
     pair = _make_pair(args.k1, args.k2)
-    out = Path(cfg.out)
-    fmt = cfg.format or ("csv" if args.action == "curve" else "json")
-    paths: list[Path] = []
+    body = {"pair": [pair.k1, pair.k2]}
     if args.action == "eval":
         if args.T is None:
             raise DomainError("phi eval needs --T")
         sample = phi_eval(pair, args.T)
-        if fmt == "csv":
-            text = "T,phi,c0,kappa0\n" + ",".join(
-                emitters.fmt_float(v)
-                for v in (
-                    sample.T,
-                    sample.value,
-                    sample.bifurcation.c0,
-                    sample.bifurcation.kappa0,
-                )
-            ) + "\n"
-            paths.append(emitters.write_text(out / "phi_eval.csv", text))
-        else:
-            paths.append(
-                emitters.write_text(
-                    out / "phi_eval.json", emitters.phi_sample_json(pair, sample)
-                )
-            )
+        stem, columns = "phi_eval", ("T", "phi", "c0", "kappa0")
+        point = sample.bifurcation
+        rows = [(sample.T, sample.value, point.c0, point.kappa0)]
+        body.update(zip(columns, rows[0]))
     elif args.action == "root":
         roots = phi_root(pair, cfg.grid, xtol=cfg.tol_root)
-        if fmt == "csv":
-            paths.append(
-                emitters.write_text(out / "phi_roots.csv", emitters.phi_roots_csv(roots))
-            )
-        else:
-            paths.append(
-                emitters.write_text(
-                    out / "phi_roots.json", emitters.phi_roots_json(pair, roots)
-                )
-            )
+        stem, columns = "phi_roots", ("T0", "bracket_lo", "bracket_hi", "slope")
+        rows = [(r.T0, r.bracket[0], r.bracket[1], r.slope) for r in roots]
+        body["roots"] = [emitters.root_dict(r) for r in roots]
     elif args.action == "limits":
-        low, high = phi_limits(pair)
-        if fmt == "csv":
-            text = (
-                "limit_low,limit_high\n"
-                f"{emitters.fmt_float(low)},{emitters.fmt_float(high)}\n"
-            )
-            paths.append(emitters.write_text(out / "phi_limits.csv", text))
-        else:
-            paths.append(
-                emitters.write_text(
-                    out / "phi_limits.json", emitters.phi_limits_json(pair, low, high)
-                )
-            )
+        stem, columns = "phi_limits", ("limit_low", "limit_high")
+        rows = [phi_limits(pair)]
+        body.update(zip(columns, rows[0]))
     else:
-        samples = phi_curve(pair, cfg.grid)
-        if fmt == "json":
-            body = {
-                "pair": [pair.k1, pair.k2],
-                "samples": [{"T": s.T, "phi": s.value} for s in samples],
-            }
-            paths.append(
-                emitters.write_text(out / "phi_curve.json", emitters.json_text(body))
-            )
-        else:
-            paths.append(
-                emitters.write_text(out / "phi_curve.csv", emitters.phi_curve_csv(samples))
-            )
+        stem, columns = "phi_curve", ("T", "phi")
+        rows = [(s.T, s.value) for s in phi_curve(pair, cfg.grid)]
+        body["samples"] = _records(columns, rows)
+    fmt = cfg.format or ("csv" if args.action == "curve" else "json")
+    paths = [emitters.write_table(cfg.out, stem, fmt, columns, rows, body)]
+    if args.action == "curve":
         plot = svg.line_plot(
-            [(s.T, s.value) for s in samples],
-            xlabel="T",
-            ylabel=f"phi(T; {pair.k1}, {pair.k2})",
-            hline=0.0,
+            rows, xlabel="T", ylabel=f"phi(T; {pair.k1}, {pair.k2})", hline=0.0
         )
-        paths.append(emitters.write_text(out / "phi_curve.svg", plot))
+        paths.append(emitters.write_text(Path(cfg.out) / "phi_curve.svg", plot))
     return paths, EXIT_OK
 
 
@@ -241,16 +200,34 @@ def _cmd_pairs(args, cfg) -> tuple[list[Path], int]:
     verdicts = pair_scan(
         args.kmax, refine=args.refine, grid_size=cfg.grid, jobs=cfg.jobs
     )
-    out = Path(cfg.out)
-    paths = []
-    if (cfg.format or "csv") == "json":
-        paths.append(
-            emitters.write_text(out / "pairs.json", emitters.verdicts_json(verdicts))
+    columns = ("k1", "k2", "status", "limit_low", "limit_high", "n_roots", "T0_first")
+    rows = [
+        (
+            v.k1,
+            v.k2,
+            v.status,
+            v.limit_low,
+            v.limit_high,
+            len(v.roots),
+            v.roots[0].T0 if v.roots else None,
         )
-    else:
-        paths.append(
-            emitters.write_text(out / "pairs.csv", emitters.verdicts_csv(verdicts))
-        )
+        for v in verdicts
+    ]
+    body = [
+        {
+            "k1": v.k1,
+            "k2": v.k2,
+            "reduced": [v.reduced.k1, v.reduced.k2],
+            "status": v.status,
+            "limit_low": v.limit_low,
+            "limit_high": v.limit_high,
+            "roots": [emitters.root_dict(r) for r in v.roots],
+            "error": v.error,
+        }
+        for v in verdicts
+    ]
+    fmt = cfg.format or "csv"
+    paths = [emitters.write_table(cfg.out, "pairs", fmt, columns, rows, body)]
     dots = [(v.k1, v.k2) for v in verdicts if v.status == STATUS_ADMITS]
     plot = svg.scatter_plot(
         dots,
@@ -258,7 +235,7 @@ def _cmd_pairs(args, cfg) -> tuple[list[Path], int]:
         ylabel="k2",
         extent=(1.0, float(args.kmax), 1.0, float(args.kmax)),
     )
-    paths.append(emitters.write_text(out / "pairs.svg", plot))
+    paths.append(emitters.write_text(Path(cfg.out) / "pairs.svg", plot))
     all_errored = bool(verdicts) and all(v.error is not None for v in verdicts)
     return paths, (EXIT_CONVERGENCE if all_errored else EXIT_OK)
 
@@ -301,34 +278,24 @@ def _cmd_expand(args, cfg) -> tuple[list[Path], int]:
     return [path], EXIT_OK
 
 
+def _exit_code(exc: CapWhithamError) -> int:
+    if isinstance(exc, SizeGuardError):
+        return EXIT_RESOURCE
+    if isinstance(exc, ConvergenceError):
+        return EXIT_CONVERGENCE
+    return EXIT_DOMAIN
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    flag_values = {
-        "tol_root": getattr(args, "tol_root", None),
-        "tol_w": getattr(args, "tol_w", None),
-        "tol_newton": getattr(args, "tol_newton", None),
-        "grid": getattr(args, "grid", None),
-        "K": getattr(args, "K", None),
-        "jobs": getattr(args, "jobs", None),
-        "out": getattr(args, "out", None),
-        "format": getattr(args, "format", None),
-    }
     try:
-        cfg = resolve_config(flag_values, config_path=args.config)
+        cfg = resolve_config(vars(args), config_path=args.config)
         paths, code = args.handler(args, cfg)
-    except SizeGuardError as exc:
-        print(emitters.error_envelope(EXIT_RESOURCE, exc.message, exc.context), file=sys.stderr)
-        return EXIT_RESOURCE
-    except ConvergenceError as exc:
-        print(emitters.error_envelope(EXIT_CONVERGENCE, exc.message, exc.context), file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except DomainError as exc:
-        print(emitters.error_envelope(EXIT_DOMAIN, exc.message, exc.context), file=sys.stderr)
-        return EXIT_DOMAIN
     except CapWhithamError as exc:
-        print(emitters.error_envelope(EXIT_DOMAIN, exc.message, exc.context), file=sys.stderr)
-        return EXIT_DOMAIN
+        code = _exit_code(exc)
+        print(emitters.error_envelope(code, exc.message, exc.context), file=sys.stderr)
+        return code
     for path in paths:
         print(path)
     return code

@@ -84,8 +84,9 @@ def load_config_file(path: str) -> dict:
 def resolve_config(flag_values: dict, config_path: str | None = None) -> RunConfig:
     """Merge defaults, an optional config file, and explicit flag values.
 
-    ``flag_values`` maps RunConfig field names to values or None; None
-    entries leave the lower-precedence value in place.
+    ``flag_values`` maps names to values or None, such as ``vars()`` of the
+    parsed flags; None entries leave the lower-precedence value in place,
+    and names that are not RunConfig fields are ignored.
     """
     config = RunConfig()
     path = config_path or os.environ.get(CONFIG_ENV_VAR)

@@ -1,9 +1,12 @@
-"""Deterministic CSV and JSON emitters for the command-line surface.
+"""Deterministic CSV and JSON writers for the command-line surface.
 
-All emitters format floats with ``repr`` (shortest round-trip form),
-sort collections canonically, and never include timestamps, so repeated
-runs with identical inputs produce byte-identical files.  CSV uses '.'
-decimals, '\\n' line endings and UTF-8.
+One CSV writer, ``csv_text``, and one JSON writer, ``json_text``, serve
+every tabular file; the command-line handlers choose each file's columns
+and JSON body, and ``write_table`` writes whichever format was asked
+for.  Floats are written with ``repr`` (shortest round-trip form),
+collections are sorted canonically, and no file holds a timestamp, so
+repeated runs with identical inputs produce byte-identical files.  CSV
+uses '.' decimals, '\\n' line endings and UTF-8.
 """
 
 from __future__ import annotations
@@ -15,23 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import PhiExpansion
-from .symbol import BifurcationPoint
-from .symmetry_breaking import PairVerdict, PhiRoot, PhiSample
+from .symmetry_breaking import PhiRoot
 from .waves import SolveReport, WaveProfile
 
 __all__ = [
     "fmt_float",
     "write_text",
     "json_text",
-    "bifurcation_csv",
-    "bifurcation_json",
-    "phi_sample_json",
-    "phi_curve_csv",
-    "phi_roots_csv",
-    "phi_roots_json",
-    "phi_limits_json",
-    "verdicts_csv",
-    "verdicts_json",
+    "csv_text",
+    "write_table",
+    "root_dict",
     "expansion_json",
     "wave_profile_csv",
     "wave_report_dict",
@@ -56,118 +52,34 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _point_dict(point: BifurcationPoint) -> dict:
-    return {
-        "T": point.T,
-        "c0": point.c0,
-        "kappa0": point.kappa0,
-        "residual": point.residual,
-    }
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return fmt_float(value)
+    return str(value)
 
 
-def bifurcation_csv(points: list[BifurcationPoint]) -> str:
-    lines = ["T,c0,kappa0,residual"]
-    for p in points:
-        lines.append(
-            ",".join(fmt_float(v) for v in (p.T, p.c0, p.kappa0, p.residual))
-        )
+def csv_text(columns, rows) -> str:
+    """Header line, then one line per row; ``None`` is an empty cell."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def bifurcation_json(pair, points: list[BifurcationPoint]) -> str:
-    return json_text(
-        {
-            "pair": [pair.k1, pair.k2],
-            "points": [_point_dict(p) for p in points],
-        }
-    )
+def write_table(out, stem: str, fmt: str, columns, rows, body) -> Path:
+    """Write ``stem.json`` from ``body`` or ``stem.csv`` from the rows."""
+    if fmt == "json":
+        return write_text(Path(out) / f"{stem}.json", json_text(body))
+    return write_text(Path(out) / f"{stem}.csv", csv_text(columns, rows))
 
 
-def phi_sample_json(pair, sample: PhiSample) -> str:
-    return json_text(
-        {
-            "pair": [pair.k1, pair.k2],
-            "T": sample.T,
-            "phi": sample.value,
-            "c0": sample.bifurcation.c0,
-            "kappa0": sample.bifurcation.kappa0,
-        }
-    )
-
-
-def phi_curve_csv(samples: list[PhiSample]) -> str:
-    lines = ["T,phi"]
-    for s in samples:
-        lines.append(f"{fmt_float(s.T)},{fmt_float(s.value)}")
-    return "\n".join(lines) + "\n"
-
-
-def _root_dict(root: PhiRoot) -> dict:
+def root_dict(root: PhiRoot) -> dict:
     return {
         "T0": root.T0,
         "bracket": [root.bracket[0], root.bracket[1]],
         "slope": root.slope,
     }
-
-
-def phi_roots_json(pair, roots: list[PhiRoot]) -> str:
-    return json_text(
-        {"pair": [pair.k1, pair.k2], "roots": [_root_dict(r) for r in roots]}
-    )
-
-
-def phi_roots_csv(roots: list[PhiRoot]) -> str:
-    lines = ["T0,bracket_lo,bracket_hi,slope"]
-    for r in roots:
-        lines.append(
-            ",".join(
-                fmt_float(v) for v in (r.T0, r.bracket[0], r.bracket[1], r.slope)
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def phi_limits_json(pair, low: float, high: float) -> str:
-    return json_text(
-        {"pair": [pair.k1, pair.k2], "limit_low": low, "limit_high": high}
-    )
-
-
-def _verdict_row(v: PairVerdict) -> list[str]:
-    return [
-        str(v.k1),
-        str(v.k2),
-        v.status,
-        "" if v.limit_low is None else fmt_float(v.limit_low),
-        "" if v.limit_high is None else fmt_float(v.limit_high),
-        str(len(v.roots)),
-        fmt_float(v.roots[0].T0) if v.roots else "",
-    ]
-
-
-def verdicts_csv(verdicts: list[PairVerdict]) -> str:
-    lines = ["k1,k2,status,limit_low,limit_high,n_roots,T0_first"]
-    for v in verdicts:
-        lines.append(",".join(_verdict_row(v)))
-    return "\n".join(lines) + "\n"
-
-
-def verdicts_json(verdicts: list[PairVerdict]) -> str:
-    items = []
-    for v in verdicts:
-        items.append(
-            {
-                "k1": v.k1,
-                "k2": v.k2,
-                "reduced": [v.reduced.k1, v.reduced.k2],
-                "status": v.status,
-                "limit_low": v.limit_low,
-                "limit_high": v.limit_high,
-                "roots": [_root_dict(r) for r in v.roots],
-                "error": v.error,
-            }
-        )
-    return json_text(items)
 
 
 def _factors_text(factors: tuple[int, ...]) -> str:
@@ -201,12 +113,8 @@ def expansion_json(expansion: PhiExpansion) -> str:
 
 
 def wave_profile_csv(profile: WaveProfile, n: int = 1024) -> str:
-    values = profile.sample(n)
     xs = 2.0 * np.pi * np.arange(n) / n
-    lines = ["x,u"]
-    for x, u in zip(xs, values):
-        lines.append(f"{fmt_float(x)},{fmt_float(u)}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("x", "u"), zip(xs, profile.sample(n)))
 
 
 def wave_report_dict(

@@ -60,9 +60,6 @@ class _Frame:
     def contains_y(self, v: float) -> bool:
         return self.ylo <= v <= self.yhi
 
-    def contains_x(self, v: float) -> bool:
-        return self.xlo <= v <= self.xhi
-
 
 def _header() -> list[str]:
     return [
@@ -114,9 +111,8 @@ def line_plot(
     xlabel: str,
     ylabel: str,
     hline: float | None = None,
-    vline: float | None = None,
 ) -> str:
-    """Render a polyline plot; optional dashed horizontal/vertical markers."""
+    """Render a polyline plot; optional dashed horizontal marker."""
     pts = [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
     if not pts:
         raise ValueError("line plot needs at least one finite point")
@@ -128,12 +124,6 @@ def line_plot(
         parts.append(
             f'<line x1="{MARGIN_LEFT}" y1="{py}" x2="{MARGIN_LEFT + _PLOT_W}" '
             f'y2="{py}" stroke="gray" stroke-dasharray="6 4"/>'
-        )
-    if vline is not None and frame.contains_x(vline):
-        px = _px(frame.x(vline))
-        parts.append(
-            f'<line x1="{px}" y1="{MARGIN_TOP}" x2="{px}" '
-            f'y2="{MARGIN_TOP + _PLOT_H}" stroke="gray" stroke-dasharray="6 4"/>'
         )
     path = " ".join(
         f"{'M' if i == 0 else 'L'} {_px(frame.x(x))} {_px(frame.y(y))}"
@@ -150,16 +140,11 @@ def scatter_plot(
     points: list[tuple[float, float]],
     xlabel: str,
     ylabel: str,
-    extent: tuple[float, float, float, float] | None = None,
+    extent: tuple[float, float, float, float],
 ) -> str:
-    """Render a dot plot; ``extent`` (xlo, xhi, ylo, yhi) fixes the frame."""
+    """Render a dot plot in the frame ``extent`` (xlo, xhi, ylo, yhi)."""
     pts = [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
-    if extent is not None:
-        frame = _Frame([extent[0], extent[1]], [extent[2], extent[3]])
-    elif pts:
-        frame = _Frame([p[0] for p in pts], [p[1] for p in pts])
-    else:
-        raise ValueError("scatter plot needs points or an explicit extent")
+    frame = _Frame([extent[0], extent[1]], [extent[2], extent[3]])
     parts = _header()
     parts.extend(_axes(frame, xlabel, ylabel))
     for x, y in pts:

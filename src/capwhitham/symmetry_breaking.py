@@ -277,7 +277,10 @@ def phi_root(
     def phi(T):
         return _phi_values(pair, T)[0]
 
-    change = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    # Compare signs, not products: |phi| reaches 1e295, and the product of
+    # two neighbours would overflow.
+    signs = np.sign(values)
+    change = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
     grid = T.tolist()
     found = [(i, grid[i], grid[i]) for i in np.flatnonzero(values == 0.0).tolist()]
     if change.size:

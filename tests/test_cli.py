@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from capwhitham import cli, errors
 from capwhitham.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "expansion_2_5.json"
@@ -166,6 +167,37 @@ def test_table_bytes_are_pinned(tmp_path, capsys, request_id):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+EXIT_CODES = {
+    "CapWhithamError": 2,
+    "DomainError": 2,
+    "NearResonanceError": 2,
+    "TruncationError": 2,
+    "DegenerateDirectionError": 2,
+    "ConvergenceError": 3,
+    "DivergenceError": 3,
+    "SizeGuardError": 4,
+}
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_exit_code_follows_error_class(tmp_path, capsys, monkeypatch, name):
+    error_type = getattr(errors, name)
+
+    def fail(args, cfg):
+        raise error_type("injected failure", where="handler")
+
+    monkeypatch.setattr(cli, "_cmd_expand", fail)
+    code, out, err = _run(capsys, "expand", *_PAIR, "--out", str(tmp_path))
+    assert code == EXIT_CODES[name]
+    assert out == ""
+    assert err.count("\n") == 1
+    assert _stderr_envelope(err) == {
+        "code": code,
+        "message": "injected failure",
+        "context": {"where": "handler"},
+    }
 
 
 def test_expand_is_deterministic(tmp_path, capsys):

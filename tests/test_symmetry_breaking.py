@@ -83,6 +83,14 @@ def test_phi_root_empty_for_constant_sign_pairs():
     assert phi_root(WaveNumberPair(4, 5), grid_size=32) == []
 
 
+def test_phi_root_scan_does_not_overflow_on_huge_phi():
+    # max |phi| of (12, 19) on the grid exceeds 1e154, so the product of
+    # two neighbouring samples would overflow; the scan compares signs.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi_root(WaveNumberPair(12, 19))
+
+
 def test_phi_curve_grid_shape():
     samples = phi_curve(PAIR_2_5, 24)
     grid = [s.T for s in samples]
