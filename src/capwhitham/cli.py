@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -286,12 +287,20 @@ def _exit_code(exc: CapWhithamError) -> int:
     return EXIT_DOMAIN
 
 
+def _warning_envelope(message, category, *_) -> None:
+    """Show a warning, such as k1 = 1's, as a code-0 envelope on stderr."""
+    context = {"category": category.__name__}
+    print(emitters.error_envelope(0, str(message), context), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(vars(args), config_path=args.config)
-        paths, code = args.handler(args, cfg)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_envelope
+            cfg = resolve_config(vars(args), config_path=args.config)
+            paths, code = args.handler(args, cfg)
     except CapWhithamError as exc:
         code = _exit_code(exc)
         print(emitters.error_envelope(code, exc.message, exc.context), file=sys.stderr)

@@ -24,10 +24,10 @@ integers.
 
 How a cell's splittings are summed is the value type's choice.  Floats
 and arrays add the products left to right from 0.0, so every numeric mode
-rounds alike.  Exact monomials are keyed by one integer that packs the
-exponent of each distinct |k| into a fixed-width bit field, so a product
-of monomials is an addition of keys; their cell sum multiplies each
-mirror pair of splittings once, with weight 2, into one dictionary.
+rounds alike.  Exact monomials are numpy rows of exponents, one column
+per distinct |k|, so a product of monomials is an addition of rows; their
+cell sum multiplies each mirror pair of splittings once, with weight 2,
+and merges equal rows once per cell.
 """
 
 from __future__ import annotations
@@ -138,25 +138,37 @@ def multiplier(ctx: MultiplierContext, k):
     return ell if ell.ndim else float(ell)
 
 
-class _Monomials(dict):
-    """Exact integer-weighted monomials {packed key: coeff}.
+@dataclass(frozen=True)
+class _Monomials:
+    """Exact integer-weighted monomials as numpy rows.
 
-    A key packs a monomial's exponents into one integer, with a
-    fixed-width bit field per distinct |k|; the field of ell(k) is
-    assigned when the table first asks for it.  The width bounds every
-    exponent, so multiplying two monomials adds their keys without carry
-    between fields.  Every weight is a sum of products of positive
-    integers, so no coefficient ever cancels to zero.
+    ``E`` holds one uint8 row of exponents per monomial, with one column
+    per distinct |k| on the phi path in ascending order, and ``c`` the
+    int64 coefficients.  Rows are distinct and sorted in the canonical
+    order of the expansion: at the first column where two rows differ,
+    the larger exponent comes first, which is the ascending order of the
+    factor tuples of M factors each.  Every weight is a sum of products
+    of positive integers, so no coefficient ever cancels to zero.
+
+    Neither dtype can wrap.  No exponent exceeds M = k1 + k2 - 3, and no
+    |k| exceeds k1 * k2; under the size guard these are at most 13 and
+    42, so uint8 holds both.  A cell's coefficients add up to its term
+    count, which is at most N, because the corner splits into every cell
+    and its complement and every term count is at least 1; so every
+    coefficient and every weighted pairwise product is at most
+    2 * N <= 2 * SIZE_GUARD, far below 2**63.
     """
 
+    E: np.ndarray
+    c: np.ndarray
+
     def __mul__(self, other):
-        out = _Monomials()
-        get = out.get
-        for ka, ca in self.items():
-            for kb, cb in other.items():
-                key = ka + kb
-                out[key] = get(key, 0) + ca * cb
-        return out
+        """ell(k) * other, where self is ell(k): one row, exponent 1 in column k.
+
+        Adding one row to every row of other keeps its rows distinct and
+        in order, so nothing merges.
+        """
+        return _Monomials(self.E + other.E, self.c * other.c)
 
     @staticmethod
     def cell_sum(halves):
@@ -165,21 +177,35 @@ class _Monomials(dict):
         ``halves`` lists the splittings in lexicographic order of the left
         half, so halves[n-1-i] swaps the two halves of halves[i]: the
         first half of the list is taken with weight 2 and a middle
-        splitting with weight 1.  The weights are exact, so the order of
-        the additions does not matter.
+        splitting with weight 1.  Each product is one broadcast over the
+        rows of a and b, written into its slice of one array of product
+        rows; one sort of that array then brings equal rows together, and
+        their coefficients are added.
         """
-        out = _Monomials()
-        get = out.get
         n = len(halves)
-        for i in range((n + 1) // 2):
-            a, b = halves[i]
+        taken = halves[: (n + 1) // 2]
+        sizes = [len(a.c) * len(b.c) for a, b in taken]
+        m = taken[0][0].E.shape[1]
+        E = np.empty((sum(sizes), m), dtype=np.uint8)
+        c = np.empty(sum(sizes), dtype=np.int64)
+        stop = 0
+        for i, ((a, b), size) in enumerate(zip(taken, sizes)):
+            start, stop = stop, stop + size
             weight = 1 if 2 * i == n - 1 else 2
-            for ka, ca in a.items():
-                ca *= weight
-                for kb, cb in b.items():
-                    key = ka + kb
-                    out[key] = get(key, 0) + ca * cb
-        return out
+            shape = (len(a.c), len(b.c))
+            np.add(a.E[:, None], b.E[None], out=E[start:stop].reshape(*shape, m))
+            np.multiply.outer(weight * a.c, b.c, out=c[start:stop].reshape(shape))
+        if not m:  # M = 0, only for (1, 2): every row is the empty monomial
+            return _Monomials(E[:1], c.sum(keepdims=True))
+        # As one void item, a row compares bytewise in column order, so the
+        # ascending order, reversed, is the canonical one.
+        keys = E.view(np.dtype((np.void, m))).ravel()
+        order = np.argsort(keys, kind="stable")[::-1]
+        keys, c = keys[order], c[order]
+        first = np.ones(len(c), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(first)
+        return _Monomials(E[order[starts]], np.add.reduceat(c, starts))
 
 
 def _ordered_sum(halves):
@@ -354,11 +380,11 @@ def expansion_size(pair: WaveNumberPair) -> tuple[int, int]:
 def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
     """Exact symbolic expansion of 2**(k1+k2-1) * phi in monomials of ell.
 
-    Fills the scaled table with integer-weighted monomials, in which
-    ell(k) is the single monomial with exponent 1 in the bit field of
-    |k|, so equal factor multisets share one packed key.  The keys are
-    decoded to ascending factor tuples once, at the end.  The expansion
-    is refused up front if its exact term count N exceeds the size guard.
+    Fills the scaled table with integer-weighted monomial rows, in which
+    ell(k) is the single row with exponent 1 in the column of |k|.  The
+    corner's rows arrive merged and in canonical order, so the factor
+    tuples are read off them once, at the end.  The expansion is refused
+    up front if its exact term count N exceeds the size guard.
 
     Raises
     ------
@@ -374,52 +400,48 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
             size=n_expected,
             guard=SIZE_GUARD,
         )
-    # Kernel or zero wavenumbers never occur on the phi path of a coprime
-    # pair; one would silently change the term count, so it raises.
-    forbidden = {0, pair.k1, pair.k2}
-    # No exponent exceeds M, so M.bit_length() bits hold each field.
-    width = m_expected.bit_length()
-    slots = {}  # |k| -> index of its bit field
+    k1, k2 = pair.k1, pair.k2
+    alpha, beta = phi_target_indices(pair)
+    # The cells (a, 0, 0, b) of order >= 2 have wavenumber k1*a - k2*b, and
+    # ell is asked for all but the corner, at -k1.  For a coprime pair no
+    # other is 0, k1 or k2; such a factor would silently change the term
+    # count, so it has no column and raises.
+    path = {abs(k1 * a - k2 * b) for a in range(k2) for b in range(k1 + 1) if a + b >= 2}
+    ks = sorted(path - {0, k1, k2})
+    columns = {k: j for j, k in enumerate(ks)}
+    unit = np.eye(len(ks), dtype=np.uint8)
+    one = _Monomials(np.zeros((1, len(ks)), dtype=np.uint8), np.ones(1, dtype=np.int64))
 
     def ell(k: int) -> _Monomials:
-        k = abs(k)
-        if k in forbidden:
+        j = columns.get(abs(k))
+        if j is None:
             raise AssertionError(
                 f"phi-path purity violated: ell({k}) arose in a symbolic expansion"
             )
-        return _Monomials({1 << width * slots.setdefault(k, len(slots)): 1})
+        return _Monomials(unit[j : j + 1], one.c)
 
-    alpha, beta = phi_target_indices(pair)
-    raw = _scaled_u2(pair, alpha, beta, ell, _Monomials({0: 1}), _Monomials.cell_sum)
-    fields = [(k, width * slot) for k, slot in sorted(slots.items())]
-    mask = (1 << width) - 1
-
-    def factors(key: int) -> tuple[int, ...]:
-        out = []
-        for k, shift in fields:
-            exponent = (key >> shift) & mask
-            if exponent:
-                out += [k] * exponent
-        return tuple(out)
-
-    monomials = tuple(
-        Monomial(coeff=coeff, factors=f)
-        for f, coeff in sorted((factors(key), coeff) for key, coeff in raw.items())
-    )
-    total = sum(m.coeff for m in monomials)
+    raw = _scaled_u2(pair, alpha, beta, ell, one, _Monomials.cell_sum)
+    total = int(raw.c.sum())
     if total != n_expected:
         raise AssertionError(
             f"expansion coefficient total {total} != exact count {n_expected}"
         )
-    for mono in monomials:
-        if len(mono.factors) != m_expected:
-            raise AssertionError(
-                f"monomial {mono} violates the factor-count invariant M={m_expected}"
-            )
+    counts = raw.E.sum(axis=1)
+    if (counts != m_expected).any():
+        i = int(np.flatnonzero(counts != m_expected)[0])
+        raise AssertionError(
+            f"monomial {dict(zip(ks, raw.E[i].tolist()))} violates the "
+            f"factor-count invariant M={m_expected}"
+        )
+    # Every row holds M factors, so the repeated wavenumbers, taken M at a
+    # time, are the ascending factor tuples.
+    flat = np.repeat(np.tile(np.array(ks, dtype=np.uint8), len(raw.c)), raw.E.ravel())
+    flat = flat.tolist()
+    factors = zip(*[iter(flat)] * m_expected) if m_expected else [()] * len(raw.c)
     return PhiExpansion(
         pair=pair,
-        prefactor_exponent=pair.k1 + pair.k2 - 1,
-        monomials=monomials,
+        prefactor_exponent=k1 + k2 - 1,
+        monomials=tuple(map(Monomial, raw.c.tolist(), factors)),
     )
 
 

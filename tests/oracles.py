@@ -11,8 +11,14 @@ can arbitrate its correctness.
 of the coefficient computation: instead of the index recursion it
 iterates the truncated functional equation U = V + L[U^2] globally on a
 dense 4-index polynomial and squares by a truncated direct sum.
+
+``exact_phi_monomials`` is an independent exact expansion of phi: a
+memoized recursion on single coefficients, in plain dicts keyed by sorted
+factor tuples, that sums every splitting in both orders.
 """
 
+import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +139,46 @@ def series_squaring_oracle(k1: int, k2: int, ell, degree: int):
             break
         u = u_next
     return u, _truncated_square(u, mask)
+
+
+def exact_phi_monomials(k1: int, k2: int) -> dict:
+    """Exact 2**(k1+k2-1) * phi(T; k1, k2) as {ascending ell-argument tuple: weight}.
+
+    The scaled coefficients s = 2**order * u_hat of U = V + L[U^2] are 1
+    at order one and ell(k) times the scaled square at higher orders; the
+    scaled square of a cell sums s(left) * s(right) over every splitting
+    into two parts of order >= 1.  phi is the square at the target
+    ((k2-1, 0), (0, k1)).  ell(k) is the one-factor monomial (|k|,), and
+    zero on the kernel wavenumbers k1, k2.
+    """
+
+    def times(p, q):
+        out = {}
+        for fp, cp in p.items():
+            for fq, cq in q.items():
+                key = tuple(sorted(fp + fq))
+                out[key] = out.get(key, 0) + cp * cq
+        return out
+
+    def square(cell):
+        out = {}
+        for left in itertools.product(*(range(n + 1) for n in cell)):
+            right = tuple(n - m for n, m in zip(cell, left))
+            if sum(left) and sum(right):
+                for key, coeff in times(s(left), s(right)).items():
+                    out[key] = out.get(key, 0) + coeff
+        return out
+
+    @functools.cache
+    def s(cell):
+        if sum(cell) == 1:
+            return {(): 1}
+        k = abs(k1 * (cell[0] - cell[2]) + k2 * (cell[1] - cell[3]))
+        if k in (k1, k2):
+            return {}
+        return times({(k,): 1}, square(cell))
+
+    return square((k2 - 1, 0, 0, k1))
 
 
 if __name__ == "__main__":

@@ -46,8 +46,10 @@ def test_expand_writes_golden_bytes(tmp_path, capsys):
     assert data["M"] == 4
 
 
-# SHA-256 of `capwhitham expand` output, N = 2 to 4.7e7 terms, pinned so
-# that the expansion and its writer cannot change a byte.
+# SHA-256 of `capwhitham expand` output, N = 2 to 6.8e7 terms, pinned so
+# that the expansion and its writer cannot change a byte.  (6, 7), (3, 11)
+# and (2, 13) are the largest pairs under the size guard, with the widest
+# exponent rows and the largest coefficients.
 EXPANSION_SHA256 = {
     (1, 2): "d897e9cb8bc7ff545c2fd1d4953f3dd1ea6ebdbd64129692fb5147e15dc7f819",
     (3, 7): "bc6c65738d492aba9a05271906f74d559ecd2707cc6d7a94c75abb66a33ac540",
@@ -57,6 +59,9 @@ EXPANSION_SHA256 = {
     (2, 9): "f11f43978f4e0663e52c2583891eb8541f230197ffd72644cf65c1dd775e1b32",
     (4, 9): "1e871514365c81f9a62b475bf8bb3da738bc1b2979577f4d2a74b36b8f407808",
     (5, 8): "3901112dda5def9112c725fef5ad7367fbc878c1ce2bf5b6867b69260f57537f",
+    (6, 7): "3444e40336dcda824145b477b63ab5c4ab221ffd66d8df85f1a0dcd5b6ce69be",
+    (3, 11): "a559e49bd02c8c99cf4d119d76635434cc0c46d6344978a1bb11bc87cd4b6fb9",
+    (2, 13): "dade36dda4a51b8441a96783b890bfe2eefe589dc36e73d71052ce96a8a7ac29",
 }
 
 
@@ -233,6 +238,21 @@ def test_reduction_warning_envelope(tmp_path, capsys):
     # The emitted expansion is that of the reduced pair.
     written = json.loads((tmp_path / "expansion.json").read_text())
     assert written == json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("phi", "root", "--grid", "64"), ("phi", "eval", "--T", "0.2"), ("phi", "curve", "--grid", "32")],
+    ids=lambda argv: argv[1],
+)
+def test_k1_one_warning_envelope(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, *argv, "--k1", "1", "--k2", "4", "--out", str(tmp_path))
+    assert code == 0
+    assert len(err.splitlines()) == 1
+    envelope = json.loads(err)
+    assert envelope["code"] == 0
+    assert "k1 = 1" in envelope["message"]
+    assert envelope["context"] == {"category": "UserWarning"}
 
 
 def test_bifurcate_single_tension_csv(tmp_path, capsys):

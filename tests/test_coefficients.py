@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from capwhitham import emitters
+from capwhitham import coefficients, emitters
 from capwhitham import (
     LIMIT_HIGH_T,
     LIMIT_LOW_T,
@@ -199,6 +199,55 @@ def test_expansion_1_3():
     expansion = expand_symbolic(WaveNumberPair(1, 3))
     assert [(m.factors, m.coeff) for m in expansion.monomials] == [((2,), 6)]
     assert expansion.prefactor_exponent == 3
+
+
+_ORACLE_PAIRS = [
+    (k1, k2) for k2 in range(2, 8) for k1 in range(1, k2) if math.gcd(k1, k2) == 1
+] + [(3, 8), (2, 9)]
+
+
+@pytest.mark.parametrize("pair", _ORACLE_PAIRS, ids=lambda p: f"{p[0]}_{p[1]}")
+def test_expansion_matches_exact_oracle(pair):
+    expansion = expand_symbolic(WaveNumberPair(*pair))
+    want = sorted(oracles.exact_phi_monomials(*pair).items())
+    assert [(m.factors, m.coeff) for m in expansion.monomials] == want
+
+
+def test_expansion_1_2_has_no_factors():
+    # M = 0: the table has no column, and phi is the single empty monomial.
+    expansion = expand_symbolic(WaveNumberPair(1, 2))
+    assert [(m.factors, m.coeff) for m in expansion.monomials] == [((), 2)]
+    assert (expansion.coefficient_total, expansion.factors_per_monomial) == (2, 0)
+
+
+@pytest.mark.parametrize("k", [0, 2, 5, -5])
+def test_expansion_refuses_kernel_and_zero_factors(monkeypatch, k):
+    def fill(pair, alpha, beta, ell, one, cell_sum):
+        return ell(k)
+
+    monkeypatch.setattr(coefficients, "_scaled_u2", fill)
+    with pytest.raises(AssertionError, match=rf"phi-path purity violated: ell\({k}\)"):
+        expand_symbolic(PAIR_2_5)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda E, c: (E, 2 * c), "coefficient total 1260 != exact count 630"),
+        (lambda E, c: (E + np.eye(1, E.shape[1], dtype=E.dtype), c), "factor-count invariant M=4"),
+    ],
+    ids=["N", "M"],
+)
+def test_expansion_invariants_fail_loudly(monkeypatch, corrupt, message):
+    fill = coefficients._scaled_u2
+
+    def corrupted(*args):
+        table = fill(*args)
+        return coefficients._Monomials(*corrupt(table.E, table.c))
+
+    monkeypatch.setattr(coefficients, "_scaled_u2", corrupted)
+    with pytest.raises(AssertionError, match=message):
+        expand_symbolic(PAIR_2_5)
 
 
 def test_size_guard():
