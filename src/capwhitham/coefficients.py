@@ -426,17 +426,15 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
         raise AssertionError(
             f"expansion coefficient total {total} != exact count {n_expected}"
         )
-    counts = raw.E.sum(axis=1)
-    if (counts != m_expected).any():
-        i = int(np.flatnonzero(counts != m_expected)[0])
+    bad = np.flatnonzero(raw.E.sum(axis=1) != m_expected)
+    if bad.size:
         raise AssertionError(
-            f"monomial {dict(zip(ks, raw.E[i].tolist()))} violates the "
+            f"monomial {dict(zip(ks, raw.E[bad[0]].tolist()))} violates the "
             f"factor-count invariant M={m_expected}"
         )
     # Every row holds M factors, so the repeated wavenumbers, taken M at a
     # time, are the ascending factor tuples.
-    flat = np.repeat(np.tile(np.array(ks, dtype=np.uint8), len(raw.c)), raw.E.ravel())
-    flat = flat.tolist()
+    flat = np.repeat(np.tile(np.array(ks, dtype=np.uint8), len(raw.c)), raw.E.ravel()).tolist()
     factors = zip(*[iter(flat)] * m_expected) if m_expected else [()] * len(raw.c)
     return PhiExpansion(
         pair=pair,
