@@ -22,20 +22,20 @@ s(alpha, beta) = 2**(|alpha|+|beta|) * u_hat_{alpha,beta}, whose base
 case is 1 instead of 1/2; in symbolic mode all weights are then exact
 integers.
 
-How a cell's splittings are summed is the value type's choice.  Floats
-and arrays add the products left to right from 0.0, so every numeric mode
-rounds alike.  Exact monomials are numpy rows of exponents, one column
-per distinct |k|, so a product of monomials is an addition of rows; their
-cell sum multiplies each mirror pair of splittings once, with weight 2,
-and merges equal rows once per cell.
+The table is one array over the box below the target.  A cell's
+splittings pair the box slice below it with the same slice reversed.
+Floats and arrays take the slice product in one array operation and add
+its rows one after the other, as a loop from 0.0 would, so every numeric
+mode rounds alike.  Exact monomials are numpy rows of exponents, one
+column per distinct |k|, so a product of monomials is an addition of
+rows; their cell sum multiplies each mirror pair of splittings once,
+with weight 2, and merges equal rows once per cell.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,17 +171,17 @@ class _Monomials:
         return _Monomials(self.E + other.E, self.c * other.c)
 
     @staticmethod
-    def cell_sum(halves):
+    def cell_sum(left, right):
         """Sum a * b over a cell's splittings, multiplying each mirror pair once.
 
-        ``halves`` lists the splittings in lexicographic order of the left
-        half, so halves[n-1-i] swaps the two halves of halves[i]: the
-        first half of the list is taken with weight 2 and a middle
-        splitting with weight 1.  Each product is one broadcast over the
-        rows of a and b, written into its slice of one array of product
-        rows; one sort of that array then brings equal rows together, and
-        their coefficients are added.
+        The raveled slices pair up into the splittings (see _scaled_u2),
+        so halves[n-1-i] swaps the two halves of halves[i]: the first half
+        is taken with weight 2 and a middle splitting with weight 1.  Each
+        product is one broadcast over the rows of a and b, written into its
+        slice of one array of product rows; one sort of that array brings
+        equal rows together, and their coefficients are added.
         """
+        halves = list(zip(left.ravel()[1:-1], right.ravel()[1:-1]))
         n = len(halves)
         taken = halves[: (n + 1) // 2]
         sizes = [len(a.c) * len(b.c) for a, b in taken]
@@ -208,12 +208,19 @@ class _Monomials:
         return _Monomials(E[order[starts]], np.add.reduceat(c, starts))
 
 
-def _ordered_sum(halves):
-    """Sum a * b over a cell's splittings from 0.0, left to right (floats, arrays)."""
-    total = 0.0
-    for a, b in halves:
-        total = total + a * b
-    return total
+def _sequential_sum(left, right):
+    """Sum a * b over a cell's splittings, left to right from 0.0 (floats, arrays).
+
+    numpy reduces along an axis that is not the fast one in memory by
+    adding the rows one at a time (see the notes of ``np.sum``), so values
+    of two or more elements take ``np.add.reduce``.  A one-element value
+    would be summed pairwise and takes ``np.add.accumulate``, where
+    ``+ 0.0`` turns an all-(-0.0) sum into the +0.0 of a loop from 0.0.
+    """
+    products = (left * right).reshape(-1, *left.shape[4:])[1:-1]
+    if products[0].size > 1:
+        return np.add.reduce(products, axis=0, initial=0.0)
+    return np.add.accumulate(products, axis=0)[-1] + 0.0
 
 
 def _scaled_u2(
@@ -222,37 +229,35 @@ def _scaled_u2(
     beta: MultiIndex,
     ell,
     one=1.0,
-    cell_sum=_ordered_sum,
+    cell_sum=_sequential_sum,
 ):
     """Scaled square coefficient 2**order * (u^2)_hat_{alpha,beta}.
 
-    Fills s over the box below (alpha, beta) in lexicographic order, in
-    which every strict sub-cell comes first.  Each cell of order >= 2
-    hands the pairs (s(left), s(right)) of its splittings, in
-    lexicographic order of the left half and skipping order-zero halves
-    (the zero coefficient), to ``cell_sum`` and stores ell(k) times the
-    sum; the corner, of order >= 2, returns the sum itself.  Order-one
-    cells hold ``one``.
+    Holds s in one array S over the box (a0+1, a1+1, b0+1, b1+1), with
+    the trailing shape and dtype of ``one`` (object for monomials), and
+    fills it in lexicographic order, in which every strict sub-cell comes
+    first.  Order-one cells hold ``one``.  Cell c hands the slices
+    S[:c0+1, ..., :c3+1] and S[c0::-1, ..., c3::-1] to ``cell_sum``:
+    their C-order entries, less the first and last (order-zero halves),
+    pair s(left) with s(c - left) in lexicographic order of the left
+    half.  It stores ell(k) times the sum; the corner returns the sum.
     """
     k1, k2 = pair.k1, pair.k2
     corner = (*alpha, *beta)
-    s = {}
-    for cell in itertools.product(*(range(n + 1) for n in corner)):
-        order = sum(cell)
-        if order < 2:
-            if order:
-                s[cell] = one
+    box = tuple(n + 1 for n in corner)
+    S = np.zeros(box + np.shape(one), dtype=np.asarray(one).dtype)
+    for axis in np.flatnonzero(corner):
+        S[tuple(np.eye(4, dtype=int)[axis])] = one
+    for cell in np.ndindex(box):
+        if sum(cell) < 2:
             continue
         total = cell_sum(
-            [
-                (s[left], s[tuple(map(operator.sub, cell, left))])
-                for left in itertools.product(*(range(n + 1) for n in cell))
-                if 0 < sum(left) < order
-            ]
+            S[tuple(slice(c + 1) for c in cell)],
+            S[tuple(slice(c, None, -1) for c in cell)],
         )
         if cell == corner:
             return total
-        s[cell] = ell(k1 * (cell[0] - cell[2]) + k2 * (cell[1] - cell[3])) * total
+        S[cell] = ell(k1 * (cell[0] - cell[2]) + k2 * (cell[1] - cell[3])) * total
 
 
 @dataclass(frozen=True)
@@ -283,7 +288,7 @@ class _NumericSession:
                 "square coefficients need |alpha|+|beta| >= 2", alpha=alpha, beta=beta
             )
         larger = max((alpha, beta), (beta, alpha))
-        return _scaled_u2(self.ctx.pair, *larger, functools.cache(self.ctx.ell))
+        return float(_scaled_u2(self.ctx.pair, *larger, functools.cache(self.ctx.ell)))
 
     def u(self, alpha: MultiIndex, beta: MultiIndex) -> float:
         """Unscaled u_hat_{alpha,beta}."""

@@ -193,16 +193,16 @@ def eval_symbol_deriv(T, xi):
     return _result(_symbol_deriv(T, xi))
 
 
-def _brentq(f, a, b, xtol: float, fa=None, fb=None):
+def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
     """Roots of f in the brackets [a, b] by Brent's method, elementwise.
 
     A port of scipy's C ``brentq`` (rtol = 4*eps, at most 100
-    iterations), run in lockstep over arrays of brackets: ``f`` maps an
-    array of abscissae to the array of its values, and each element
-    takes exactly the iterates of a scalar solve.  Finished elements keep
-    their abscissa, so ``f`` sees them again unchanged.  ``fa`` and
-    ``fb`` may pass f(a) and f(b) when they are known.  Scalar brackets
-    give a float root.
+    iterations), run in lockstep over arrays of brackets: ``f(x, *args)``
+    maps abscissae and per-element parameter arrays to values, and each
+    element takes exactly the iterates of a scalar solve.  After the
+    endpoints, ``f`` sees only the unfinished elements; finished ones
+    keep their abscissa and value.  ``fa`` and ``fb`` may pass f(a) and
+    f(b) when they are known.  Scalar brackets give a float root.
 
     Raises
     ------
@@ -213,16 +213,16 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None):
     """
     xpre, xcur = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
-    def call(x):
-        fx = np.asarray(f(x), dtype=float)
+    def call(x, *args):
+        fx = np.asarray(f(x, *args), dtype=float)
         nan = np.isnan(fx)
         if nan.any():
             x_nan = np.broadcast_to(x, fx.shape).flat[_first(nan)]
             raise ValueError(f"The function value at x={x_nan} is NaN; solver cannot continue.")
         return fx
 
-    fpre = call(xpre) if fa is None else np.asarray(fa, dtype=float)
-    fcur = call(xcur) if fb is None else np.asarray(fb, dtype=float)
+    fpre = call(xpre, *args) if fa is None else np.asarray(fa, dtype=float)
+    fcur = call(xcur, *args) if fb is None else np.asarray(fb, dtype=float)
     root = np.where(fpre == 0.0, xpre, xcur)
     active = (fpre != 0.0) & (fcur != 0.0)
     if (active & (np.signbit(fpre) == np.signbit(fcur))).any():
@@ -269,7 +269,9 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None):
         xpre, fpre = xcur, fcur
         step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
         xcur = np.where(active, xcur + step, xcur)
-        fcur = call(xcur)
+        if active.any():
+            fcur = fcur.copy()  # fpre is the same array
+            fcur[active] = call(xcur[active], *(a[active] for a in args))
     if active.any():
         raise ConvergenceError(
             f"Brent's method did not converge in {_BRENT_MAXITER} iterations",
@@ -304,10 +306,8 @@ def _turning_points(T: np.ndarray) -> np.ndarray:
         )
     j = change.argmax(axis=1)
     return _brentq(
-        lambda x: _symbol_deriv(T, x),
-        _TURNING_LADDER[j],
-        _TURNING_LADDER[j + 1],
-        _BRACKET_XTOL,
+        lambda x, T: _symbol_deriv(T, x), _TURNING_LADDER[j], _TURNING_LADDER[j + 1],
+        _BRACKET_XTOL, args=(T,),
     )
 
 
@@ -391,11 +391,11 @@ def _solve_bifurcations(pair: WaveNumberPair, T, xi_t=None):
     lo, hi = xi_t / k2, xi_t / k1
     modes = np.array([k1, k2], dtype=float)
 
-    def gap(T, kappa):
+    def gap(kappa, T):
         m = _symbol(T[:, None], kappa[:, None] * modes)
         return m[:, 0] - m[:, 1]
 
-    glo, ghi = gap(T, lo), gap(T, hi)
+    glo, ghi = gap(lo, T), gap(hi, T)
     straddle = ((glo < 0.0) & (0.0 < ghi)) | ((ghi < 0.0) & (0.0 < glo))
     failures = []
     if not straddle.all():
@@ -413,9 +413,9 @@ def _solve_bifurcations(pair: WaveNumberPair, T, xi_t=None):
     c0 = np.full_like(T, np.nan)
     residual = np.full_like(T, np.nan)
     if idx.size:
-        kappa0[idx] = _brentq(lambda kappa: gap(Ts, kappa), lo[idx], hi[idx], _BRACKET_XTOL)
+        kappa0[idx] = _brentq(gap, lo[idx], hi[idx], _BRACKET_XTOL, args=(Ts,))
         c0[idx] = _symbol(Ts, k1 * kappa0[idx])
-        residual[idx] = np.abs(gap(Ts, kappa0[idx]))
+        residual[idx] = np.abs(gap(kappa0[idx], Ts))
         d1 = _symbol_deriv(Ts, k1 * kappa0[idx])
         d2 = _symbol_deriv(Ts, k2 * kappa0[idx])
         checks = [

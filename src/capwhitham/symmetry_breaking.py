@@ -146,10 +146,10 @@ def _check_values(pair: WaveNumberPair, grid: np.ndarray, values: np.ndarray) ->
         )
 
 
-def _phi(pair: WaveNumberPair, ell):
-    """phi from the coefficient table, with ell(k) a float or an array."""
+def _phi(pair: WaveNumberPair, ell, shape):
+    """phi from the coefficient table, with ell(k) an array of the given shape."""
     alpha, beta = phi_target_indices(pair)
-    return _scaled_u2(pair, alpha, beta, ell) / 2.0 ** (pair.k1 + pair.k2 - 1)
+    return _scaled_u2(pair, alpha, beta, ell, np.ones(shape)) / 2.0 ** (pair.k1 + pair.k2 - 1)
 
 
 def _phi_values(pair: WaveNumberPair, T, xi_t=None):
@@ -164,9 +164,7 @@ def _phi_values(pair: WaveNumberPair, T, xi_t=None):
     ell = functools.cache(MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T).ell)
     # Overflow surfaces as inf or nan, which _check_values reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _phi(pair, lambda k: ell(abs(k)))
-    # A target that never applies ell (M = 0) comes back as one float.
-    values = np.broadcast_to(value, T.shape)
+        values = _phi(pair, lambda k: ell(abs(k)), T.shape)
     _check_values(pair, T, values)
     return values, c0, kappa0, residual
 
@@ -245,10 +243,7 @@ def phi_limits(pair: WaveNumberPair) -> tuple[float, float]:
             [limit_ratio(pair, LIMIT_LOW_T, k), limit_ratio(pair, LIMIT_HIGH_T, k)]
         )
 
-    value = _phi(pair, rho)
-    # A target that never applies ell (M = 0) comes back as one float.
-    low, high = np.broadcast_to(value, 2).tolist()
-    return low, high
+    return tuple(_phi(pair, rho, 2).tolist())
 
 
 def phi_root(

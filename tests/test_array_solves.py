@@ -59,7 +59,7 @@ def test_brentq_lockstep_elements_take_scipy_iterates():
     params = rng.uniform([-1.0, 0.0, -1.0], [1.0, 30.0, 1.0], size=(40, 3))
     a = params[:, 0] - rng.uniform(0.01, 2.0, 40)
     b = params[:, 0] + rng.uniform(0.01, 2.0, 40)
-    got = _brentq(_smooth(params.T), a, b, 1e-13)
+    got = _brentq(lambda x, *p: _smooth(p)(x), a, b, 1e-13, args=tuple(params.T))
     iterations = set()
     for i, p in enumerate(params):
         want, info = brentq(_smooth(p), a[i], b[i], xtol=1e-13, full_output=True)

@@ -382,3 +382,125 @@ def test_coefficients_do_not_depend_on_call_history():
     via_shared = [shared.u2(*index) for index in indices]
     via_fresh = [numeric_session(ctx).u2(*index) for index in indices]
     assert via_shared == via_fresh
+
+
+def _reference_sums(pair, corner, ell, one=1.0):
+    """Every cell's splitting sum in the box below corner, by a plain loop.
+
+    The splittings are enumerated with itertools.product in lexicographic
+    order of the left half, skipping the order-zero halves, and their
+    products added one at a time from 0.0.  The table filler must agree
+    with this bitwise.
+    """
+    k1, k2 = pair.k1, pair.k2
+    s, sums = {}, {}
+    for cell in itertools.product(*(range(n + 1) for n in corner)):
+        order = sum(cell)
+        if order < 2:
+            if order:
+                s[cell] = one
+            continue
+        total = 0.0
+        for left in itertools.product(*(range(n + 1) for n in cell)):
+            if 0 < sum(left) < order:
+                total = total + s[left] * s[tuple(c - h for c, h in zip(cell, left))]
+        sums[cell] = total
+        s[cell] = ell(k1 * (cell[0] - cell[2]) + k2 * (cell[1] - cell[3])) * total
+    return sums
+
+
+def _hex(value):
+    return [float(v).hex() for v in np.ravel(value)]
+
+
+def _random_ell(rng, shape):
+    """Random multipliers of both signs over six decades, one per |k|."""
+    values = {}
+
+    def ell(k):
+        if abs(k) not in values:
+            values[abs(k)] = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        return values[abs(k)]
+
+    return ell
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (200,)], ids=str)
+def test_fill_matches_reference_loop_bitwise(shape):
+    rng = np.random.default_rng(17)
+    for pair, target in [
+        (PAIR_2_5, phi_target_indices(PAIR_2_5)),
+        (WaveNumberPair(3, 7), phi_target_indices(WaveNumberPair(3, 7))),
+        (PAIR_2_5, ((2, 1), (1, 2))),
+    ]:
+        ell = _random_ell(rng, shape)
+        want = _reference_sums(pair, (*target[0], *target[1]), ell)[(*target[0], *target[1])]
+        got = coefficients._scaled_u2(pair, *target, ell, np.ones(shape))
+        assert got.shape == shape
+        assert _hex(got) == _hex(np.broadcast_to(want, shape))
+
+
+def test_fill_cancellation_sums_are_sequential():
+    # Wide random multipliers of both signs make every cell a cancelling
+    # sum of up to 256 products, whose rounding depends on the order of
+    # the additions; with one element per cell a pairwise reduction would
+    # round differently.
+    rng = np.random.default_rng(23)
+    corner = (3, 3, 3, 3)
+    for _ in range(20):
+        ell = _random_ell(rng, (1,))
+        want = _reference_sums(PAIR_2_5, corner, ell)[corner]
+        got = coefficients._scaled_u2(PAIR_2_5, (3, 3), (3, 3), ell, np.ones(1))
+        assert _hex(got) == _hex(want)
+
+
+def test_fill_all_negative_zero_cell_is_positive_zero():
+    # ell(4) = -0.0 makes s(2, 0, 0, 0) = -0.0, so both splittings of the
+    # corner (3, 0, 0, 0) are -0.0; a loop from 0.0 gives +0.0.
+    for shape in [(), (2,)]:
+        ell = lambda k: np.full(shape, -0.0)  # noqa: E731
+        got = coefficients._scaled_u2(PAIR_2_5, (3, 0), (0, 0), ell, np.ones(shape))
+        assert _hex(got) == _hex(np.zeros(shape))
+        assert not np.signbit(got).any()
+
+
+def test_numeric_session_matches_reference_loop_bitwise():
+    # Every target with each index <= 3 at (2,5), in full 4-D boxes.  The
+    # session fills the larger of (alpha, beta) and (beta, alpha).
+    ctx = _context(0.2)
+    sums = _reference_sums(PAIR_2_5, (3, 3, 3, 3), ctx.ell)
+    sess = numeric_session(ctx)
+    checked = 0
+    for a1, a2, b1, b2 in itertools.product(range(4), repeat=4):
+        if a1 + a2 + b1 + b2 < 2:
+            continue
+        larger = max((a1, a2, b1, b2), (b1, b2, a1, a2))
+        got = sess.scaled_u2((a1, a2), (b1, b2))
+        assert type(got) is float
+        assert got.hex() == sums[larger].hex()
+        checked += 1
+    assert checked == 251
+
+
+@pytest.mark.parametrize(
+    "pair, signs",
+    [((13, 27), (-1.0, -1.0)), ((19, 20), (1.0, 1.0)), ((23, 30), (1.0, 1.0))],
+    ids=["13_27", "19_20", "23_30"],
+)
+def test_large_pair_limits_match_reference_loop_bitwise(pair, signs):
+    pair = WaveNumberPair(*pair)
+    alpha, beta = phi_target_indices(pair)
+    corner = (*alpha, *beta)
+    want = []
+    for endpoint in (LIMIT_LOW_T, LIMIT_HIGH_T):
+
+        def rho(k):
+            return 0.0 if abs(k) in (pair.k1, pair.k2) else limit_ratio(pair, endpoint, k)
+
+        want.append(_reference_sums(pair, corner, rho)[corner] / 2.0 ** (pair.k1 + pair.k2 - 1))
+    got = phi_limits(pair)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert tuple(np.sign(got)) == signs
+    if pair.k1 > 13:
+        # The T -> 1/3 limits of these pairs are about 1e-25 and positive.
+        assert 1e-27 < got[1] < 1e-24
