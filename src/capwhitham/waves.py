@@ -8,7 +8,7 @@ mode k by ell(k) and P_W zeroes the kernel modes.  The four kernel
 projections of the residual J(u) = (M_{T,kappa} - c)u + u^2 then reduce,
 after division by the known amplitude monomials and sine factor, to a
 small nonlinear system G(c, kappa, T) = 0 solved by Newton iteration
-with finite-difference Jacobians.
+with the exact Jacobian of the reduced system.
 
 Profiles are stored on the nonnegative half of the spectrum (modes
 0..K); the negative modes are the complex conjugates, so every profile
@@ -31,7 +31,13 @@ from .errors import (
     DomainError,
     TruncationError,
 )
-from .symbol import WaveNumberPair, double_bifurcation, eval_symbol
+from .symbol import (
+    WaveNumberPair,
+    double_bifurcation,
+    eval_symbol,
+    eval_symbol_deriv,
+    tanhc,
+)
 
 __all__ = [
     "ModalParameters",
@@ -136,8 +142,6 @@ class SolverSettings:
 # Iteration budgets of the w fixed point and the parameter Newton.
 _MAX_ITER_W = 200
 _MAX_ITER_NEWTON = 50
-# Relative step of the parameter Newton's finite-difference Jacobian.
-_FD_STEP_REL = 1e-7
 # Bound on ||v||_inf before the w fixed point is attempted.
 _AMPLITUDE_CAP = 0.3
 # A report is converged when all three residuals are below these.
@@ -153,7 +157,8 @@ class SolveReport:
     """Outcome of a wave solve.
 
     ``converged`` is true exactly when all three residual fields are
-    below their fixed tolerances; ``g_inf`` records the final
+    below their fixed tolerances, which every returned report meets (a
+    solve that misses them raises); ``g_inf`` records the final
     scaled kernel equations, whose attainable floor is limited by the
     division by amplitude monomials rather than by the solution quality.
     """
@@ -508,10 +513,15 @@ def inner_products(profile: WaveProfile) -> tuple[float, float, float, float]:
         raise DomainError("profile carries no modal parameters")
     j = _j_modes(profile)
     k1, k2 = profile.pair.k1, profile.pair.k2
-    th1, th2 = profile.params.theta1, profile.params.theta2
-    z1 = j[k1] * np.exp(-1j * k1 * th1)
-    z2 = j[k2] * np.exp(-1j * k2 * th2)
-    return (float(z1.real), float(z2.real), float(-z1.imag), float(-z2.imag))
+    return tuple(float(p) for p in _project(j[k1], j[k2], profile))
+
+
+def _project(j1, j2, profile: WaveProfile) -> tuple:
+    """The four kernel projections of modes k1 and k2 of J (or of a derivative of J)."""
+    pair, params = profile.pair, profile.params
+    z1 = j1 * np.exp(-1j * pair.k1 * params.theta1)
+    z2 = j2 * np.exp(-1j * pair.k2 * params.theta2)
+    return (z1.real, z2.real, -z1.imag, -z2.imag)
 
 
 def variational_identity(profile: WaveProfile) -> tuple[float, float]:
@@ -544,15 +554,60 @@ def linear_dependence_residual(profile: WaveProfile) -> float:
     return pair.k1 * params.r1 * s1 + pair.k2 * params.r2 * s2
 
 
-def _newton_on_parameters(eval_g, x0: np.ndarray, settings: SolverSettings):
-    """Newton iteration with finite-difference Jacobian and stagnation stop.
+def _parameter_jacobian(
+    profile: WaveProfile, equations: tuple[tuple[int, float], ...]
+) -> np.ndarray:
+    """Exact derivative of the scaled kernel equations along (c, kappa, T).
 
-    ``eval_g`` maps a parameter vector to (g, state); iteration stops at
-    |g|_inf <= tol_newton, or at the best iterate seen once three
-    consecutive steps fail to improve the best by a factor of two (the
-    scaled equations bottom out at a rounding floor set by the amplitude
-    monomials).  Steps that land outside the evaluable domain are
-    halved.  Returns (x, g, state, steps).
+    Column p is the derivative along the p-th of the first
+    ``len(equations)`` parameters at a profile whose remainder solves
+    F(w; p) = w - ell P_W u^2 = 0.  With ell = (c - m)^-1 and
+    dm_p = d(m - c)/dp, i.e. -1 for c, k m_T'(kappa k) for kappa and
+    (kappa k)^2 tanhc(kappa k) / (2 m_T(kappa k)) for T, the implicit
+    function theorem gives dw/dp = F_w^-1 (ell^2 dm_p u^2), one linear
+    solve for all columns.  At a kernel mode k, where w is zero,
+    dJ_k/dp = dm_p(k) v_k + 2 (u dw/dp)_k, projected and scaled like
+    the equations themselves.
+    """
+    K, pair = profile.K, profile.pair
+    c, kappa, T = profile.c, profile.kappa, profile.T
+    u = profile.modes
+    k = np.arange(K + 1)
+    xi = kappa * k
+    dm = np.zeros((3, K + 1))
+    dm[0] = -1.0
+    dm[1, 1:] = k[1:] * eval_symbol_deriv(T, xi[1:])
+    dm[2] = xi * xi * tanhc(xi) / (2.0 * _symbol_values(T, kappa, K))
+    dm = dm[: len(equations)]
+    ell = _ell_values(MultiplierContext(pair=pair, c=c, kappa=kappa, T=T), K)
+    free = _free_modes(pair, K)
+    rhs = ell * ell * dm * _square_modes(u, K)[: K + 1]
+    dx = np.linalg.solve(
+        _w_jacobian(u, ell, free), np.stack([_pack(row, free) for row in rhs], axis=1)
+    )
+    dw = np.stack([_unpack(col, free, K) for col in dx.T])
+    # Mode k of a product: the full spectra -K..K of u and dw, the first
+    # reversed, overlap on modes k-K..K.
+    u_full = np.concatenate([np.conj(u[:0:-1]), u])
+    dw_full = np.concatenate([np.conj(dw[:, :0:-1]), dw], axis=1)
+    dj1, dj2 = (
+        dm[:, kk] * u[kk] + 2.0 * (dw_full[:, kk:] @ u_full[kk:][::-1])
+        for kk in (pair.k1, pair.k2)
+    )
+    projections = _project(dj1, dj2, profile)
+    return np.array([projections[index] / divisor for index, divisor in equations])
+
+
+def _newton_on_parameters(eval_g, jacobian, x0: np.ndarray, settings: SolverSettings):
+    """Newton iteration with an exact Jacobian and stagnation stop.
+
+    ``eval_g`` maps a parameter vector to (g, state) and ``jacobian``
+    maps that state to dg/dx; iteration stops at |g|_inf <= tol_newton,
+    or at the best iterate seen once three consecutive steps fail to
+    improve the best by a factor of two (the scaled equations bottom out
+    at a rounding floor set by the amplitude monomials).  Steps that
+    land outside the evaluable domain are halved.  Returns
+    (x, g, state, steps).
     """
     x = np.asarray(x0, dtype=float)
     g, state = eval_g(x)
@@ -562,16 +617,8 @@ def _newton_on_parameters(eval_g, x0: np.ndarray, settings: SolverSettings):
     for step_count in range(1, _MAX_ITER_NEWTON + 1):
         if ginf <= settings.tol_newton:
             return x, g, state, step_count - 1
-        dim = len(x)
-        jac = np.empty((dim, dim))
-        for jcol in range(dim):
-            h = _FD_STEP_REL * max(abs(x[jcol]), 1e-3)
-            xp = x.copy()
-            xp[jcol] += h
-            gp, _ = eval_g(xp)
-            jac[:, jcol] = (gp - g) / h
         try:
-            delta = np.linalg.solve(jac, -g)
+            delta = np.linalg.solve(jacobian(state), -g)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 "singular parameter Jacobian", step=step_count
@@ -624,8 +671,10 @@ def _solve_kernel(
     Each entry (index, divisor) of ``equations`` is the equation
     ``inner_products(profile)[index] / divisor = 0``.  Newton runs on the
     first ``len(equations)`` entries of (c, kappa, T) from the
-    bifurcation point at T, re-solving the remainder equation at every
-    evaluation; the other entries stay fixed at that point.  With no
+    bifurcation point at T, re-solving the remainder equation once per
+    Newton iterate or line-search trial and taking the Jacobian from
+    :func:`_parameter_jacobian`; the other entries stay fixed at that
+    point.  With no
     equations the result is the zero wave at the bifurcation point.
     """
     # The zero wave needs no kernel profile, so no K >= 2*k2 either.
@@ -644,7 +693,10 @@ def _solve_kernel(
 
     if equations:
         _, g, (profile, wres), steps = _newton_on_parameters(
-            eval_g, np.array(start[:free]), settings
+            eval_g,
+            lambda state: _parameter_jacobian(state[0], equations),
+            np.array(start[:free]),
+            settings,
         )
         w_method, iterations_w, g_inf = wres.method, wres.iterations, float(np.max(np.abs(g)))
     else:
@@ -667,6 +719,13 @@ def _solve_kernel(
         and abs(orth) <= _TOL_ORTHOGONALITY
         and abs(lindep) <= _TOL_LINDEP
     )
+    if not converged:
+        raise ConvergenceError(
+            "parameter Newton ended at a non-solution",
+            reason="stalled" if g_inf > settings.tol_newton else "residuals above tolerance",
+            g_inf=g_inf,
+            residual_J_inf=rj,
+        )
     report = SolveReport(
         converged=converged,
         mode=mode,
@@ -696,11 +755,13 @@ def solve_wave(
     equations g1 = <I,v1_cos>/r1, g2 = <I,v2_cos>/r2 and
     g3 = <I,v1_sin>/(r1^(k2-1) r2^k1 sin(k1 k2 (theta1-theta2)))
     are driven to zero from the bifurcation point at T_init, re-solving
-    the remainder equation at every evaluation.  Symmetric parameters
-    route to :func:`symmetric_solve` at fixed T.
+    the remainder equation at every iterate, with the exact Jacobian of
+    the reduced system.  Symmetric parameters route to
+    :func:`symmetric_solve` at fixed T.
 
-    A stalled parameter Newton does not raise: it returns its best
-    iterate, however large its residual, with ``converged=False``.
+    A returned report is always converged.  A parameter Newton that
+    stalls returns its best iterate only if that iterate meets the
+    residual tolerances.
 
     Raises
     ------
@@ -709,7 +770,10 @@ def solve_wave(
         below the guard; use the symmetric solver.
     ConvergenceError
         If the remainder or parameter iteration fails outright (in
-        particular for amplitudes beyond the small-solution fold).
+        particular for amplitudes beyond the small-solution fold), or if
+        the parameter Newton ends at a point that misses the residual
+        tolerances; its context then holds ``reason``, ``g_inf`` and
+        ``residual_J_inf``.
     """
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)

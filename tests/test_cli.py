@@ -153,8 +153,8 @@ TABLE_SHA256 = {
     "wave-solved": (
         _WAVE_SOLVED, 0,
         {
-            "wave_profile.csv": "2f179f53b778cd015cbb0f369a80e9d3459c1027cb65ba63787ccb3de8ae4585",
-            "wave_report.json": "b2a4a67d23176fa5c932f902aef64bf8dbd585b3e916cb008f2ee432d1a18cc7",
+            "wave_profile.csv": "bd0e1c58b4d4ba10c6fedc275afb115737c19ee992a4b657ac337b98c36504a2",
+            "wave_report.json": "18dcd5b486d9b8c601e96911dca77630415cfd82e738653a730e97f5d2fa3993",
         },
     ),
     "wave-fold": (

@@ -324,6 +324,119 @@ def test_symmetric_newton_fallback_pinned(r, K, iterations_w, iterations_newton,
     assert abs(report.kappa - kappa) <= 1e-12
 
 
+# (r1, r2, theta1, theta2, c, kappa, T) of (2,5) waves at T0 from the
+# finite-difference parameter Newton that preceded the analytic Jacobian:
+# five asymmetric solves, then a symmetric Picard and a symmetric
+# Newton-fallback one.
+FD_NEWTON_SOLUTIONS = [
+    (0.00125, 0.00125, math.pi / 20.0, 0.0,
+     0.8590496838891946, 0.8515266510366981, 0.11823119814466901),
+    (0.003, 0.003, math.pi / 20.0, 0.0,
+     0.8366699299044549, 0.9219864341955393, 0.10481822312505078),
+    (0.003, 0.001, 0.3, 0.1,
+     0.8448743156479073, 0.8957911145152665, 0.10953054496249394),
+    (0.0008, 0.0035, 2.0, 0.7,
+     0.8491725543429263, 0.8828915774227236, 0.11212128911350754),
+    (0.004, 0.0025, 1.1, 0.2,
+     0.8260973133916505, 0.9554300273345991, 0.0990178429936306),
+    (0.002, 0.002, math.pi / 10.0, 0.0,
+     0.8641155972474183, 0.8361185960547046, T0),
+    (0.02, 0.02, 0.0, 0.0,
+     0.8602531202372887, 0.8448036056894033, T0),
+]
+
+
+@pytest.mark.parametrize("r1, r2, theta1, theta2, c, kappa, T", FD_NEWTON_SOLUTIONS)
+def test_solve_wave_matches_finite_difference_newton(r1, r2, theta1, theta2, c, kappa, T):
+    _, report = solve_wave(PAIR_2_5, ModalParameters(r1, r2, theta1, theta2), T0)
+    assert report.converged
+    assert report.c == pytest.approx(c, rel=1e-9, abs=0.0)
+    assert report.kappa == pytest.approx(kappa, rel=1e-9, abs=0.0)
+    assert report.T == pytest.approx(T, rel=1e-9, abs=0.0)
+
+
+def test_asymmetric_solve_makes_one_w_solve_per_newton_iterate(monkeypatch):
+    # One remainder solve for the start and one per step; a line-search
+    # halving, which follows a trial that raised, adds one more.  A
+    # finite-difference Jacobian would add one per parameter and step.
+    from capwhitham import waves
+
+    calls = {"all": 0, "raised": 0}
+    real_solve_w = waves.solve_w
+
+    def counting_solve_w(*args, **kwargs):
+        calls["all"] += 1
+        try:
+            return real_solve_w(*args, **kwargs)
+        except (ConvergenceError, DomainError):
+            calls["raised"] += 1
+            raise
+
+    monkeypatch.setattr(waves, "solve_w", counting_solve_w)
+    for r1, r2, theta1, theta2, *_ in FD_NEWTON_SOLUTIONS[:5]:
+        calls.update(all=0, raised=0)
+        _, report = solve_wave(PAIR_2_5, ModalParameters(r1, r2, theta1, theta2), T0)
+        assert report.mode == "asymmetric"
+        assert calls["all"] <= report.iterations_newton + 1 + calls["raised"]
+
+
+@pytest.mark.parametrize(
+    "params, equations",
+    [
+        (ModalParameters(0.01, 0.0), ((0, 0.01),)),
+        (ModalParameters(0.01, 0.01, math.pi / 10.0, 0.0), ((0, 0.01), (1, 0.01))),
+        (
+            ModalParameters(0.01, 0.01, math.pi / 20.0, 0.0),
+            ((0, 0.01), (1, 0.01), (2, 0.01**6 * math.sin(10.0 * math.pi / 20.0))),
+        ),
+    ],
+    ids=["unimodal", "symmetric", "asymmetric"],
+)
+def test_parameter_jacobian_matches_central_differences(params, equations):
+    # g is rebuilt from solve_w and inner_products at the bifurcation
+    # point, where g is not zero at r = 0.01.  tol_w is a decade above
+    # the rounding floor of the Picard iteration (about 1e-19 here).
+    # With a relative step of 1e-6 the measured row errors were at most
+    # 1.9e-10 of the row scale for the cosine rows and 1.5e-9 for g3,
+    # whose division by r^6 amplifies the rounding of the difference.
+    from capwhitham.waves import _parameter_jacobian
+
+    settings = SolverSettings(tol_w=1e-18)
+    v = synthesize_v(PAIR_2_5, params, settings.K)
+    point = _point(T0)
+    x0 = np.array([point.c0, point.kappa0, T0])
+    n = len(equations)
+
+    def g(x):
+        full = (*x, *x0[n:])
+        profile = assemble_profile(v, solve_w(v, *full, settings).w, *full)
+        projections = inner_products(profile)
+        return np.array([projections[i] / d for i, d in equations]), profile
+
+    g0, profile = g(x0[:n])
+    jac = _parameter_jacobian(profile, equations)
+    ref = np.empty((n, n))
+    for j in range(n):
+        step = np.zeros(n)
+        step[j] = 1e-6 * x0[j]
+        ref[:, j] = (g(x0[:n] + step)[0] - g(x0[:n] - step)[0]) / (2.0 * step[j])
+    row_error = np.max(np.abs(jac - ref), axis=1) / np.max(np.abs(ref), axis=1)
+    tolerance = np.array([1e-9, 1e-9, 1e-8])[:n]
+    assert np.all(row_error <= tolerance)
+
+
+def test_solve_wave_raises_at_a_stalled_non_solution():
+    # Past r = 0.005 on the theta1 = pi/20 branch the parameter Newton
+    # stalls far from a solution (g_inf about 1e5) instead of converging.
+    params = ModalParameters(0.006, 0.006, theta1=math.pi / 20.0, theta2=0.0)
+    with pytest.raises(ConvergenceError) as info:
+        solve_wave(PAIR_2_5, params, 0.1215)
+    context = info.value.context
+    assert context["reason"] == "stalled"
+    assert context["g_inf"] > 1.0
+    assert context["residual_J_inf"] > 1e-10
+
+
 def test_variational_identity_random_profiles():
     rng = np.random.default_rng(101)
     for _ in range(25):
