@@ -31,13 +31,7 @@ from .errors import (
     DomainError,
     TruncationError,
 )
-from .symbol import (
-    WaveNumberPair,
-    double_bifurcation,
-    eval_symbol,
-    eval_symbol_deriv,
-    tanhc,
-)
+from .symbol import WaveNumberPair, double_bifurcation, eval_symbol, eval_symbol_deriv, tanhc
 
 __all__ = [
     "ModalParameters",
@@ -554,9 +548,7 @@ def linear_dependence_residual(profile: WaveProfile) -> float:
     return pair.k1 * params.r1 * s1 + pair.k2 * params.r2 * s2
 
 
-def _parameter_jacobian(
-    profile: WaveProfile, equations: tuple[tuple[int, float], ...]
-) -> np.ndarray:
+def _parameter_jacobian(profile: WaveProfile, equations: tuple[tuple[int, float], ...]) -> np.ndarray:
     """Exact derivative of the scaled kernel equations along (c, kappa, T).
 
     Column p is the derivative along the p-th of the first
@@ -569,9 +561,8 @@ def _parameter_jacobian(
     dJ_k/dp = dm_p(k) v_k + 2 (u dw/dp)_k, projected and scaled like
     the equations themselves.
     """
-    K, pair = profile.K, profile.pair
+    K, pair, u = profile.K, profile.pair, profile.modes
     c, kappa, T = profile.c, profile.kappa, profile.T
-    u = profile.modes
     k = np.arange(K + 1)
     xi = kappa * k
     dm = np.zeros((3, K + 1))
