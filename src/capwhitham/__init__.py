@@ -11,9 +11,7 @@ Lyapunov-Schmidt reduction with Newton refinement.
 from .coefficients import (
     LIMIT_HIGH_T,
     LIMIT_LOW_T,
-    Monomial,
     MultiplierContext,
-    PhiExpansion,
     expand_symbolic,
     expansion_size,
     limit_ratio,
@@ -21,7 +19,6 @@ from .coefficients import (
     numeric_session,
     phi_target_indices,
 )
-from .config import CONFIG_ENV_VAR, RunConfig, load_config_file, resolve_config
 from .errors import (
     CapWhithamError,
     ConvergenceError,
@@ -33,8 +30,6 @@ from .errors import (
     TruncationError,
 )
 from .symbol import (
-    WEAK_TENSION_LIMIT,
-    BifurcationPoint,
     WaveNumberPair,
     double_bifurcation,
     eval_symbol,
@@ -49,9 +44,6 @@ from .symmetry_breaking import (
     STATUS_EXCLUDED_DIVISOR,
     STATUS_PASSES,
     STATUS_UNDECIDED,
-    PairVerdict,
-    PhiRoot,
-    PhiSample,
     exclusion_check,
     pair_scan,
     phi_curve,
@@ -61,7 +53,6 @@ from .symmetry_breaking import (
 )
 from .waves import (
     ModalParameters,
-    SolveReport,
     SolverSettings,
     WaveProfile,
     asymmetry_test,
@@ -78,8 +69,6 @@ from .waves import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BifurcationPoint",
-    "CONFIG_ENV_VAR",
     "CapWhithamError",
     "ConvergenceError",
     "DegenerateDirectionError",
@@ -88,24 +77,16 @@ __all__ = [
     "LIMIT_HIGH_T",
     "LIMIT_LOW_T",
     "ModalParameters",
-    "Monomial",
     "MultiplierContext",
     "NearResonanceError",
-    "PairVerdict",
-    "PhiExpansion",
-    "PhiRoot",
-    "PhiSample",
-    "RunConfig",
     "STATUS_ADMITS",
     "STATUS_EXCLUDED_DIFFERENCE",
     "STATUS_EXCLUDED_DIVISOR",
     "STATUS_PASSES",
     "STATUS_UNDECIDED",
     "SizeGuardError",
-    "SolveReport",
     "SolverSettings",
     "TruncationError",
-    "WEAK_TENSION_LIMIT",
     "WaveNumberPair",
     "WaveProfile",
     "asymmetry_test",
@@ -120,7 +101,6 @@ __all__ = [
     "kappa_asymptote_low_T",
     "limit_ratio",
     "linear_dependence_residual",
-    "load_config_file",
     "multiplier",
     "numeric_session",
     "pair_scan",
@@ -129,7 +109,6 @@ __all__ = [
     "phi_limits",
     "phi_root",
     "phi_target_indices",
-    "resolve_config",
     "residual_j_inf",
     "solve_w",
     "solve_wave",

@@ -62,22 +62,37 @@ def _coerce(name: str, raw: str):
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a flat key = value file into typed config overrides."""
+    """Parse a flat key = value file into typed config overrides.
+
+    An unreadable file, a malformed line, an unknown key and a value of
+    the wrong type raise ``DomainError`` naming the path and, for a
+    line, its number and key.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeError) as exc:
+        raise DomainError("cannot read config file", path=path, reason=str(exc)) from None
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(
-                    "config lines must be key = value", path=path, line=lineno
-                )
-            key, raw = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _FIELD_TYPES:
-                raise DomainError("unknown config key", path=path, key=key)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(
+                "config lines must be key = value", path=path, line=lineno
+            )
+        key, raw = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in _FIELD_TYPES:
+            raise DomainError("unknown config key", path=path, line=lineno, key=key)
+        try:
             overrides[key] = _coerce(key, raw)
+        except ValueError:
+            raise DomainError(
+                "config value has the wrong type",
+                path=path, line=lineno, key=key, value=raw,
+            ) from None
     return overrides
 
 

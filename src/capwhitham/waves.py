@@ -118,19 +118,11 @@ class WaveProfile:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Truncation order, tolerances and the w-Newton switch of the wave solvers.
-
-    The plain fixed-point iteration for w stops contracting well below
-    the amplitude cap when the multiplier values are large (near (2,5)
-    bifurcation points the observed radius is about 0.013 per mode
-    amplitude), which is when the Newton fallback takes over if
-    ``allow_w_newton`` is set.
-    """
+    """Truncation order and tolerances of the wave solvers."""
 
     K: int = 64
     tol_w: float = 1e-14
     tol_newton: float = 1e-12
-    allow_w_newton: bool = True
 
 
 # Iteration budgets of the w fixed point and the parameter Newton.
@@ -144,6 +136,9 @@ _TOL_ORTHOGONALITY = 1e-12
 _TOL_LINDEP = 1e-12
 # Smallest |sin(k1 k2 (theta1 - theta2))| the asymmetric solve divides by.
 _SINE_GUARD = 1e-10
+# The parameter Newton stops after a step no larger than this times |x|:
+# its error is then of the order of that step's square, the rounding of x.
+_STEP_FLOOR = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -154,7 +149,9 @@ class SolveReport:
     below their fixed tolerances, which every returned report meets (a
     solve that misses them raises); ``g_inf`` records the final
     scaled kernel equations, whose attainable floor is limited by the
-    division by amplitude monomials rather than by the solution quality.
+    division by amplitude monomials rather than by the solution quality,
+    so it may stay above ``tol_newton`` when the Newton ends on a
+    rounding-size step.
     """
 
     converged: bool
@@ -254,16 +251,16 @@ def solve_w(
     """Solve the remainder equation w = L P_W (v+w)^2 on the truncation.
 
     The plain fixed-point iteration runs first (stopping when the
-    update norm drops to ``tol_w``); if it diverges and the settings
-    allow it, a damped Newton iteration with amplitude continuation
-    takes over, tracking the small-solution branch from small
-    amplitude.  The returned w is zero exactly on the kernel modes.
+    update norm drops to ``tol_w``).  It stops contracting well below
+    the amplitude cap when the multiplier values are large (near (2,5)
+    bifurcation points the observed radius is about 0.013 per mode
+    amplitude); when it diverges or misses its budget, a damped Newton
+    iteration with amplitude continuation takes over, tracking the
+    small-solution branch from small amplitude.  The returned w is zero
+    exactly on the kernel modes.
 
     Raises
     ------
-    DivergenceError
-        If the fixed point iteration grows for ten consecutive steps
-        and the Newton fallback is disabled.
     ConvergenceError
         If no small solution is found (in particular past the fold
         where the small branch ceases to exist).
@@ -283,9 +280,7 @@ def solve_w(
     try:
         w_modes, iterations = _solve_w_picard(v.modes, ell, K, settings)
         method = "picard"
-    except (DivergenceError, ConvergenceError):
-        if not settings.allow_w_newton:
-            raise
+    except ConvergenceError:
         w_modes, iterations = _solve_w_newton(v.modes, ell, K, pair, settings)
         method = "newton"
     w = WaveProfile(
@@ -590,21 +585,20 @@ def _parameter_jacobian(profile: WaveProfile, equations: tuple[tuple[int, float]
 
 
 def _newton_on_parameters(eval_g, jacobian, x0: np.ndarray, settings: SolverSettings):
-    """Newton iteration with an exact Jacobian and stagnation stop.
+    """Newton iteration with an exact Jacobian and a step-size stop.
 
     ``eval_g`` maps a parameter vector to (g, state) and ``jacobian``
     maps that state to dg/dx; iteration stops at |g|_inf <= tol_newton,
-    or at the best iterate seen once three consecutive steps fail to
-    improve the best by a factor of two (the scaled equations bottom out
-    at a rounding floor set by the amplitude monomials).  Steps that
+    or after an accepted step with |step_i| <= sqrt(eps) |x_i| for every
+    parameter: the scaled equations bottom out at a rounding floor set
+    by the amplitude monomials, often above tol_newton, while Newton's
+    error after such a step is of the order of its square.  Steps that
     land outside the evaluable domain are halved.  Returns
     (x, g, state, steps).
     """
     x = np.asarray(x0, dtype=float)
     g, state = eval_g(x)
     ginf = float(np.max(np.abs(g)))
-    best = (ginf, x.copy(), g, state)
-    stall = 0
     for step_count in range(1, _MAX_ITER_NEWTON + 1):
         if ginf <= settings.tol_newton:
             return x, g, state, step_count - 1
@@ -630,22 +624,16 @@ def _newton_on_parameters(eval_g, jacobian, x0: np.ndarray, settings: SolverSett
                 step=step_count,
                 residual=ginf,
             )
-        x = x + scale * delta
+        step = scale * delta
+        x = x + step
         g, state = g_try, state_try
         ginf = float(np.max(np.abs(g)))
-        if ginf < 0.5 * best[0]:
-            stall = 0
-        else:
-            stall += 1
-        if ginf < best[0]:
-            best = (ginf, x.copy(), g, state)
-        if stall >= 3:
-            _, xb, gb, sb = best
-            return xb, gb, sb, step_count
+        if np.all(np.abs(step) <= _STEP_FLOOR * np.abs(x)):
+            return x, g, state, step_count
     raise ConvergenceError(
-        "Newton did not converge or stagnate within the step budget",
+        "Newton did not converge within the step budget",
         steps=_MAX_ITER_NEWTON,
-        residual=float(best[0]),
+        residual=ginf,
     )
 
 
@@ -750,8 +738,9 @@ def solve_wave(
     the reduced system.  Symmetric parameters route to
     :func:`symmetric_solve` at fixed T.
 
-    A returned report is always converged.  A parameter Newton that
-    stalls returns its best iterate only if that iterate meets the
+    A returned report is always converged.  The parameter Newton stops
+    when g is within ``tol_newton`` or after a step at the rounding of
+    (c, kappa, T); its last iterate is returned only if it meets the
     residual tolerances.
 
     Raises

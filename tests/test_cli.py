@@ -153,8 +153,8 @@ TABLE_SHA256 = {
     "wave-solved": (
         _WAVE_SOLVED, 0,
         {
-            "wave_profile.csv": "bd0e1c58b4d4ba10c6fedc275afb115737c19ee992a4b657ac337b98c36504a2",
-            "wave_report.json": "18dcd5b486d9b8c601e96911dca77630415cfd82e738653a730e97f5d2fa3993",
+            "wave_profile.csv": "1d02adddd0744770a1db4d85dd6aec34c67f9df582116dfff7408f6fe2160fb6",
+            "wave_report.json": "50d30c57a5309f39e1aca06bad70c8ac98ef1fd37034ae968ad1f536c79398d6",
         },
     ),
     "wave-fold": (
@@ -504,6 +504,37 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
         "phi", "limits", "--k1", "2", "--k2", "5", "--out", str(tmp_path),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "content, message, context",
+    [
+        (None, "cannot read config file", {}),
+        ("grid = abc\n", "config value has the wrong type", {"line": 1, "key": "grid"}),
+    ],
+    ids=["missing-file", "bad-value"],
+)
+def test_config_file_errors_leave_through_the_envelope(
+    tmp_path, capsys, monkeypatch, content, message, context
+):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_text(content)
+    out = tmp_path / "out"
+    argv = ("phi", "limits", "--k1", "2", "--k2", "5", "--out", str(out))
+    # Through --config, then through the environment variable.
+    for config_flag in (("--config", str(cfg)), ()):
+        if not config_flag:
+            monkeypatch.setenv("CAPWHITHAM_CONFIG", str(cfg))
+        code, stdout, err = _run(capsys, *config_flag, *argv)
+        assert code == 2
+        assert stdout == ""
+        envelope = _stderr_envelope(err)
+        assert envelope["code"] == 2
+        assert envelope["message"] == message
+        assert envelope["context"]["path"] == str(cfg)
+        assert context.items() <= envelope["context"].items()
+        assert not out.exists()
 
 
 def test_config_rejects_svg_format(tmp_path, capsys):

@@ -219,12 +219,13 @@ def test_solve_w_rejects_large_kernel_amplitude():
 def test_solve_w_divergence_and_fold():
     # At r = 0.05 the fixed-point map has gain ~2.8 and diverges; the
     # Newton continuation then loses the small branch at a fold.
+    from capwhitham.waves import _ell_values, _solve_w_picard
+
     v = synthesize_v(PAIR_2_5, ModalParameters(0.05, 0.05, 0.0, 0.2), K=64)
     point = _point()
+    ctx = MultiplierContext(pair=PAIR_2_5, c=point.c0, kappa=point.kappa0, T=0.1215)
     with pytest.raises(DivergenceError):
-        solve_w(
-            v, point.c0, point.kappa0, 0.1215, SolverSettings(allow_w_newton=False)
-        )
+        _solve_w_picard(v.modes, _ell_values(ctx, 64), 64, SolverSettings())
     with pytest.raises(ConvergenceError):
         solve_w(v, point.c0, point.kappa0, 0.1215, SolverSettings())
 
@@ -425,16 +426,38 @@ def test_parameter_jacobian_matches_central_differences(params, equations):
     assert np.all(row_error <= tolerance)
 
 
-def test_solve_wave_raises_at_a_stalled_non_solution():
-    # Past r = 0.005 on the theta1 = pi/20 branch the parameter Newton
-    # stalls far from a solution (g_inf about 1e5) instead of converging.
-    params = ModalParameters(0.006, 0.006, theta1=math.pi / 20.0, theta2=0.0)
+def test_solve_wave_raises_at_a_non_solution():
+    # A Newton tolerance above the starting g (about 8e3 here) stops the
+    # parameter Newton at the bifurcation point, which is no wave.
+    params = ModalParameters(0.00125, 0.00125, theta1=math.pi / 20.0, theta2=0.0)
     with pytest.raises(ConvergenceError) as info:
-        solve_wave(PAIR_2_5, params, 0.1215)
+        solve_wave(PAIR_2_5, params, T0, SolverSettings(tol_newton=1e4))
     context = info.value.context
-    assert context["reason"] == "stalled"
-    assert context["g_inf"] > 1.0
+    assert context["reason"] == "residuals above tolerance"
+    assert 1.0 < context["g_inf"] <= 1e4
     assert context["residual_J_inf"] > 1e-10
+
+
+def test_solve_wave_converges_at_r_0_006():
+    # Past r = 0.005 on the theta1 = pi/20 branch g bottoms out far above
+    # tol_newton (about 1e-8 here); the step-size stop still ends at the
+    # solution, near T = 0.0687.
+    params = ModalParameters(0.006, 0.006, theta1=math.pi / 20.0, theta2=0.0)
+    _, report = solve_wave(PAIR_2_5, params, 0.1215)
+    assert report.converged
+    assert report.mode == "asymmetric"
+    assert report.residual_J_inf <= 1e-10
+    assert 0.06 < report.T < 0.08
+
+
+def test_solve_wave_stops_after_a_rounding_size_step():
+    # The README request: g reaches its rounding floor (about 1e-6 here)
+    # within four steps, the last of them at the rounding of (c, kappa, T).
+    params = ModalParameters(0.00125, 0.00125, theta1=math.pi / 20.0, theta2=0.0)
+    _, report = solve_wave(PAIR_2_5, params, T0)
+    assert report.converged
+    assert report.g_inf > SolverSettings().tol_newton
+    assert report.iterations_newton <= 6
 
 
 def test_variational_identity_random_profiles():
