@@ -9,6 +9,7 @@ prints their paths on stdout.  Errors emit a one-line JSON envelope
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -55,7 +56,13 @@ def _add_output_flags(parser: argparse.ArgumentParser, formats=("csv", "json")) 
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    It holds no handlers: ``main`` looks up ``_cmd_<command>`` in this
+    module at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="capwhitham",
         description=(
@@ -73,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--T-grid", default=None, metavar="A:B:N", help="inclusive grid of N tensions"
     )
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_bifurcate)
 
     p = sub.add_parser("phi", help="evaluate/analyse the symmetry-breaking function")
     p.add_argument(
@@ -84,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=None, help="sample points")
     p.add_argument("--tol-root", type=float, default=None, help="root refinement tolerance")
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_phi)
 
     p = sub.add_parser("pairs", help="classify wavenumber pairs up to kmax")
     p.add_argument("--kmax", type=int, required=True, help="largest wavenumber")
@@ -94,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=None, help="sample points per pair")
     p.add_argument("--jobs", type=int, default=None, help="parallel workers")
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_pairs)
 
     p = sub.add_parser("wave", help="solve a small-amplitude travelling wave")
     _add_pair_flags(p)
@@ -107,12 +111,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-w", type=float, default=None, help="remainder tolerance")
     p.add_argument("--tol-newton", type=float, default=None, help="Newton tolerance")
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(handler=_cmd_wave)
 
     p = sub.add_parser("expand", help="exact symbolic expansion of phi")
     _add_pair_flags(p)
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(handler=_cmd_expand)
 
     return parser
 
@@ -294,13 +296,13 @@ def _warning_envelope(message, category, *_) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler = globals()[f"_cmd_{args.command}"]
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warning_envelope
             cfg = resolve_config(vars(args), config_path=args.config)
-            paths, code = args.handler(args, cfg)
+            paths, code = handler(args, cfg)
     except CapWhithamError as exc:
         code = _exit_code(exc)
         print(emitters.error_envelope(code, exc.message, exc.context), file=sys.stderr)

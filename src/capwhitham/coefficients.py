@@ -34,7 +34,6 @@ with weight 2, and merges equal rows once per cell.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -241,6 +240,7 @@ def _scaled_u2(
     their C-order entries, less the first and last (order-zero halves),
     pair s(left) with s(c - left) in lexicographic order of the left
     half.  It stores ell(k) times the sum; the corner returns the sum.
+    ``ell`` must be even: it is asked once per |k|, at |k|.
     """
     k1, k2 = pair.k1, pair.k2
     corner = (*alpha, *beta)
@@ -248,6 +248,7 @@ def _scaled_u2(
     S = np.zeros(box + np.shape(one), dtype=np.asarray(one).dtype)
     for axis in np.flatnonzero(corner):
         S[tuple(np.eye(4, dtype=int)[axis])] = one
+    ells = {}
     for cell in np.ndindex(box):
         if sum(cell) < 2:
             continue
@@ -257,7 +258,10 @@ def _scaled_u2(
         )
         if cell == corner:
             return total
-        S[cell] = ell(k1 * (cell[0] - cell[2]) + k2 * (cell[1] - cell[3])) * total
+        k = abs(k1 * (cell[0] - cell[2]) + k2 * (cell[1] - cell[3]))
+        if k not in ells:
+            ells[k] = ell(k)
+        S[cell] = ells[k] * total
 
 
 @dataclass(frozen=True)
@@ -288,7 +292,7 @@ class _NumericSession:
                 "square coefficients need |alpha|+|beta| >= 2", alpha=alpha, beta=beta
             )
         larger = max((alpha, beta), (beta, alpha))
-        return float(_scaled_u2(self.ctx.pair, *larger, functools.cache(self.ctx.ell)))
+        return float(_scaled_u2(self.ctx.pair, *larger, self.ctx.ell))
 
     def u(self, alpha: MultiIndex, beta: MultiIndex) -> float:
         """Unscaled u_hat_{alpha,beta}."""

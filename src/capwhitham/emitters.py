@@ -112,7 +112,9 @@ def expansion_json(expansion: PhiExpansion) -> str:
     return header[:-3] + f',\n  "monomials": {monomials}\n}}\n'
 
 
-def wave_profile_csv(profile: WaveProfile, n: int = 1024) -> str:
+def wave_profile_csv(profile: WaveProfile) -> str:
+    """The profile on 1024 grid points, or 2K+2 where K needs more."""
+    n = max(1024, 2 * profile.K + 2)
     xs = 2.0 * np.pi * np.arange(n) / n
     return csv_text(("x", "u"), zip(xs, profile.sample(n)))
 

@@ -161,10 +161,10 @@ def _phi_values(pair: WaveNumberPair, T, xi_t=None):
     """
     T = np.asarray(T, dtype=float)
     c0, kappa0, residual = _solve_bifurcations(pair, T, xi_t)
-    ell = functools.cache(MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T).ell)
+    ell = MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T).ell
     # Overflow surfaces as inf or nan, which _check_values reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _phi(pair, lambda k: ell(abs(k)), T.shape)
+        values = _phi(pair, ell, T.shape)
     _check_values(pair, T, values)
     return values, c0, kappa0, residual
 
@@ -237,7 +237,7 @@ def phi_limits(pair: WaveNumberPair) -> tuple[float, float]:
         pair = WaveNumberPair(*pair)
 
     def rho(k: int):
-        if abs(k) in (pair.k1, pair.k2):
+        if k in (pair.k1, pair.k2):
             return 0.0
         return np.array(
             [limit_ratio(pair, LIMIT_LOW_T, k), limit_ratio(pair, LIMIT_HIGH_T, k)]

@@ -584,59 +584,6 @@ def _parameter_jacobian(profile: WaveProfile, equations: tuple[tuple[int, float]
     return np.array([projections[index] / divisor for index, divisor in equations])
 
 
-def _newton_on_parameters(eval_g, jacobian, x0: np.ndarray, settings: SolverSettings):
-    """Newton iteration with an exact Jacobian and a step-size stop.
-
-    ``eval_g`` maps a parameter vector to (g, state) and ``jacobian``
-    maps that state to dg/dx; iteration stops at |g|_inf <= tol_newton,
-    or after an accepted step with |step_i| <= sqrt(eps) |x_i| for every
-    parameter: the scaled equations bottom out at a rounding floor set
-    by the amplitude monomials, often above tol_newton, while Newton's
-    error after such a step is of the order of its square.  Steps that
-    land outside the evaluable domain are halved.  Returns
-    (x, g, state, steps).
-    """
-    x = np.asarray(x0, dtype=float)
-    g, state = eval_g(x)
-    ginf = float(np.max(np.abs(g)))
-    for step_count in range(1, _MAX_ITER_NEWTON + 1):
-        if ginf <= settings.tol_newton:
-            return x, g, state, step_count - 1
-        try:
-            delta = np.linalg.solve(jacobian(state), -g)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                "singular parameter Jacobian", step=step_count
-            ) from exc
-        scale = 1.0
-        for _ in range(11):
-            try:
-                g_try, state_try = eval_g(x + scale * delta)
-            except (DomainError, ConvergenceError):
-                scale *= 0.5
-                continue
-            if np.all(np.isfinite(g_try)):
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                "Newton step left the evaluable domain",
-                step=step_count,
-                residual=ginf,
-            )
-        step = scale * delta
-        x = x + step
-        g, state = g_try, state_try
-        ginf = float(np.max(np.abs(g)))
-        if np.all(np.abs(step) <= _STEP_FLOOR * np.abs(x)):
-            return x, g, state, step_count
-    raise ConvergenceError(
-        "Newton did not converge within the step budget",
-        steps=_MAX_ITER_NEWTON,
-        residual=ginf,
-    )
-
-
 def _solve_kernel(
     pair: WaveNumberPair,
     params: ModalParameters,
@@ -650,11 +597,15 @@ def _solve_kernel(
     Each entry (index, divisor) of ``equations`` is the equation
     ``inner_products(profile)[index] / divisor = 0``.  Newton runs on the
     first ``len(equations)`` entries of (c, kappa, T) from the
-    bifurcation point at T, re-solving the remainder equation once per
-    Newton iterate or line-search trial and taking the Jacobian from
-    :func:`_parameter_jacobian`; the other entries stay fixed at that
-    point.  With no
-    equations the result is the zero wave at the bifurcation point.
+    bifurcation point at T; the other entries stay fixed there.  Every
+    iterate or halved trial re-solves the remainder equation, and every
+    step takes the exact Jacobian of :func:`_parameter_jacobian`.  It
+    stops at |g|_inf <= tol_newton, or after an accepted step with
+    |step_i| <= sqrt(eps) |x_i|: g bottoms out at a rounding floor set by
+    the amplitude monomials, often above tol_newton, while the error
+    after such a step is of the order of its square.  With no equations
+    the zero wave at the bifurcation point is reported after no steps.
+    The last iterate is returned only if it meets the residual tolerances.
     """
     # The zero wave needs no kernel profile, so no K >= 2*k2 either.
     v = synthesize_v(pair, params, settings.K) if equations else None
@@ -662,34 +613,53 @@ def _solve_kernel(
     start = (point.c0, point.kappa0, float(T))
     free = len(equations)
 
-    def eval_g(x: np.ndarray):
+    def evaluate(x: np.ndarray) -> tuple[WaveProfile, WSolveResult, np.ndarray]:
         c, kappa, t = (*x, *start[free:])
+        if v is None:
+            modes = np.zeros(settings.K + 1, dtype=complex)
+            zero = WaveProfile(modes, settings.K, pair, ModalParameters(0.0, 0.0), c, kappa, t)
+            return zero, WSolveResult(w=zero, iterations=0, method="none"), np.zeros(0)
         result = solve_w(v, c, kappa, t, settings)
         profile = assemble_profile(v, result.w, c, kappa, t)
         projections = inner_products(profile)
-        g = np.array([projections[index] / divisor for index, divisor in equations])
-        return g, (profile, result)
+        return profile, result, np.array([projections[i] / d for i, d in equations])
 
-    if equations:
-        _, g, (profile, wres), steps = _newton_on_parameters(
-            eval_g,
-            lambda state: _parameter_jacobian(state[0], equations),
-            np.array(start[:free]),
-            settings,
-        )
-        w_method, iterations_w, g_inf = wres.method, wres.iterations, float(np.max(np.abs(g)))
-    else:
-        c, kappa, t = start
-        profile = WaveProfile(
-            modes=np.zeros(settings.K + 1, dtype=complex),
-            K=settings.K,
-            pair=pair,
-            params=ModalParameters(0.0, 0.0),
-            c=c,
-            kappa=kappa,
-            T=t,
-        )
-        w_method, iterations_w, steps, g_inf = "none", 0, 0, 0.0
+    x = np.array(start[:free])
+    profile, wres, g = evaluate(x)
+    g_inf = float(np.max(np.abs(g), initial=0.0))
+    steps = 0
+    while g_inf > settings.tol_newton:
+        if steps == _MAX_ITER_NEWTON:
+            raise ConvergenceError(
+                "Newton did not converge within the step budget",
+                steps=_MAX_ITER_NEWTON,
+                residual=g_inf,
+            )
+        steps += 1
+        try:
+            delta = np.linalg.solve(_parameter_jacobian(profile, equations), -g)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("singular parameter Jacobian", step=steps) from exc
+        scale = 1.0
+        for _ in range(11):
+            try:
+                trial = evaluate(x + scale * delta)
+            except (DomainError, ConvergenceError):
+                pass
+            else:
+                if np.all(np.isfinite(trial[2])):
+                    break
+            scale *= 0.5
+        else:
+            raise ConvergenceError(
+                "Newton step left the evaluable domain", step=steps, residual=g_inf
+            )
+        step = scale * delta
+        x = x + step
+        profile, wres, g = trial
+        g_inf = float(np.max(np.abs(g)))
+        if np.all(np.abs(step) <= _STEP_FLOOR * np.abs(x)):
+            break
     rj = residual_j_inf(profile)
     orth, _ = variational_identity(profile)
     lindep = linear_dependence_residual(profile)
@@ -708,8 +678,8 @@ def _solve_kernel(
     report = SolveReport(
         converged=converged,
         mode=mode,
-        w_method=w_method,
-        iterations_w=iterations_w,
+        w_method=wres.method,
+        iterations_w=wres.iterations,
         iterations_newton=steps,
         residual_J_inf=rj,
         residual_orthogonality=orth,
@@ -738,8 +708,9 @@ def solve_wave(
     the reduced system.  Symmetric parameters route to
     :func:`symmetric_solve` at fixed T.
 
-    A returned report is always converged.  The parameter Newton stops
-    when g is within ``tol_newton`` or after a step at the rounding of
+    A returned report is always converged.  The parameter Newton, the
+    loop of ``_solve_kernel`` that every wave mode shares, stops when g
+    is within ``tol_newton`` or after a step at the rounding of
     (c, kappa, T); its last iterate is returned only if it meets the
     residual tolerances.
 
@@ -786,7 +757,8 @@ def symmetric_solve(
     (c, kappa); the sine-factored equations are verified to vanish
     rather than solved.  Unimodal parameters leave the period scaling
     free, so kappa is frozen at the bifurcation value and Newton runs on
-    the wave speed alone.
+    the wave speed alone.  Zero amplitudes give the zero wave at the
+    bifurcation point, after no Newton step.
     """
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)

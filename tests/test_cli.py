@@ -84,6 +84,15 @@ _WAVE_FOLD = (
     "wave", *_PAIR, "--r1", "0.05", "--r2", "0.05",
     "--theta1", "0.15707963267948966", "--T", "0.1215",
 )
+# Symmetric (2,5) on the w-Newton fallback, unimodal in k1, and the zero
+# wave, which needs no K >= 2*k2.
+_T0 = "0.12147441818272467"
+_WAVE_SYMMETRIC = (
+    "wave", *_PAIR, "--r1", "0.024", "--r2", "0.024",
+    "--theta1", "0.6283185307179586", "--T", _T0,
+)
+_WAVE_UNIMODAL = ("wave", *_PAIR, "--r1", "0.002", "--r2", "0", "--T", _T0)
+_WAVE_ZERO = ("wave", *_PAIR, "--r1", "0", "--r2", "0", "--T", _T0, "--K", "4")
 _PHI_CURVE_SVG = "a3902ce8e9c7f1dc87fc6e0dc217f60af41d68f17e583448a504b9540f9ab56a"
 _PAIRS_SVG = "03606c3e698ec9777e13b4505161fbdbd435e6b277619ce3259d599f91da648d"
 
@@ -160,6 +169,27 @@ TABLE_SHA256 = {
     "wave-fold": (
         _WAVE_FOLD, 3,
         {"wave_report.json": "307a2477e62aa89ddc3aa6447a9d7bc5c6cde4139192ee0ebc76b8bc65e0155b"},
+    ),
+    "wave-symmetric": (
+        _WAVE_SYMMETRIC, 0,
+        {
+            "wave_profile.csv": "da488ea95b239391637ae22185d6a727758ab14268b487eb11d2c4fe1382932c",
+            "wave_report.json": "0cb93811010b2e026e087327a9d8de5ed2db99bf20275b1a8767c0b966fdc153",
+        },
+    ),
+    "wave-unimodal": (
+        _WAVE_UNIMODAL, 0,
+        {
+            "wave_profile.csv": "d365eee10d3ff5f65515c6842423f0d6ebce07a4c36d8cc7746da52d2660f9af",
+            "wave_report.json": "08a2d04fae6d25384684765d57cc9a96e7b072f93df5e2e5d8551dc01b7ad30e",
+        },
+    ),
+    "wave-zero": (
+        _WAVE_ZERO, 0,
+        {
+            "wave_profile.csv": "bbba289531c5340b39a5a4d22178041fb2a43e7818af9fce3ae5c3953e360b58",
+            "wave_report.json": "b0bb111ae94688cc926674cdf988f91b2156ba9945d8befcfc0df8adc331d31f",
+        },
     ),
 }
 
@@ -426,6 +456,21 @@ def test_wave_solve_writes_profile_and_report(tmp_path, capsys):
     assert report["residuals"]["J_inf"] <= 1e-10
 
 
+def test_wave_profile_grid_grows_with_K(tmp_path, capsys):
+    # K = 520 needs 2K+2 = 1042 sample points, more than the default 1024.
+    code, out, err = _run(
+        capsys,
+        "wave", *_PAIR, "--r1", "0.001", "--r2", "0.001", "--theta1", "0.3",
+        "--T", "0.12147441818272467", "--K", "520", "--out", str(tmp_path),
+    )
+    assert (code, err) == (0, "")
+    lines = (tmp_path / "wave_profile.csv").read_text().splitlines()
+    assert lines[0] == "x,u"
+    assert len(lines) == 1 + 1042
+    report = json.loads((tmp_path / "wave_report.json").read_text())
+    assert (report["K"], report["converged"]) == (520, True)
+
+
 def test_wave_fold_exit_code_and_report(tmp_path, capsys):
     code, out, err = _run(
         capsys,
@@ -569,6 +614,15 @@ def test_stdout_lists_every_written_file(tmp_path, capsys):
     assert printed == [tmp_path / "wave_profile.csv", tmp_path / "wave_report.json"]
     for path in printed:
         assert path.exists()
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    grid = ("bifurcate", *_PAIR, "--T-grid", "0.1:0.2:3")
+    _run(capsys, *grid, "--format", "json", "--out", str(tmp_path / "a"))
+    code, out, err = _run(capsys, *grid, "--out", str(tmp_path / "b"))
+    assert (code, err) == (0, "")
+    assert [p.name for p in (tmp_path / "b").iterdir()] == ["bifurcate.csv"]
 
 
 def test_cli_import_loads_no_scipy():
