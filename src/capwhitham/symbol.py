@@ -374,71 +374,86 @@ class BifurcationPoint:
     residual: float
 
 
-def _solve_bifurcations(pair: WaveNumberPair, T, xi_t=None):
-    """Arrays (c0, kappa0, residual) of the double bifurcation points at tensions T.
+def _solve_bifurcations(pairs, T, xi_t=None):
+    """Double bifurcation points of P wavenumber pairs on one tension grid.
 
-    Every kappa0 is bracketed in (xi_T/k2, xi_T/k1), where the difference
-    m_T(k1*kappa) - m_T(k2*kappa) changes sign, and refined in one Brent
-    solve over the grid.  ``xi_t`` may pass the turning points of T.  A
-    failed check raises the error of the first failing tension in grid
-    order, as a loop of scalar solves would.
+    ``pairs`` lists P pairs (k1, k2), T holds G tensions and ``xi_t``
+    their turning points, if known.  Every kappa0 is bracketed in
+    (xi_T/k2, xi_T/k1), where m_T(k1*kappa) - m_T(k2*kappa) changes
+    sign, and all P*G are refined in one Brent solve, in which each
+    element takes the iterates of its own scalar solve.
+
+    Returns arrays (c0, kappa0, residual) of shape (P, G) and a list with
+    one entry per pair: None, or the error of the pair's first failing
+    tension, which a loop of scalar solves over the grid would raise.
+    The row of a failed pair holds no valid points.  A bad tension, or a
+    Brent failure of any element, raises for the whole call.
     """
     T = np.asarray(T, dtype=float)
     _check_tensions(T, "double bifurcation points exist")
-    k1, k2 = pair.k1, pair.k2
     if xi_t is None:
         xi_t = _turning_points(T)
+    P, G = len(pairs), T.size
+    # Element p*G + g is pair p at tension g.
+    modes = np.repeat(np.asarray(pairs, dtype=float), G, axis=0)
+    k1, k2 = modes.T
+    T, xi_t = np.concatenate([T] * P), np.concatenate([xi_t] * P)
     lo, hi = xi_t / k2, xi_t / k1
-    modes = np.array([k1, k2], dtype=float)
 
-    def gap(kappa, T):
+    def gap(kappa, T, modes):
         m = _symbol(T[:, None], kappa[:, None] * modes)
         return m[:, 0] - m[:, 1]
 
-    glo, ghi = gap(lo, T), gap(hi, T)
+    glo, ghi = gap(lo, T, modes), gap(hi, T, modes)
     straddle = ((glo < 0.0) & (0.0 < ghi)) | ((ghi < 0.0) & (0.0 < glo))
-    failures = []
-    if not straddle.all():
-        i = _first(~straddle)
-        failures.append((i, ConvergenceError(
+    kappa0, c0, residual, d1, d2 = np.full((5, T.size), np.nan)
+    # The remaining checks run on the bracketed elements only.
+    idx = np.flatnonzero(straddle)
+    if idx.size:
+        Ts = T[idx]
+        kappa0[idx] = _brentq(gap, lo[idx], hi[idx], _BRACKET_XTOL, args=(Ts, modes[idx]))
+        c0[idx] = _symbol(Ts, k1[idx] * kappa0[idx])
+        residual[idx] = np.abs(gap(kappa0[idx], Ts, modes[idx]))
+        d1[idx] = _symbol_deriv(Ts, k1[idx] * kappa0[idx])
+        d2[idx] = _symbol_deriv(Ts, k2[idx] * kappa0[idx])
+    checks = [
+        (~straddle, lambda i: ConvergenceError(
             "bracket endpoints do not straddle a sign change",
             T=float(T[i]),
             bracket=(float(lo[i]), float(hi[i])),
             gap_values=(float(glo[i]), float(ghi[i])),
-        )))
-    # The remaining checks run on the bracketed tensions only.
-    idx = np.flatnonzero(straddle)
-    Ts = T[idx]
-    kappa0 = np.full_like(T, np.nan)
-    c0 = np.full_like(T, np.nan)
-    residual = np.full_like(T, np.nan)
-    if idx.size:
-        kappa0[idx] = _brentq(gap, lo[idx], hi[idx], _BRACKET_XTOL, args=(Ts,))
-        c0[idx] = _symbol(Ts, k1 * kappa0[idx])
-        residual[idx] = np.abs(gap(kappa0[idx], Ts))
-        d1 = _symbol_deriv(Ts, k1 * kappa0[idx])
-        d2 = _symbol_deriv(Ts, k2 * kappa0[idx])
-        checks = [
-            (residual[idx] > _RESIDUAL_TOL, lambda i, j: ConvergenceError(
-                "bifurcation residual above tolerance",
-                T=float(T[i]), kappa0=float(kappa0[i]), residual=float(residual[i]),
-            )),
-            (~((d1 < 0.0) & (0.0 < d2)), lambda i, j: ConvergenceError(
-                "derivative signs violate the double-bifurcation invariant",
-                T=float(T[i]), kappa0=float(kappa0[i]), derivs=(float(d1[j]), float(d2[j])),
-            )),
-            (~((0.0 < c0[idx]) & (c0[idx] < 1.0)), lambda i, j: ConvergenceError(
-                "wave speed outside (0, 1)", T=float(T[i]), c0=float(c0[i])
-            )),
-        ]
-        # The first element failing any check is the first failure of
-        # some check; ties go to the earlier check, as in a scalar solve.
-        for bad, error in checks:
-            if bad.any():
-                j = _first(bad)
-                failures.append((int(idx[j]), error(int(idx[j]), j)))
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        )),
+        (residual > _RESIDUAL_TOL, lambda i: ConvergenceError(
+            "bifurcation residual above tolerance",
+            T=float(T[i]), kappa0=float(kappa0[i]), residual=float(residual[i]),
+        )),
+        (straddle & ~((d1 < 0.0) & (0.0 < d2)), lambda i: ConvergenceError(
+            "derivative signs violate the double-bifurcation invariant",
+            T=float(T[i]), kappa0=float(kappa0[i]), derivs=(float(d1[i]), float(d2[i])),
+        )),
+        (straddle & ~((0.0 < c0) & (c0 < 1.0)), lambda i: ConvergenceError(
+            "wave speed outside (0, 1)", T=float(T[i]), c0=float(c0[i])
+        )),
+    ]
+    failed = np.stack([bad for bad, _ in checks])
+    rows = failed.any(axis=0).reshape(P, G)
+    errors = [None] * P
+    # A pair's first failing tension raises the first check it fails, as
+    # in a scalar solve.
+    for p in np.flatnonzero(rows.any(axis=1)).tolist():
+        i = p * G + _first(rows[p])
+        errors[p] = checks[_first(failed[:, i])][1](i)
+    return c0.reshape(P, G), kappa0.reshape(P, G), residual.reshape(P, G), errors
+
+
+def _bifurcation_arrays(pair: WaveNumberPair, T, xi_t=None):
+    """Arrays (c0, kappa0, residual) of one pair on a tension grid.
+
+    Raises the error of the first failing tension.
+    """
+    (c0,), (kappa0,), (residual,), (error,) = _solve_bifurcations([pair.astuple()], T, xi_t)
+    if error is not None:
+        raise error
     return c0, kappa0, residual
 
 
@@ -461,7 +476,7 @@ def bifurcation_grid(pair: WaveNumberPair, tensions) -> list[BifurcationPoint]:
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)
     T = np.asarray(tensions, dtype=float)
-    return _points(pair, T, *_solve_bifurcations(pair, T))
+    return _points(pair, T, *_bifurcation_arrays(pair, T))
 
 
 def double_bifurcation(pair: WaveNumberPair, T: float) -> BifurcationPoint:
@@ -484,7 +499,7 @@ def _bifurcation_point(pair: WaveNumberPair, T: float) -> BifurcationPoint:
     T = np.array([T])
     _check_tensions(T, "double bifurcation points exist")
     xi_t = np.array([turning_point(T[0])])
-    return _points(pair, T, *_solve_bifurcations(pair, T, xi_t))[0]
+    return _points(pair, T, *_bifurcation_arrays(pair, T, xi_t))[0]
 
 
 def kappa_asymptote_low_T(pair: WaveNumberPair, T: float) -> float:

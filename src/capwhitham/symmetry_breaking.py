@@ -34,6 +34,7 @@ from .symbol import (
     WEAK_TENSION_LIMIT,
     BifurcationPoint,
     WaveNumberPair,
+    _bifurcation_arrays,
     _brentq,
     _points,
     _solve_bifurcations,
@@ -152,21 +153,21 @@ def _phi(pair: WaveNumberPair, ell, shape):
     return _scaled_u2(pair, alpha, beta, ell, np.ones(shape)) / 2.0 ** (pair.k1 + pair.k2 - 1)
 
 
-def _phi_values(pair: WaveNumberPair, T, xi_t=None):
-    """phi at an array of tensions, with the arrays of its bifurcation points.
+def _phi_values(pair: WaveNumberPair, T, points) -> np.ndarray:
+    """phi at an array of tensions, given the arrays (c0, kappa0, residual)
+    of their bifurcation points.
 
-    One grid solve gives the bifurcation points, and one pass of the
-    coefficient table, in which each ell(k) is a single array multiplier
-    call, gives phi.  Returns (phi, c0, kappa0, residual).
+    One pass of the coefficient table, in which each ell(k) is a single
+    array multiplier call, gives phi.
     """
     T = np.asarray(T, dtype=float)
-    c0, kappa0, residual = _solve_bifurcations(pair, T, xi_t)
+    c0, kappa0, _ = points
     ell = MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T).ell
     # Overflow surfaces as inf or nan, which _check_values reports.
     with np.errstate(over="ignore", invalid="ignore"):
         values = _phi(pair, ell, T.shape)
     _check_values(pair, T, values)
-    return values, c0, kappa0, residual
+    return values
 
 
 def phi_eval(pair: WaveNumberPair, T: float) -> PhiSample:
@@ -185,7 +186,8 @@ def phi_eval(pair: WaveNumberPair, T: float) -> PhiSample:
         pair = WaveNumberPair(*pair)
     _warn_k1_one(pair)
     T = np.array([float(T)])
-    values, *point = _phi_values(pair, T)
+    point = _bifurcation_arrays(pair, T)
+    values = _phi_values(pair, T, point)
     return PhiSample(T=float(T[0]), value=float(values[0]), bifurcation=_points(pair, T, *point)[0])
 
 
@@ -219,7 +221,8 @@ def phi_curve(pair: WaveNumberPair, grid_size: int = DEFAULT_GRID_SIZE) -> list[
         raise DomainError("curve needs at least two points", grid_size=grid_size)
     _warn_k1_one(pair)
     grid, xi_t = _tension_grid(grid_size)
-    values, *point = _phi_values(pair, grid, xi_t)
+    point = _bifurcation_arrays(pair, grid, xi_t)
+    values = _phi_values(pair, grid, point)
     return [
         PhiSample(T=p.T, value=v, bifurcation=p)
         for p, v in zip(_points(pair, grid, *point), values.tolist())
@@ -266,11 +269,19 @@ def phi_root(
     if not xtol > 0.0:
         raise DomainError("root tolerance must be positive", xtol=xtol)
     _warn_k1_one(pair)
+    return _phi_roots(pair, grid_size, xtol)
+
+
+def _phi_roots(pair: WaveNumberPair, grid_size: int, xtol: float, points=None) -> list[PhiRoot]:
+    """The body of :func:`phi_root`; ``points`` may pass the arrays of the
+    grid bifurcation points, which are otherwise solved here."""
     T, xi_t = _tension_grid(grid_size)
-    values = _phi_values(pair, T, xi_t)[0]
+    if points is None:
+        points = _bifurcation_arrays(pair, T, xi_t)
+    values = _phi_values(pair, T, points)
 
     def phi(T):
-        return _phi_values(pair, T)[0]
+        return _phi_values(pair, T, _bifurcation_arrays(pair, T))
 
     # Compare signs, not products: |phi| reaches 1e295, and the product of
     # two neighbours would overflow.
@@ -312,13 +323,38 @@ def exclusion_check(k1: int, k2: int) -> str:
     return STATUS_PASSES
 
 
-def _classify_pair(item: tuple[int, int, bool, int]) -> PairVerdict:
-    """Worker body: classify one surviving pair (never raises)."""
-    k1, k2, refine, grid_size = item
+# The failures a pair's verdict records instead of aborting a scan.
+_PAIR_ERRORS = (CapWhithamError, ArithmeticError, ValueError)
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the error it raised."""
+    try:
+        return fn(*args)
+    except _PAIR_ERRORS as exc:
+        return exc
+
+
+def _unless_error(value):
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _classify_pair(item: tuple) -> PairVerdict:
+    """Worker body: classify one surviving pair (never raises).
+
+    ``item`` is (k1, k2, refine, grid_size), optionally followed by the
+    pair's limits and the arrays of its grid bifurcation points from
+    :func:`pair_scan`, either of which may be the error computing it
+    raised.  A 4-tuple, or points of None, computes its own.
+    """
+    k1, k2, refine, grid_size, *known = item
+    limits, points = known or (None, None)
     reduced = WaveNumberPair(k1, k2)
     low = high = None
     try:
-        low, high = phi_limits(reduced)
+        low, high = _unless_error(limits) or phi_limits(reduced)
         if low * high < 0.0:
             return PairVerdict(
                 k1=k1, k2=k2, reduced=reduced, status=STATUS_ADMITS,
@@ -327,18 +363,46 @@ def _classify_pair(item: tuple[int, int, bool, int]) -> PairVerdict:
         roots: tuple[PhiRoot, ...] = ()
         status = STATUS_UNDECIDED
         if refine:
-            roots = tuple(phi_root(reduced, grid_size))
+            roots = tuple(_phi_roots(reduced, grid_size, _ROOT_XTOL, _unless_error(points)))
             if roots:
                 status = STATUS_ADMITS
         return PairVerdict(
             k1=k1, k2=k2, reduced=reduced, status=status,
             limit_low=low, limit_high=high, roots=roots,
         )
-    except (CapWhithamError, ArithmeticError, ValueError) as exc:
+    except _PAIR_ERRORS as exc:
         return PairVerdict(
             k1=k1, k2=k2, reduced=reduced, status=STATUS_UNDECIDED,
             limit_low=low, limit_high=high, error=f"{type(exc).__name__}: {exc}",
         )
+
+
+def _scan_inputs(pairs: list[WaveNumberPair], grid_size: int) -> list[tuple]:
+    """(limits, points) of every pair of a refined scan, for :func:`_classify_pair`.
+
+    The grid bifurcation points of all pairs whose limits do not admit
+    come from one solve, so the serial and pool paths get the same
+    inputs.  A grid that fails a check holds its error; if the Brent
+    solve itself fails, their points stay None and each pair solves its
+    own, as do pairs whose limits admit or failed.
+    """
+    limits = [_attempt(phi_limits, pair) for pair in pairs]
+    scan = [
+        i for i, lim in enumerate(limits)
+        if not isinstance(lim, Exception) and not lim[0] * lim[1] < 0.0
+    ]
+    points = [None] * len(pairs)
+    if scan:
+        T, xi_t = _tension_grid(grid_size)
+        try:
+            c0, kappa0, residual, errors = _solve_bifurcations(
+                [pairs[i].astuple() for i in scan], T, xi_t
+            )
+        except _PAIR_ERRORS:
+            errors = []
+        for row, (i, error) in enumerate(zip(scan, errors)):
+            points[i] = error or (c0[row], kappa0[row], residual[row])
+    return list(zip(limits, points))
 
 
 def pair_scan(
@@ -378,6 +442,9 @@ def pair_scan(
     # a surviving coprime pair; each of those is classified once.
     reduced = sorted({WaveNumberPair(k1, k2).astuple() for k1, k2 in work})
     items = [(k1, k2, refine, grid_size) for k1, k2 in reduced]
+    if refine:
+        known = _scan_inputs([WaveNumberPair(*pair) for pair in reduced], grid_size)
+        items = [item + inputs for item, inputs in zip(items, known)]
     if jobs > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             classified = list(pool.map(_classify_pair, items))

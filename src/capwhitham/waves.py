@@ -170,11 +170,15 @@ class SolveReport:
 
 @dataclass(frozen=True, eq=False)
 class WSolveResult:
-    """Solved remainder w with its iteration count and method tag."""
+    """Solved remainder w with its iteration count and method tag.
+
+    ``ell`` holds ell(k) for k = 0..K at the solve's (c, kappa, T).
+    """
 
     w: WaveProfile
     iterations: int
     method: str
+    ell: np.ndarray | None = None
 
 
 def _to_grid(modes: np.ndarray, n: int) -> np.ndarray:
@@ -286,7 +290,7 @@ def solve_w(
     w = WaveProfile(
         modes=w_modes, K=K, pair=pair, params=v.params, c=c, kappa=kappa, T=T
     )
-    return WSolveResult(w=w, iterations=iterations, method=method)
+    return WSolveResult(w=w, iterations=iterations, method=method, ell=ell)
 
 
 def _fixed_point_image(w_modes: np.ndarray, v_modes: np.ndarray, ell: np.ndarray, K: int) -> np.ndarray:
@@ -336,15 +340,18 @@ def _free_modes(pair: WaveNumberPair, K: int) -> list[int]:
 
 
 def _pack(w: np.ndarray, free: list[int]) -> np.ndarray:
-    """Real unknown vector [Re w_k (k free), Im w_k (k free, k != 0)]."""
-    return np.concatenate([w[free].real, w[free[1:]].imag])
+    """Real unknown vector [Re w_k (k free), Im w_k (k free, k != 0)].
+
+    Packs along the last axis, so a stack of profiles packs at once.
+    """
+    return np.concatenate([w[..., free].real, w[..., free[1:]].imag], axis=-1)
 
 
 def _unpack(x: np.ndarray, free: list[int], K: int) -> np.ndarray:
-    w = np.zeros(K + 1, dtype=complex)
+    w = np.zeros((*x.shape[:-1], K + 1), dtype=complex)
     nf = len(free)
-    w[free] = x[:nf]
-    w[free[1:]] += 1j * x[nf:]
+    w[..., free] = x[..., :nf]
+    w[..., free[1:]] += 1j * x[..., nf:]
     return w
 
 
@@ -475,14 +482,22 @@ def assemble_profile(v: WaveProfile, w: WaveProfile, c: float, kappa: float, T: 
     )
 
 
-def _j_modes(profile: WaveProfile) -> np.ndarray:
-    """Alias-free modes 0..2K of J(u) = (M_{T,kappa} - c)u + u^2."""
+def _j_terms(profile: WaveProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of J(u): modes 0..2K of u^2, and m_T(kappa*k) for k = 0..K."""
     if profile.c is None or profile.kappa is None or profile.T is None:
         raise DomainError("profile carries no (c, kappa, T) metadata")
     K = profile.K
-    j = _square_modes(profile.modes, K).astype(complex)
-    m = _symbol_values(profile.T, profile.kappa, K)
-    j[: K + 1] += (m - profile.c) * profile.modes
+    return _square_modes(profile.modes, K), _symbol_values(profile.T, profile.kappa, K)
+
+
+def _j_modes(profile: WaveProfile, terms=None) -> np.ndarray:
+    """Alias-free modes 0..2K of J(u) = (M_{T,kappa} - c)u + u^2.
+
+    ``terms`` may pass :func:`_j_terms` of the profile.
+    """
+    square, m = terms or _j_terms(profile)
+    j = square.astype(complex)
+    j[: profile.K + 1] += (m - profile.c) * profile.modes
     return j
 
 
@@ -500,9 +515,14 @@ def inner_products(profile: WaveProfile) -> tuple[float, float, float, float]:
     """
     if profile.params is None:
         raise DomainError("profile carries no modal parameters")
-    j = _j_modes(profile)
-    k1, k2 = profile.pair.k1, profile.pair.k2
-    return tuple(float(p) for p in _project(j[k1], j[k2], profile))
+    return _inner_products(profile, _j_modes(profile))
+
+
+def _inner_products(profile: WaveProfile, j: np.ndarray) -> tuple[float, float, float, float]:
+    """:func:`inner_products` from the modes j of J(u)."""
+    # Modes above 2K of J are zero: the zero wave allows 2K < k2.
+    j1, j2 = (j[k] if k < len(j) else 0.0 for k in (profile.pair.k1, profile.pair.k2))
+    return tuple(float(p) for p in _project(j1, j2, profile))
 
 
 def _project(j1, j2, profile: WaveProfile) -> tuple:
@@ -543,7 +563,9 @@ def linear_dependence_residual(profile: WaveProfile) -> float:
     return pair.k1 * params.r1 * s1 + pair.k2 * params.r2 * s2
 
 
-def _parameter_jacobian(profile: WaveProfile, equations: tuple[tuple[int, float], ...]) -> np.ndarray:
+def _parameter_jacobian(
+    profile: WaveProfile, equations: tuple[tuple[int, float], ...], ell=None, terms=None
+) -> np.ndarray:
     """Exact derivative of the scaled kernel equations along (c, kappa, T).
 
     Column p is the derivative along the p-th of the first
@@ -554,7 +576,9 @@ def _parameter_jacobian(profile: WaveProfile, equations: tuple[tuple[int, float]
     function theorem gives dw/dp = F_w^-1 (ell^2 dm_p u^2), one linear
     solve for all columns.  At a kernel mode k, where w is zero,
     dJ_k/dp = dm_p(k) v_k + 2 (u dw/dp)_k, projected and scaled like
-    the equations themselves.
+    the equations themselves.  ``ell`` and ``terms`` may pass ell(k) for
+    k = 0..K and :func:`_j_terms` of the profile, which the iterate's
+    remainder solve and residual already computed.
     """
     K, pair, u = profile.K, profile.pair, profile.modes
     c, kappa, T = profile.c, profile.kappa, profile.T
@@ -563,15 +587,15 @@ def _parameter_jacobian(profile: WaveProfile, equations: tuple[tuple[int, float]
     dm = np.zeros((3, K + 1))
     dm[0] = -1.0
     dm[1, 1:] = k[1:] * eval_symbol_deriv(T, xi[1:])
-    dm[2] = xi * xi * tanhc(xi) / (2.0 * _symbol_values(T, kappa, K))
+    square, m = terms or _j_terms(profile)
+    dm[2] = xi * xi * tanhc(xi) / (2.0 * m)
     dm = dm[: len(equations)]
-    ell = _ell_values(MultiplierContext(pair=pair, c=c, kappa=kappa, T=T), K)
+    if ell is None:
+        ell = _ell_values(MultiplierContext(pair=pair, c=c, kappa=kappa, T=T), K)
     free = _free_modes(pair, K)
-    rhs = ell * ell * dm * _square_modes(u, K)[: K + 1]
-    dx = np.linalg.solve(
-        _w_jacobian(u, ell, free), np.stack([_pack(row, free) for row in rhs], axis=1)
-    )
-    dw = np.stack([_unpack(col, free, K) for col in dx.T])
+    rhs = ell * ell * dm * square[: K + 1]
+    dx = np.linalg.solve(_w_jacobian(u, ell, free), _pack(rhs, free).T)
+    dw = _unpack(dx.T, free, K)
     # Mode k of a product: the full spectra -K..K of u and dw, the first
     # reversed, overlap on modes k-K..K.
     u_full = np.concatenate([np.conj(u[:0:-1]), u])
@@ -613,19 +637,21 @@ def _solve_kernel(
     start = (point.c0, point.kappa0, float(T))
     free = len(equations)
 
-    def evaluate(x: np.ndarray) -> tuple[WaveProfile, WSolveResult, np.ndarray]:
+    def evaluate(x: np.ndarray) -> tuple[WaveProfile, WSolveResult, np.ndarray, tuple | None]:
+        """The iterate at x: its profile, remainder solve, g and J terms."""
         c, kappa, t = (*x, *start[free:])
         if v is None:
             modes = np.zeros(settings.K + 1, dtype=complex)
             zero = WaveProfile(modes, settings.K, pair, ModalParameters(0.0, 0.0), c, kappa, t)
-            return zero, WSolveResult(w=zero, iterations=0, method="none"), np.zeros(0)
+            return zero, WSolveResult(w=zero, iterations=0, method="none"), np.zeros(0), None
         result = solve_w(v, c, kappa, t, settings)
         profile = assemble_profile(v, result.w, c, kappa, t)
-        projections = inner_products(profile)
-        return profile, result, np.array([projections[i] / d for i, d in equations])
+        terms = _j_terms(profile)
+        projections = _inner_products(profile, _j_modes(profile, terms))
+        return profile, result, np.array([projections[i] / d for i, d in equations]), terms
 
     x = np.array(start[:free])
-    profile, wres, g = evaluate(x)
+    profile, wres, g, terms = evaluate(x)
     g_inf = float(np.max(np.abs(g), initial=0.0))
     steps = 0
     while g_inf > settings.tol_newton:
@@ -637,7 +663,8 @@ def _solve_kernel(
             )
         steps += 1
         try:
-            delta = np.linalg.solve(_parameter_jacobian(profile, equations), -g)
+            jac = _parameter_jacobian(profile, equations, wres.ell, terms)
+            delta = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular parameter Jacobian", step=steps) from exc
         scale = 1.0
@@ -656,7 +683,7 @@ def _solve_kernel(
             )
         step = scale * delta
         x = x + step
-        profile, wres, g = trial
+        profile, wres, g, terms = trial
         g_inf = float(np.max(np.abs(g)))
         if np.all(np.abs(step) <= _STEP_FLOOR * np.abs(x)):
             break

@@ -22,8 +22,13 @@ from capwhitham import (
     multiplier,
     turning_point,
 )
-from capwhitham.symbol import _brentq, bifurcation_grid, dtanhc, tanhc
-from capwhitham.symmetry_breaking import _clustered_grid
+from capwhitham.symbol import _brentq, _solve_bifurcations, bifurcation_grid, dtanhc, tanhc
+from capwhitham.symmetry_breaking import (
+    STATUS_PASSES,
+    _clustered_grid,
+    _tension_grid,
+    exclusion_check,
+)
 
 
 def _smooth(p):
@@ -107,6 +112,23 @@ def test_double_bifurcation_equals_grid_solve(pair):
     assert len(points) == 200
     for T, point in zip(grid.tolist(), points):
         assert double_bifurcation(pair, T) == point
+
+
+@pytest.mark.parametrize("grid_size", [64, 200])
+def test_batched_bifurcations_equal_per_pair_grids(grid_size):
+    # Every pair a scan up to k2 = 12 may root-scan, in one solve.
+    pairs = [
+        (k1, k2) for k2 in range(3, 13) for k1 in range(1, k2)
+        if math.gcd(k1, k2) == 1 and exclusion_check(k1, k2) == STATUS_PASSES
+    ]
+    grid, xi_t = _tension_grid(grid_size)
+    *arrays, errors = _solve_bifurcations(pairs, grid, xi_t)
+    assert errors == [None] * len(pairs)
+    for row, pair in enumerate(pairs):
+        points = bifurcation_grid(pair, grid)
+        for array, name in zip(arrays, ("c0", "kappa0", "residual")):
+            alone = np.array([getattr(point, name) for point in points])
+            assert array[row].tobytes() == alone.tobytes(), (pair, name)
 
 
 def test_bifurcation_grid_raises_first_failing_tension():

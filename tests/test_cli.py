@@ -471,6 +471,21 @@ def test_wave_profile_grid_grows_with_K(tmp_path, capsys):
     assert (report["K"], report["converged"]) == (520, True)
 
 
+@pytest.mark.parametrize("K", ["1", "2"])
+def test_zero_wave_below_the_kernel_modes(tmp_path, capsys, K):
+    # 2K < k2 = 5: the zero wave needs no mode k2, and matches K = 4 but for K.
+    argv = ("wave", *_PAIR, "--r1", "0", "--r2", "0", "--T", _T0)
+    code, _, err = _run(capsys, *argv, "--K", K, "--out", str(tmp_path / "low"))
+    assert (code, err) == (0, "")
+    code, _, _ = _run(capsys, *argv, "--K", "4", "--out", str(tmp_path / "ref"))
+    assert code == 0
+    low, ref = (tmp_path / d for d in ("low", "ref"))
+    assert (low / "wave_profile.csv").read_bytes() == (ref / "wave_profile.csv").read_bytes()
+    report = json.loads((low / "wave_report.json").read_text())
+    assert report == {**json.loads((ref / "wave_report.json").read_text()), "K": int(K)}
+    assert (report["mode"], report["converged"]) == ("trivial", True)
+
+
 def test_wave_fold_exit_code_and_report(tmp_path, capsys):
     code, out, err = _run(
         capsys,

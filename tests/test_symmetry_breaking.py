@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from capwhitham import (
+    ConvergenceError,
     DomainError,
     MultiplierContext,
     NearResonanceError,
@@ -26,7 +27,7 @@ from capwhitham import (
     phi_limits,
     phi_root,
 )
-from capwhitham import coefficients, symmetry_breaking
+from capwhitham import coefficients, symbol, symmetry_breaking
 
 PAIR_2_5 = WaveNumberPair(2, 5)
 
@@ -296,6 +297,61 @@ def test_pair_scan_classifies_each_reduced_pair_once(monkeypatch):
     v610, v35 = verdicts[(6, 10)], verdicts[(3, 5)]
     assert (v610.k1, v610.k2) == (6, 10)
     assert replace(v610, k1=3, k2=5) == v35
+
+
+def _scanned_alone(verdicts):
+    """Each reduced verdict of a scan, with the verdict its pair gets alone."""
+    for v in verdicts:
+        if (v.k1, v.k2) == v.reduced.astuple() and v.status not in (
+            STATUS_EXCLUDED_DIVISOR, STATUS_EXCLUDED_DIFFERENCE
+        ):
+            yield v, symmetry_breaking._classify_pair((v.k1, v.k2, True, 64))
+
+
+def test_pair_scan_maps_failed_grids_to_their_pairs(monkeypatch):
+    # A residual tolerance at the median of the pairs' largest grid
+    # residuals fails the grid solve of about half the batch.
+    base = {(v.k1, v.k2): v for v in pair_scan(12, refine=True, grid_size=64)}
+    grid = symmetry_breaking._tension_grid(64)[0]
+    worst = {
+        pair: max(point.residual for point in symbol.bifurcation_grid(pair, grid))
+        for pair, v in base.items()
+        if v.limit_low is not None and not v.limit_low * v.limit_high < 0.0
+    }
+    tol = float(np.median(list(worst.values())))
+    failing = {pair for pair, residual in worst.items() if residual > tol}
+    assert 0 < len(failing) < len(worst)
+    monkeypatch.setattr(symbol, "_RESIDUAL_TOL", tol)
+    checked = set()
+    for v, alone in _scanned_alone(pair_scan(12, refine=True, grid_size=64)):
+        assert v == alone
+        pair = (v.k1, v.k2)
+        if pair in failing:
+            assert v.status == STATUS_UNDECIDED
+            assert v.error == "ConvergenceError: bifurcation residual above tolerance"
+            assert (v.limit_low, v.limit_high) == (base[pair].limit_low, base[pair].limit_high)
+        else:
+            assert v == base[pair]
+        checked.add(pair)
+    assert failing < checked
+
+
+def test_pair_scan_solves_each_pair_alone_when_the_batch_brent_fails(monkeypatch):
+    real = symbol._brentq
+
+    def failing_for_5_9(f, a, b, xtol, fa=None, fb=None, args=()):
+        if len(args) == 2 and (args[1] == (5.0, 9.0)).all(axis=1).any():
+            raise ConvergenceError("forced failure")
+        return real(f, a, b, xtol, fa, fb, args)
+
+    base = {(v.k1, v.k2): v for v in pair_scan(12, refine=True, grid_size=64)}
+    monkeypatch.setattr(symbol, "_brentq", failing_for_5_9)
+    for v, alone in _scanned_alone(pair_scan(12, refine=True, grid_size=64)):
+        assert v == alone
+        if (v.k1, v.k2) == (5, 9):
+            assert (v.status, v.error) == (STATUS_UNDECIDED, "ConvergenceError: forced failure")
+        else:
+            assert v == base[(v.k1, v.k2)]
 
 
 def test_pair_scan_jobs_equivalence_with_reduced_pairs():

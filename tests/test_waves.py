@@ -426,6 +426,36 @@ def test_parameter_jacobian_matches_central_differences(params, equations):
     assert np.all(row_error <= tolerance)
 
 
+def test_parameter_jacobian_reuses_the_iterate_terms_bitwise(monkeypatch):
+    # The Newton passes the ell of the iterate's remainder solve and the
+    # u^2 and m_T of its residual; they must give the Jacobian that
+    # recomputing them gives, at every step and at the converged wave.
+    from capwhitham import waves
+
+    original = waves._parameter_jacobian
+    calls = []
+
+    def recording(profile, equations, ell=None, terms=None):
+        calls.append((profile, equations, ell, terms))
+        return original(profile, equations, ell, terms)
+
+    monkeypatch.setattr(waves, "_parameter_jacobian", recording)
+    params = ModalParameters(0.002, 0.0015, 0.35, 0.05).reduced(PAIR_2_5)
+    profile, report = solve_wave(PAIR_2_5, params, T0)
+    assert report.converged and report.iterations_newton == len(calls) > 1
+    assert all(ell is not None and terms is not None for _, _, ell, terms in calls)
+    sine = math.sin(10.0 * (params.theta1 - params.theta2))
+    equations = ((0, params.r1), (1, params.r2), (2, params.r1**4 * params.r2**2 * sine))
+    assert calls[0][1] == equations
+    v = synthesize_v(PAIR_2_5, params, profile.K)
+    ell = solve_w(v, profile.c, profile.kappa, profile.T).ell
+    calls.append((profile, equations, ell, waves._j_terms(profile)))
+    for profile, equations, ell, terms in calls:
+        reused = original(profile, equations, ell, terms)
+        recomputed = original(profile, equations)
+        assert reused.tobytes() == recomputed.tobytes()
+
+
 def test_solve_wave_raises_at_a_non_solution():
     # A Newton tolerance above the starting g (about 8e3 here) stops the
     # parameter Newton at the bifurcation point, which is no wave.
