@@ -34,6 +34,7 @@ with weight 2, and merges equal rows once per cell.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,8 +117,9 @@ def multiplier(ctx: MultiplierContext, k):
     ------
     NearResonanceError
         If |c - m_T(kappa*k)| < 1e-13 for a non-kernel wavenumber k; the
-        first such element (in C order) is named, together with its index
-        ``element`` when the context is array-valued.
+        first such element (in C order) is named, together with its flat
+        index ``element`` into the context arrays when those are arrays
+        (k may add leading axes to them, as a column does).
     """
     k = np.abs(np.asarray(k, dtype=int))
     kernel = (k == ctx.pair.k1) | (k == ctx.pair.k2)
@@ -126,8 +128,9 @@ def multiplier(ctx: MultiplierContext, k):
     if near.any():
         i = int(np.flatnonzero(near)[0])
         context = {"k": int(np.broadcast_to(k, near.shape).flat[i])}
-        if any(np.ndim(v) for v in (ctx.c, ctx.kappa, ctx.T)):
-            context["element"] = i
+        arrays = np.broadcast(ctx.c, ctx.kappa, ctx.T)
+        if arrays.ndim:
+            context["element"] = i % arrays.size
         raise NearResonanceError(
             "wave speed resonates with a non-kernel mode",
             **context,
@@ -250,15 +253,15 @@ def _scaled_u2(
         S[tuple(np.eye(4, dtype=int)[axis])] = one
     ells = {}
     for cell in np.ndindex(box):
-        if sum(cell) < 2:
+        c0, c1, c2, c3 = cell
+        if c0 + c1 + c2 + c3 < 2:
             continue
         total = cell_sum(
-            S[tuple(slice(c + 1) for c in cell)],
-            S[tuple(slice(c, None, -1) for c in cell)],
+            S[: c0 + 1, : c1 + 1, : c2 + 1, : c3 + 1], S[c0::-1, c1::-1, c2::-1, c3::-1]
         )
         if cell == corner:
             return total
-        k = abs(k1 * (cell[0] - cell[2]) + k2 * (cell[1] - cell[3]))
+        k = abs(k1 * (c0 - c2) + k2 * (c1 - c3))
         if k not in ells:
             ells[k] = ell(k)
         S[cell] = ells[k] * total
@@ -372,6 +375,19 @@ def phi_target_indices(pair: WaveNumberPair) -> tuple[MultiIndex, MultiIndex]:
     return (pair.k2 - 1, 0), (0, pair.k1)
 
 
+@functools.lru_cache(maxsize=64)
+def _phi_path(pair: WaveNumberPair) -> tuple[int, ...]:
+    """The ascending |k| at which the phi table asks ell.
+
+    The cells (a, 0, 0, b) of order >= 2 have wavenumber k1*a - k2*b, and
+    ell is asked for all but the corner, at -k1; for a coprime pair no
+    other is 0, k1 or k2.  Empty for (1, 2), where M = 0.
+    """
+    k1, k2 = pair.k1, pair.k2
+    path = {abs(k1 * a - k2 * b) for a in range(k2) for b in range(k1 + 1) if a + b >= 2}
+    return tuple(sorted(path - {0, k1, k2}))
+
+
 def expansion_size(pair: WaveNumberPair) -> tuple[int, int]:
     """Exact term count N and factor count M of the phi expansion.
 
@@ -411,12 +427,9 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
         )
     k1, k2 = pair.k1, pair.k2
     alpha, beta = phi_target_indices(pair)
-    # The cells (a, 0, 0, b) of order >= 2 have wavenumber k1*a - k2*b, and
-    # ell is asked for all but the corner, at -k1.  For a coprime pair no
-    # other is 0, k1 or k2; such a factor would silently change the term
+    # A factor ell(0), ell(k1) or ell(k2) would silently change the term
     # count, so it has no column and raises.
-    path = {abs(k1 * a - k2 * b) for a in range(k2) for b in range(k1 + 1) if a + b >= 2}
-    ks = sorted(path - {0, k1, k2})
+    ks = _phi_path(pair)
     columns = {k: j for j, k in enumerate(ks)}
     unit = np.eye(len(ks), dtype=np.uint8)
     one = _Monomials(np.zeros((1, len(ks)), dtype=np.uint8), np.ones(1, dtype=np.int64))
@@ -452,7 +465,7 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
     )
 
 
-def limit_ratio(pair: WaveNumberPair, endpoint: str, n: int) -> float:
+def limit_ratio(pair: WaveNumberPair, endpoint: str, n):
     """Normalized multiplier limit rho(n) = lim ell(n)/ell(k2+1).
 
     Closed forms at the two endpoints of the weak-tension interval:
@@ -463,6 +476,10 @@ def limit_ratio(pair: WaveNumberPair, endpoint: str, n: int) -> float:
     * T -> 1/3: g(k2+1)/g(n) with g(m) = m^2(k1^2+k2^2) - k1^2 k2^2 - m^4,
       which factors as -(m^2-k1^2)(m^2-k2^2) and is valid at n = 0.
 
+    n may be an integer array, which gives the array of ratios.  Each
+    rounds like the closed form in exact integers and Python floats as
+    long as |g| < 2**53.
+
     Raises
     ------
     DomainError
@@ -472,25 +489,21 @@ def limit_ratio(pair: WaveNumberPair, endpoint: str, n: int) -> float:
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)
     k1, k2 = pair.k1, pair.k2
-    n = abs(int(n))
-    if n == k1 or n == k2:
-        raise DomainError("limit ratio undefined on kernel wavenumbers", n=n)
+    n = np.abs(np.asarray(n, dtype=np.int64))
+    kernel = (n == k1) | (n == k2)
+    if kernel.any():
+        raise DomainError("limit ratio undefined on kernel wavenumbers", n=int(n[kernel][0]))
     ref = k2 + 1
     if endpoint == LIMIT_LOW_T:
-        if n == 0:
-            return 0.0
         root = math.sqrt(k1 + k2)
         num = root - math.sqrt(k1 * k2 / ref + ref)
-        den = root - math.sqrt(k1 * k2 / n + n)
-        return num / den
-    if endpoint == LIMIT_HIGH_T:
-        ksq = k1 * k1 + k2 * k2
-        kprod = k1 * k1 * k2 * k2
-
-        def g(m: int) -> float:
-            return m * m * ksq - kprod - m**4
-
-        return g(ref) / g(n)
-    raise DomainError(
-        "unknown endpoint label", endpoint=endpoint, expected=[LIMIT_LOW_T, LIMIT_HIGH_T]
-    )
+        m = np.where(n == 0, ref, n)  # rho(0) = 0; m keeps k1*k2/m finite
+        rho = np.where(n == 0, 0.0, num / (root - np.sqrt(k1 * k2 / m + m)))
+    elif endpoint == LIMIT_HIGH_T:
+        ksq, kprod = k1 * k1 + k2 * k2, k1 * k1 * k2 * k2
+        rho = (ref * ref * ksq - kprod - ref**4) / (n * n * ksq - kprod - n**4)
+    else:
+        raise DomainError(
+            "unknown endpoint label", endpoint=endpoint, expected=[LIMIT_LOW_T, LIMIT_HIGH_T]
+        )
+    return rho if rho.ndim else float(rho)

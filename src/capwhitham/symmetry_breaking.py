@@ -25,6 +25,7 @@ from .coefficients import (
     LIMIT_HIGH_T,
     LIMIT_LOW_T,
     MultiplierContext,
+    _phi_path,
     _scaled_u2,
     limit_ratio,
     phi_target_indices,
@@ -147,25 +148,28 @@ def _check_values(pair: WaveNumberPair, grid: np.ndarray, values: np.ndarray) ->
         )
 
 
-def _phi(pair: WaveNumberPair, ell, shape):
-    """phi from the coefficient table, with ell(k) an array of the given shape."""
+def _phi(pair: WaveNumberPair, values: np.ndarray):
+    """phi from the coefficient table, with ell at the i-th |k| of the phi path in values[i]."""
     alpha, beta = phi_target_indices(pair)
-    return _scaled_u2(pair, alpha, beta, ell, np.ones(shape)) / 2.0 ** (pair.k1 + pair.k2 - 1)
+    ell = dict(zip(_phi_path(pair), values)).__getitem__
+    one = np.ones(values.shape[1:])
+    return _scaled_u2(pair, alpha, beta, ell, one) / 2.0 ** (pair.k1 + pair.k2 - 1)
 
 
 def _phi_values(pair: WaveNumberPair, T, points) -> np.ndarray:
-    """phi at an array of tensions, given the arrays (c0, kappa0, residual)
-    of their bifurcation points.
+    """phi at a 1-D array of tensions, given the arrays (c0, kappa0,
+    residual) of their bifurcation points.
 
-    One pass of the coefficient table, in which each ell(k) is a single
-    array multiplier call, gives phi.
+    One array multiplier call gives ell at every |k| of the phi path and
+    every tension, and one pass of the coefficient table gives phi.
     """
     T = np.asarray(T, dtype=float)
     c0, kappa0, _ = points
     ell = MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T).ell
+    ks = np.array(_phi_path(pair), dtype=int)
     # Overflow surfaces as inf or nan, which _check_values reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _phi(pair, ell, T.shape)
+        values = _phi(pair, ell(ks[:, None]))
     _check_values(pair, T, values)
     return values
 
@@ -238,15 +242,9 @@ def phi_limits(pair: WaveNumberPair) -> tuple[float, float]:
     """
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)
-
-    def rho(k: int):
-        if k in (pair.k1, pair.k2):
-            return 0.0
-        return np.array(
-            [limit_ratio(pair, LIMIT_LOW_T, k), limit_ratio(pair, LIMIT_HIGH_T, k)]
-        )
-
-    return tuple(_phi(pair, rho, 2).tolist())
+    ks = np.array(_phi_path(pair), dtype=int)
+    rho = np.stack([limit_ratio(pair, end, ks) for end in (LIMIT_LOW_T, LIMIT_HIGH_T)], 1)
+    return tuple(_phi(pair, rho).tolist())
 
 
 def phi_root(

@@ -501,21 +501,22 @@ def _j_modes(profile: WaveProfile, terms=None) -> np.ndarray:
     return j
 
 
-def residual_j_inf(profile: WaveProfile) -> float:
-    """Sup over resolved modes 0..K of |J(u)_k|."""
-    j = _j_modes(profile)
+def residual_j_inf(profile: WaveProfile, terms=None) -> float:
+    """Sup over resolved modes 0..K of |J(u)_k|; ``terms`` as in :func:`_j_modes`."""
+    j = _j_modes(profile, terms)
     return float(np.max(np.abs(j[: profile.K + 1])))
 
 
-def inner_products(profile: WaveProfile) -> tuple[float, float, float, float]:
+def inner_products(profile: WaveProfile, terms=None) -> tuple[float, float, float, float]:
     """Kernel projections of I = J(u) in the (1/2pi) integral convention.
 
     Returns (<I, v1_cos>, <I, v2_cos>, <I, v1_sin>, <I, v2_sin>) where
-    v1_cos = cos(k1*(x+theta1)) and so on with the profile's phases.
+    v1_cos = cos(k1*(x+theta1)) and so on with the profile's phases;
+    ``terms`` as in :func:`_j_modes`.
     """
     if profile.params is None:
         raise DomainError("profile carries no modal parameters")
-    return _inner_products(profile, _j_modes(profile))
+    return _inner_products(profile, _j_modes(profile, terms))
 
 
 def _inner_products(profile: WaveProfile, j: np.ndarray) -> tuple[float, float, float, float]:
@@ -533,15 +534,16 @@ def _project(j1, j2, profile: WaveProfile) -> tuple:
     return (z1.real, z2.real, -z1.imag, -z2.imag)
 
 
-def variational_identity(profile: WaveProfile) -> tuple[float, float]:
+def variational_identity(profile: WaveProfile, terms=None) -> tuple[float, float]:
     """Exact orthogonality <J(u), u'> and its natural scale.
 
     Returns (inner, scale) with inner = <J(u), u'> computed alias-free
     and scale = ||J(u)||_2 * ||u'||_2 in the same convention; the inner
     product vanishes for every real trigonometric polynomial because the
-    multiplier is real and even and the cubic term integrates away.
+    multiplier is real and even and the cubic term integrates away;
+    ``terms`` as in :func:`_j_modes`.
     """
-    j = _j_modes(profile)
+    j = _j_modes(profile, terms)
     K = profile.K
     k = np.arange(K + 1)
     uprime = 1j * k * profile.modes
@@ -551,13 +553,14 @@ def variational_identity(profile: WaveProfile) -> tuple[float, float]:
     return inner, jnorm * unorm
 
 
-def linear_dependence_residual(profile: WaveProfile) -> float:
+def linear_dependence_residual(profile: WaveProfile, terms=None) -> float:
     """The combination k1*r1*<I, v1_sin> + k2*r2*<I, v2_sin>.
 
     Equal to -<J(u), v'>, so it vanishes (to ten times the w tolerance)
-    whenever the remainder equation is solved, for any (c, kappa, T).
+    whenever the remainder equation is solved, for any (c, kappa, T);
+    ``terms`` as in :func:`_j_modes`.
     """
-    _, _, s1, s2 = inner_products(profile)
+    _, _, s1, s2 = inner_products(profile, terms)
     params = profile.params
     pair = profile.pair
     return pair.k1 * params.r1 * s1 + pair.k2 * params.r2 * s2
@@ -687,9 +690,10 @@ def _solve_kernel(
         g_inf = float(np.max(np.abs(g)))
         if np.all(np.abs(step) <= _STEP_FLOOR * np.abs(x)):
             break
-    rj = residual_j_inf(profile)
-    orth, _ = variational_identity(profile)
-    lindep = linear_dependence_residual(profile)
+    # The zero wave has no terms; the residuals then compute their own.
+    rj = residual_j_inf(profile, terms)
+    orth, _ = variational_identity(profile, terms)
+    lindep = linear_dependence_residual(profile, terms)
     converged = (
         rj <= _TOL_RESIDUAL_J
         and abs(orth) <= _TOL_ORTHOGONALITY

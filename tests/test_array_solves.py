@@ -5,12 +5,15 @@ array evaluation against the scalar one.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from capwhitham import (
+    LIMIT_HIGH_T,
+    LIMIT_LOW_T,
     ConvergenceError,
     DomainError,
     MultiplierContext,
@@ -19,13 +22,25 @@ from capwhitham import (
     double_bifurcation,
     eval_symbol,
     eval_symbol_deriv,
+    limit_ratio,
     multiplier,
+    phi_limits,
+    phi_target_indices,
     turning_point,
 )
-from capwhitham.symbol import _brentq, _solve_bifurcations, bifurcation_grid, dtanhc, tanhc
+from capwhitham.coefficients import _phi_path, _scaled_u2
+from capwhitham.symbol import (
+    _bifurcation_arrays,
+    _brentq,
+    _solve_bifurcations,
+    bifurcation_grid,
+    dtanhc,
+    tanhc,
+)
 from capwhitham.symmetry_breaking import (
     STATUS_PASSES,
     _clustered_grid,
+    _phi_values,
     _tension_grid,
     exclusion_check,
 )
@@ -229,3 +244,96 @@ def test_array_multiplier_names_first_resonance():
         multiplier(one, np.arange(10))
     assert err.value.context["k"] == 6
     assert "element" not in err.value.context
+
+
+def test_multiplier_column_names_the_context_element():
+    # A column of wavenumbers against a grid context, as a phi table asks:
+    # the error names the smallest resonant |k| and the index of its
+    # tension, not the flat index of the (k, tension) broadcast.
+    pair = WaveNumberPair(2, 5)
+    points = bifurcation_grid(pair, [0.05, 0.1, 0.15, 0.2, 0.25])
+    c = np.array([p.c0 for p in points])
+    kappa = np.array([p.kappa0 for p in points])
+    T = np.array([p.T for p in points])
+    c[1] = eval_symbol(T[1], kappa[1] * 8)
+    c[3] = eval_symbol(T[3], kappa[3] * 6)
+    column = np.arange(10)[:, None]
+    with pytest.raises(NearResonanceError) as err:
+        multiplier(MultiplierContext(pair=pair, c=c, kappa=kappa, T=T), column)
+    assert (err.value.context["k"], err.value.context["element"]) == (6, 3)
+    # A one-tension context broadcasts along the column: element 0.
+    one = MultiplierContext(pair=pair, c=c[1:2], kappa=kappa[1:2], T=T[1:2])
+    with pytest.raises(NearResonanceError) as err:
+        multiplier(one, column)
+    assert (err.value.context["k"], err.value.context["element"]) == (8, 0)
+
+
+# --- One multiplier and limit-ratio call per table against per-|k| calls ----
+
+_COPRIME_30 = [
+    WaveNumberPair(k1, k2) for k2 in range(2, 31) for k1 in range(1, k2) if math.gcd(k1, k2) == 1
+]
+
+
+def _per_k_phi(pair, ell, one):
+    """phi from a table that asks ell(k) once per |k|, as the scalar paths do."""
+    alpha, beta = phi_target_indices(pair)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _scaled_u2(pair, alpha, beta, ell, one) / 2.0 ** (pair.k1 + pair.k2 - 1)
+
+
+@pytest.mark.parametrize(
+    "pair", [(1, 2), (2, 5), (7, 10), (4, 9), (7, 20)], ids=lambda p: f"{p[0]}_{p[1]}"
+)
+def test_one_call_phi_values_equal_per_k_fill(pair):
+    # A grid fill, a one-tension refinement fill and a two-element slope
+    # batch; (7, 20) is finite on the whole default grid.
+    pair = WaveNumberPair(*pair)
+    grid, xi_t = _tension_grid(200)
+    for T in (grid, np.array([0.1215]), np.array([0.1215 + 1e-5, 0.1215 - 1e-5])):
+        points = _bifurcation_arrays(pair, T, xi_t if T is grid else None)
+        ctx = MultiplierContext(pair=pair, c=points[0], kappa=points[1], T=T)
+        want = _per_k_phi(pair, ctx.ell, np.ones(T.shape))
+        assert _phi_values(pair, T, points).tobytes() == want.tobytes()
+
+
+def _closed_form_ratio(k1, k2, endpoint, n):
+    """limit_ratio's closed forms for one n, in Python floats and exact integers."""
+    ref = k2 + 1
+    if endpoint == LIMIT_LOW_T:
+        if n == 0:
+            return 0.0
+        root = math.sqrt(k1 + k2)
+        return (root - math.sqrt(k1 * k2 / ref + ref)) / (root - math.sqrt(k1 * k2 / n + n))
+
+    def g(m):
+        return m * m * (k1 * k1 + k2 * k2) - k1 * k1 * k2 * k2 - m**4
+
+    return g(ref) / g(n)
+
+
+def test_array_limit_ratio_equals_scalar():
+    with warnings.catch_warnings():
+        # The T -> 0 closed form divides by n, and n = 0 is in every array.
+        warnings.simplefilter("error", RuntimeWarning)
+        for pair in _COPRIME_30:
+            n = [0, *_phi_path(pair)]
+            for endpoint in (LIMIT_LOW_T, LIMIT_HIGH_T):
+                want = [_closed_form_ratio(pair.k1, pair.k2, endpoint, m).hex() for m in n]
+                got = limit_ratio(pair, endpoint, np.array(n))
+                assert [float(v).hex() for v in got] == want
+                assert [limit_ratio(pair, endpoint, m).hex() for m in n] == want
+    with pytest.raises(DomainError) as err:
+        limit_ratio((2, 5), LIMIT_HIGH_T, np.array([0, 3, -5, 2]))
+    assert err.value.context["n"] == 5
+
+
+def test_phi_limits_equal_per_k_fill():
+    for pair in [pair for pair in _COPRIME_30 if pair.k2 <= 20]:
+
+        def rho(k):
+            k1, k2 = pair.k1, pair.k2
+            return np.array([_closed_form_ratio(k1, k2, e, k) for e in (LIMIT_LOW_T, LIMIT_HIGH_T)])
+
+        want = _per_k_phi(pair, rho, np.ones(2))
+        assert [v.hex() for v in phi_limits(pair)] == [float(v).hex() for v in want]

@@ -245,10 +245,11 @@ def test_phi_curve_propagates_near_resonance(monkeypatch):
     grid_T = phi_curve(PAIR_2_5, 16)[5].T
 
     def resonant(ctx, k):
-        # The curve's context holds the whole grid: move the wave speed at
-        # the one tension grid_T onto the symbol value of mode 6.
+        # The curve's context holds the whole grid, and k every |k| of the
+        # phi path as a column: move the wave speed at the one tension
+        # grid_T onto the symbol value of mode 6.
         at = np.asarray(ctx.T) == grid_T
-        if k == 6 and at.any():
+        if np.any(np.asarray(k) == 6) and at.any():
             assert np.count_nonzero(at) == 1
             ctx = replace(ctx, c=np.where(at, eval_symbol(ctx.T, ctx.kappa * 6), ctx.c))
         return original(ctx, k)

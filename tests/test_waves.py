@@ -558,7 +558,10 @@ def test_solve_wave_asymmetric_small_amplitude():
     assert abs(report.residual_lindep) <= 1e-12
     assert asymmetry_test(PAIR_2_5, profile.params)
     assert abs(report.T - T0) <= 5e-3
+    # The report reuses the last iterate's J terms; recomputed, they agree.
     assert residual_j_inf(profile) == report.residual_J_inf
+    assert variational_identity(profile)[0] == report.residual_orthogonality
+    assert linear_dependence_residual(profile) == report.residual_lindep
     # The kernel modes still carry exactly the prescribed (r, theta).
     assert profile.mode(2) == pytest.approx(
         0.5 * h * np.exp(1j * 2 * math.pi / 20.0), rel=1e-12
