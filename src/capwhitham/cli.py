@@ -198,8 +198,6 @@ def _cmd_phi(args, cfg) -> tuple[list[Path], int]:
 
 
 def _cmd_pairs(args, cfg) -> tuple[list[Path], int]:
-    if args.kmax < 3:
-        raise DomainError("pairs needs --kmax >= 3", kmax=args.kmax)
     verdicts = pair_scan(
         args.kmax, refine=args.refine, grid_size=cfg.grid, jobs=cfg.jobs
     )

@@ -116,7 +116,7 @@ def wave_profile_csv(profile: WaveProfile) -> str:
     """The profile on 1024 grid points, or 2K+2 where K needs more."""
     n = max(1024, 2 * profile.K + 2)
     xs = 2.0 * np.pi * np.arange(n) / n
-    return csv_text(("x", "u"), zip(xs, profile.sample(n)))
+    return csv_text(("x", "u"), zip(xs.tolist(), profile.sample(n).tolist()))
 
 
 def wave_report_dict(
@@ -148,7 +148,7 @@ def wave_report_dict(
                 "c": report.c,
                 "kappa": report.kappa,
                 "T": report.T,
-                "period": None if report.kappa is None else math.pi / report.kappa,
+                "period": math.pi / report.kappa,
                 "residuals": {
                     "J_inf": report.residual_J_inf,
                     "orthogonality": report.residual_orthogonality,

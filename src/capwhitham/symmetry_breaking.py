@@ -254,11 +254,12 @@ def phi_root(
 ) -> list[PhiRoot]:
     """Locate all sign-change roots of phi on the sampling interval.
 
-    Samples phi at ``grid_size`` endpoint-clustered points, refines every
-    sign change in one Brent solve over all brackets to |dT| <= ``xtol``,
-    and reports a central-difference slope estimate per root.  A sample
-    that is exactly zero is a root with a degenerate bracket.  An empty
-    list is a valid result.
+    Samples phi at ``grid_size`` endpoint-clustered points, whose
+    bifurcation points come from one array solve (a refined pair scan
+    solves those of all its pairs at once), refines every sign change in
+    one Brent solve over all brackets to |dT| <= ``xtol``, and reports a
+    central-difference slope estimate per root.  A sample that is exactly
+    zero is a root with a degenerate bracket.  An empty list is valid.
     """
     if not isinstance(pair, WaveNumberPair):
         pair = WaveNumberPair(*pair)
@@ -267,15 +268,13 @@ def phi_root(
     if not xtol > 0.0:
         raise DomainError("root tolerance must be positive", xtol=xtol)
     _warn_k1_one(pair)
-    return _phi_roots(pair, grid_size, xtol)
+    return _phi_roots(pair, grid_size, xtol, _bifurcation_arrays(pair, *_tension_grid(grid_size)))
 
 
-def _phi_roots(pair: WaveNumberPair, grid_size: int, xtol: float, points=None) -> list[PhiRoot]:
-    """The body of :func:`phi_root`; ``points`` may pass the arrays of the
-    grid bifurcation points, which are otherwise solved here."""
-    T, xi_t = _tension_grid(grid_size)
-    if points is None:
-        points = _bifurcation_arrays(pair, T, xi_t)
+def _phi_roots(pair: WaveNumberPair, grid_size: int, xtol: float, points) -> list[PhiRoot]:
+    """The body of :func:`phi_root`, given the arrays of the grid
+    bifurcation points."""
+    T = _tension_grid(grid_size)[0]
     values = _phi_values(pair, T, points)
 
     def phi(T):
@@ -339,68 +338,59 @@ def _unless_error(value):
     return value
 
 
-def _classify_pair(item: tuple) -> PairVerdict:
-    """Worker body: classify one surviving pair (never raises).
+def _classify_pair(pair: WaveNumberPair, limits, points, grid_size: int) -> PairVerdict:
+    """Classify one surviving pair (never raises).
 
-    ``item`` is (k1, k2, refine, grid_size), optionally followed by the
-    pair's limits and the arrays of its grid bifurcation points from
-    :func:`pair_scan`, either of which may be the error computing it
-    raised.  A 4-tuple, or points of None, computes its own.
+    ``limits`` and ``points`` (the arrays of the grid bifurcation points)
+    may be the error computing them raised; points of None skip the root
+    scan.
     """
-    k1, k2, refine, grid_size, *known = item
-    limits, points = known or (None, None)
-    reduced = WaveNumberPair(k1, k2)
-    low = high = None
+    verdict = PairVerdict(k1=pair.k1, k2=pair.k2, reduced=pair, status=STATUS_UNDECIDED)
     try:
-        low, high = _unless_error(limits) or phi_limits(reduced)
+        low, high = _unless_error(limits)
+        verdict = replace(verdict, limit_low=low, limit_high=high)
         if low * high < 0.0:
-            return PairVerdict(
-                k1=k1, k2=k2, reduced=reduced, status=STATUS_ADMITS,
-                limit_low=low, limit_high=high,
-            )
-        roots: tuple[PhiRoot, ...] = ()
-        status = STATUS_UNDECIDED
-        if refine:
-            roots = tuple(_phi_roots(reduced, grid_size, _ROOT_XTOL, _unless_error(points)))
-            if roots:
-                status = STATUS_ADMITS
-        return PairVerdict(
-            k1=k1, k2=k2, reduced=reduced, status=status,
-            limit_low=low, limit_high=high, roots=roots,
-        )
+            return replace(verdict, status=STATUS_ADMITS)
+        if points is None:
+            return verdict
+        roots = tuple(_phi_roots(pair, grid_size, _ROOT_XTOL, _unless_error(points)))
+        return replace(verdict, status=STATUS_ADMITS if roots else STATUS_UNDECIDED, roots=roots)
     except _PAIR_ERRORS as exc:
-        return PairVerdict(
-            k1=k1, k2=k2, reduced=reduced, status=STATUS_UNDECIDED,
-            limit_low=low, limit_high=high, error=f"{type(exc).__name__}: {exc}",
-        )
+        return replace(verdict, error=f"{type(exc).__name__}: {exc}")
 
 
-def _scan_inputs(pairs: list[WaveNumberPair], grid_size: int) -> list[tuple]:
-    """(limits, points) of every pair of a refined scan, for :func:`_classify_pair`.
+def _classify_pairs(chunk: tuple) -> list[PairVerdict]:
+    """Worker body: classify a chunk of surviving coprime pairs end to end.
 
-    The grid bifurcation points of all pairs whose limits do not admit
-    come from one solve, so the serial and pool paths get the same
-    inputs.  A grid that fails a check holds its error; if the Brent
-    solve itself fails, their points stay None and each pair solves its
-    own, as do pairs whose limits admit or failed.
+    ``chunk`` is (pairs, refine, grid_size).  Every pair's limits come
+    first; when refining, the grid bifurcation points of all pairs whose
+    limits do not admit come from one solve, each bitwise equal to the
+    pair's own.  A grid that fails a check holds its error; if the Brent
+    solve itself fails, each pair solves its own.
     """
+    pairs, refine, grid_size = chunk
+    pairs = [WaveNumberPair(*pair) for pair in pairs]
     limits = [_attempt(phi_limits, pair) for pair in pairs]
+    points = [None] * len(pairs)
     scan = [
         i for i, lim in enumerate(limits)
-        if not isinstance(lim, Exception) and not lim[0] * lim[1] < 0.0
+        if refine and not isinstance(lim, Exception) and not lim[0] * lim[1] < 0.0
     ]
-    points = [None] * len(pairs)
     if scan:
         T, xi_t = _tension_grid(grid_size)
         try:
             c0, kappa0, residual, errors = _solve_bifurcations(
                 [pairs[i].astuple() for i in scan], T, xi_t
             )
+            for row, (i, error) in enumerate(zip(scan, errors)):
+                points[i] = error or (c0[row], kappa0[row], residual[row])
         except _PAIR_ERRORS:
-            errors = []
-        for row, (i, error) in enumerate(zip(scan, errors)):
-            points[i] = error or (c0[row], kappa0[row], residual[row])
-    return list(zip(limits, points))
+            for i in scan:
+                points[i] = _attempt(_bifurcation_arrays, pairs[i], T, xi_t)
+    return [
+        _classify_pair(pair, lim, pts, grid_size)
+        for pair, lim, pts in zip(pairs, limits, points)
+    ]
 
 
 def pair_scan(
@@ -415,9 +405,11 @@ def pair_scan(
     criteria; survivors get their normalized limits, admitting on a sign
     difference.  With ``refine`` set, undecided pairs are additionally
     scanned for roots, and a verified sign change upgrades them to
-    admitting.  Work distributes over ``jobs`` processes; the result
-    order (sorted by (k1, k2)) and content are independent of
-    scheduling.
+    admitting.  One worker body classifies a chunk of reduced pairs end
+    to end; the serial scan is one chunk of every pair, and ``jobs``
+    processes each take a round-robin chunk, receiving only pairs and
+    returning only verdicts.  The result order (sorted by (k1, k2)) and
+    content are independent of ``jobs``.
     """
     if k_max < 3:
         raise DomainError("scan needs k_max >= 3", k_max=k_max)
@@ -439,18 +431,15 @@ def pair_scan(
     # Exclusion is scale invariant, so every surviving raw pair reduces to
     # a surviving coprime pair; each of those is classified once.
     reduced = sorted({WaveNumberPair(k1, k2).astuple() for k1, k2 in work})
-    items = [(k1, k2, refine, grid_size) for k1, k2 in reduced]
-    if refine:
-        known = _scan_inputs([WaveNumberPair(*pair) for pair in reduced], grid_size)
-        items = [item + inputs for item, inputs in zip(items, known)]
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            classified = list(pool.map(_classify_pair, items))
+    if jobs > 1 and len(reduced) > 1:
+        n = min(jobs, len(reduced))
+        chunks = [(reduced[i::n], refine, grid_size) for i in range(n)]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            classified = [v for chunk in pool.map(_classify_pairs, chunks) for v in chunk]
     else:
-        classified = [_classify_pair(item) for item in items]
-    shared = dict(zip(reduced, classified))
+        classified = _classify_pairs((reduced, refine, grid_size))
+    shared = {v.reduced: v for v in classified}
     for k1, k2 in work:
-        verdict = shared[WaveNumberPair(k1, k2).astuple()]
-        verdicts.append(replace(verdict, k1=k1, k2=k2))
+        verdicts.append(replace(shared[WaveNumberPair(k1, k2)], k1=k1, k2=k2))
     verdicts.sort(key=lambda v: (v.k1, v.k2))
     return verdicts

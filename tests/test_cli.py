@@ -432,8 +432,14 @@ def test_pairs_refine_rejects_small_grid(tmp_path, capsys):
 
 
 def test_pairs_rejects_small_kmax(tmp_path, capsys):
-    code, _, err = _run(capsys, "pairs", "--kmax", "2", "--out", str(tmp_path))
+    code, out, err = _run(capsys, "pairs", "--kmax", "2", "--out", str(tmp_path))
     assert code == 2
+    assert out == ""
+    envelope = _stderr_envelope(err)
+    assert envelope == {
+        "code": 2, "message": "scan needs k_max >= 3", "context": {"k_max": 2}
+    }
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_wave_solve_writes_profile_and_report(tmp_path, capsys):

@@ -186,10 +186,6 @@ def test_pair_scan_sorted_output():
     assert len(keys) == 21
 
 
-def test_pair_scan_jobs_equivalence():
-    assert pair_scan(6, jobs=2) == pair_scan(6, jobs=1)
-
-
 def test_pair_scan_records_reduction():
     verdicts = {(v.k1, v.k2): v for v in pair_scan(10)}
     v = verdicts[(4, 10)]
@@ -273,7 +269,7 @@ def test_nonfinite_phi_raises_and_is_recorded():
         phi_curve(pair, 2)
     assert batched.value.context["pair"] == (23, 30)
     assert batched.value.context["T"] == pytest.approx(T, abs=1e-15)
-    verdict = symmetry_breaking._classify_pair((23, 30, True, 16))
+    [verdict] = symmetry_breaking._classify_pairs(([(23, 30)], True, 16))
     assert verdict.status == STATUS_UNDECIDED
     assert verdict.error.startswith("DomainError: phi is not finite")
     # The endpoint limits were computed before the root scan failed.
@@ -286,9 +282,9 @@ def test_pair_scan_classifies_each_reduced_pair_once(monkeypatch):
     original = symmetry_breaking._classify_pair
     seen = []
 
-    def counting(item):
-        seen.append(item[:2])
-        return original(item)
+    def counting(pair, limits, points, grid_size):
+        seen.append(pair.astuple())
+        return original(pair, limits, points, grid_size)
 
     monkeypatch.setattr(symmetry_breaking, "_classify_pair", counting)
     verdicts = {(v.k1, v.k2): v for v in pair_scan(10, refine=True, grid_size=64)}
@@ -306,7 +302,8 @@ def _scanned_alone(verdicts):
         if (v.k1, v.k2) == v.reduced.astuple() and v.status not in (
             STATUS_EXCLUDED_DIVISOR, STATUS_EXCLUDED_DIFFERENCE
         ):
-            yield v, symmetry_breaking._classify_pair((v.k1, v.k2, True, 64))
+            [alone] = symmetry_breaking._classify_pairs(([(v.k1, v.k2)], True, 64))
+            yield v, alone
 
 
 def test_pair_scan_maps_failed_grids_to_their_pairs(monkeypatch):
@@ -355,8 +352,27 @@ def test_pair_scan_solves_each_pair_alone_when_the_batch_brent_fails(monkeypatch
             assert v == base[(v.k1, v.k2)]
 
 
-def test_pair_scan_jobs_equivalence_with_reduced_pairs():
-    assert pair_scan(10, jobs=2) == pair_scan(10, jobs=1)
+@pytest.mark.parametrize(
+    "k_max, refine, jobs",
+    [
+        (12, False, 2),
+        (12, False, 3),
+        (12, True, 2),
+        (12, True, 3),
+        # More workers than reduced pairs.
+        (5, True, 8),
+        # No pair survives the exclusion criteria.
+        (3, True, 2),
+    ],
+)
+def test_pair_scan_pool_equals_serial(k_max, refine, jobs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        serial = pair_scan(k_max, refine=refine, grid_size=64, jobs=1)
+    assert pair_scan(k_max, refine=refine, grid_size=64, jobs=jobs) == serial
+    if k_max == 3:
+        excluded = {STATUS_EXCLUDED_DIVISOR, STATUS_EXCLUDED_DIFFERENCE}
+        assert len(serial) == 3 and {v.status for v in serial} <= excluded
 
 
 # float.hex values printed at commit 88042b7, by the memoized recursion
