@@ -49,10 +49,10 @@ def _add_pair_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k2", type=int, required=True, help="upper wavenumber")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, formats=("csv", "json")) -> None:
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument(
-        "--format", default=None, choices=list(formats), help="tabular output format"
+        "--format", default=None, choices=["csv", "json"], help="tabular output format"
     )
 
 

@@ -416,8 +416,7 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
     SizeGuardError
         If N > 10**8.
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     n_expected, m_expected = expansion_size(pair)
     if n_expected > SIZE_GUARD:
         raise SizeGuardError(
@@ -486,8 +485,7 @@ def limit_ratio(pair: WaveNumberPair, endpoint: str, n):
         If n is a kernel wavenumber (the ratio denominator vanishes
         identically) or the endpoint label is unknown.
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     k1, k2 = pair.k1, pair.k2
     n = np.abs(np.asarray(n, dtype=np.int64))
     kernel = (n == k1) | (n == k2)

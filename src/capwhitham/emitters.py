@@ -164,9 +164,26 @@ def wave_report_dict(
     return body
 
 
+def _json_safe(value):
+    """``value`` with each non-finite float, however nested, written as its repr."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def error_envelope(code: int, message: str, context: dict | None = None) -> str:
-    """One-line machine-readable error record for stderr."""
+    """One-line machine-readable error record for stderr.
+
+    It is strict JSON (RFC 8259): a non-finite float in the context is
+    written as the string "nan", "inf" or "-inf", and any other value
+    that JSON cannot hold as its ``repr``.
+    """
     return json.dumps(
-        {"code": code, "message": message, "context": context or {}},
+        {"code": code, "message": message, "context": _json_safe(context or {})},
         default=repr,
+        allow_nan=False,
     )

@@ -344,6 +344,11 @@ class WaveNumberPair:
             object.__setattr__(self, "k1", k1 // g)
             object.__setattr__(self, "k2", k2 // g)
 
+    @classmethod
+    def coerce(cls, pair) -> WaveNumberPair:
+        """``pair`` unchanged if it is a WaveNumberPair, else the pair built from its (k1, k2)."""
+        return pair if isinstance(pair, cls) else cls(*pair)
+
     def astuple(self) -> tuple[int, int]:
         return (self.k1, self.k2)
 
@@ -473,8 +478,7 @@ def bifurcation_grid(pair: WaveNumberPair, tensions) -> list[BifurcationPoint]:
     tension; an invalid grid raises the error of its first failing
     tension.
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     T = np.asarray(tensions, dtype=float)
     return _points(pair, T, *_bifurcation_arrays(pair, T))
 
@@ -489,8 +493,7 @@ def double_bifurcation(pair: WaveNumberPair, T: float) -> BifurcationPoint:
     (pair, T), like turning points by T: every wave solve at a tension
     starts from its point.
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     return _bifurcation_point(pair, float(T))
 
 

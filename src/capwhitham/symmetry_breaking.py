@@ -186,8 +186,7 @@ def phi_eval(pair: WaveNumberPair, T: float) -> PhiSample:
     DomainError
         If phi overflows double precision (large pairs near T = 1/3).
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     _warn_k1_one(pair)
     T = np.array([float(T)])
     point = _bifurcation_arrays(pair, T)
@@ -219,8 +218,7 @@ def phi_curve(pair: WaveNumberPair, grid_size: int = DEFAULT_GRID_SIZE) -> list[
     them; each value is bitwise identical to :func:`phi_eval` at that
     tension.
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     if grid_size < 2:
         raise DomainError("curve needs at least two points", grid_size=grid_size)
     _warn_k1_one(pair)
@@ -240,8 +238,7 @@ def phi_limits(pair: WaveNumberPair) -> tuple[float, float]:
     values, so the limits equal the coefficient table filled with ell
     replaced by its normalized endpoint ratios, both endpoints at once.
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     ks = np.array(_phi_path(pair), dtype=int)
     rho = np.stack([limit_ratio(pair, end, ks) for end in (LIMIT_LOW_T, LIMIT_HIGH_T)], 1)
     return tuple(_phi(pair, rho).tolist())
@@ -261,8 +258,7 @@ def phi_root(
     central-difference slope estimate per root.  A sample that is exactly
     zero is a root with a degenerate bracket.  An empty list is valid.
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     if grid_size < 16:
         raise DomainError("root scan needs at least 16 points", grid_size=grid_size)
     if not xtol > 0.0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -90,7 +91,8 @@ class WaveProfile:
     ``modes[k]`` for k = 0..K is the coefficient of exp(i*k*x); the
     coefficient of exp(-i*k*x) is its conjugate, so ``mode(-k)`` returns
     that.  ``c``, ``kappa`` and ``T`` are None for bare kernel profiles
-    that have not been through a solve.
+    that have not been through a solve.  ``j_terms`` is computed on first
+    use and kept; ``dataclasses.replace(profile)`` gives a copy without it.
     """
 
     modes: np.ndarray
@@ -115,6 +117,14 @@ class WaveProfile:
             raise TruncationError("sample grid too coarse for K", n=n, K=self.K)
         return _to_grid(self.modes, n)
 
+    @cached_property
+    def j_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The terms of J(u): modes 0..2K of u^2, and m_T(kappa*k) for k = 0..K."""
+        if self.c is None or self.kappa is None or self.T is None:
+            raise DomainError("profile carries no (c, kappa, T) metadata")
+        m = eval_symbol(self.T, self.kappa * np.arange(self.K + 1))
+        return _square_modes(self.modes, self.K), m
+
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -136,6 +146,9 @@ _TOL_ORTHOGONALITY = 1e-12
 _TOL_LINDEP = 1e-12
 # Smallest |sin(k1 k2 (theta1 - theta2))| the asymmetric solve divides by.
 _SINE_GUARD = 1e-10
+# Smallest distance of theta1 - theta2 from the symmetric lattice
+# pi/(k1*k2) Z that asymmetry_test counts as asymmetric.
+_ASYMMETRY_TOL = 1e-12
 # The parameter Newton stops after a step no larger than this times |x|:
 # its error is then of the order of that step's square, the rounding of x.
 _STEP_FLOOR = math.sqrt(np.finfo(float).eps)
@@ -200,11 +213,6 @@ def _square_modes(modes: np.ndarray, K: int) -> np.ndarray:
     return _from_grid(g * g, 2 * K)
 
 
-def _symbol_values(T: float, kappa: float, kmax: int) -> np.ndarray:
-    """Vector of m_T(kappa*k) for k = 0..kmax."""
-    return eval_symbol(T, kappa * np.arange(kmax + 1))
-
-
 def _ell_values(ctx: MultiplierContext, K: int) -> np.ndarray:
     """Vector of ell(k) for k = 0..K (kernel modes are exactly zero)."""
     return multiplier(ctx, np.arange(K + 1))
@@ -216,8 +224,7 @@ def synthesize_v(pair: WaveNumberPair, params: ModalParameters, K: int = 64) -> 
     Requires K >= 2*k2 so that the square of v is resolvable on the
     truncation.
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     if K < 2 * pair.k2:
         raise TruncationError("truncation must satisfy K >= 2*k2", K=K, k2=pair.k2)
     params = params.reduced(pair)
@@ -227,22 +234,21 @@ def synthesize_v(pair: WaveNumberPair, params: ModalParameters, K: int = 64) -> 
     return WaveProfile(modes=modes, K=K, pair=pair, params=params)
 
 
-def asymmetry_test(pair: WaveNumberPair, params: ModalParameters, tol: float = 1e-12) -> bool:
+def asymmetry_test(pair: WaveNumberPair, params: ModalParameters) -> bool:
     """True iff the kernel profile has no axis of even symmetry.
 
     The profile is asymmetric exactly when both amplitudes are nonzero
     and theta1 - theta2 is not a multiple of pi/(k1*k2); the modular
-    comparison is made to the given tolerance.
+    comparison is made to an absolute tolerance of 1e-12.
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     if params.r1 == 0.0 or params.r2 == 0.0:
         return False
     period = math.pi / (pair.k1 * pair.k2)
     d = math.fmod(params.theta1 - params.theta2, period)
     if d < 0.0:
         d += period
-    return min(d, period - d) > tol
+    return min(d, period - d) > _ASYMMETRY_TOL
 
 
 def solve_w(
@@ -482,45 +488,29 @@ def assemble_profile(v: WaveProfile, w: WaveProfile, c: float, kappa: float, T: 
     )
 
 
-def _j_terms(profile: WaveProfile) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of J(u): modes 0..2K of u^2, and m_T(kappa*k) for k = 0..K."""
-    if profile.c is None or profile.kappa is None or profile.T is None:
-        raise DomainError("profile carries no (c, kappa, T) metadata")
-    K = profile.K
-    return _square_modes(profile.modes, K), _symbol_values(profile.T, profile.kappa, K)
-
-
-def _j_modes(profile: WaveProfile, terms=None) -> np.ndarray:
-    """Alias-free modes 0..2K of J(u) = (M_{T,kappa} - c)u + u^2.
-
-    ``terms`` may pass :func:`_j_terms` of the profile.
-    """
-    square, m = terms or _j_terms(profile)
+def _j_modes(profile: WaveProfile) -> np.ndarray:
+    """Alias-free modes 0..2K of J(u) = (M_{T,kappa} - c)u + u^2."""
+    square, m = profile.j_terms
     j = square.astype(complex)
     j[: profile.K + 1] += (m - profile.c) * profile.modes
     return j
 
 
-def residual_j_inf(profile: WaveProfile, terms=None) -> float:
-    """Sup over resolved modes 0..K of |J(u)_k|; ``terms`` as in :func:`_j_modes`."""
-    j = _j_modes(profile, terms)
+def residual_j_inf(profile: WaveProfile) -> float:
+    """Sup over resolved modes 0..K of |J(u)_k|."""
+    j = _j_modes(profile)
     return float(np.max(np.abs(j[: profile.K + 1])))
 
 
-def inner_products(profile: WaveProfile, terms=None) -> tuple[float, float, float, float]:
+def inner_products(profile: WaveProfile) -> tuple[float, float, float, float]:
     """Kernel projections of I = J(u) in the (1/2pi) integral convention.
 
     Returns (<I, v1_cos>, <I, v2_cos>, <I, v1_sin>, <I, v2_sin>) where
-    v1_cos = cos(k1*(x+theta1)) and so on with the profile's phases;
-    ``terms`` as in :func:`_j_modes`.
+    v1_cos = cos(k1*(x+theta1)) and so on with the profile's phases.
     """
     if profile.params is None:
         raise DomainError("profile carries no modal parameters")
-    return _inner_products(profile, _j_modes(profile, terms))
-
-
-def _inner_products(profile: WaveProfile, j: np.ndarray) -> tuple[float, float, float, float]:
-    """:func:`inner_products` from the modes j of J(u)."""
+    j = _j_modes(profile)
     # Modes above 2K of J are zero: the zero wave allows 2K < k2.
     j1, j2 = (j[k] if k < len(j) else 0.0 for k in (profile.pair.k1, profile.pair.k2))
     return tuple(float(p) for p in _project(j1, j2, profile))
@@ -534,16 +524,15 @@ def _project(j1, j2, profile: WaveProfile) -> tuple:
     return (z1.real, z2.real, -z1.imag, -z2.imag)
 
 
-def variational_identity(profile: WaveProfile, terms=None) -> tuple[float, float]:
+def variational_identity(profile: WaveProfile) -> tuple[float, float]:
     """Exact orthogonality <J(u), u'> and its natural scale.
 
     Returns (inner, scale) with inner = <J(u), u'> computed alias-free
     and scale = ||J(u)||_2 * ||u'||_2 in the same convention; the inner
     product vanishes for every real trigonometric polynomial because the
-    multiplier is real and even and the cubic term integrates away;
-    ``terms`` as in :func:`_j_modes`.
+    multiplier is real and even and the cubic term integrates away.
     """
-    j = _j_modes(profile, terms)
+    j = _j_modes(profile)
     K = profile.K
     k = np.arange(K + 1)
     uprime = 1j * k * profile.modes
@@ -553,21 +542,20 @@ def variational_identity(profile: WaveProfile, terms=None) -> tuple[float, float
     return inner, jnorm * unorm
 
 
-def linear_dependence_residual(profile: WaveProfile, terms=None) -> float:
+def linear_dependence_residual(profile: WaveProfile) -> float:
     """The combination k1*r1*<I, v1_sin> + k2*r2*<I, v2_sin>.
 
     Equal to -<J(u), v'>, so it vanishes (to ten times the w tolerance)
-    whenever the remainder equation is solved, for any (c, kappa, T);
-    ``terms`` as in :func:`_j_modes`.
+    whenever the remainder equation is solved, for any (c, kappa, T).
     """
-    _, _, s1, s2 = inner_products(profile, terms)
+    _, _, s1, s2 = inner_products(profile)
     params = profile.params
     pair = profile.pair
     return pair.k1 * params.r1 * s1 + pair.k2 * params.r2 * s2
 
 
 def _parameter_jacobian(
-    profile: WaveProfile, equations: tuple[tuple[int, float], ...], ell=None, terms=None
+    profile: WaveProfile, equations: tuple[tuple[int, float], ...], ell: np.ndarray
 ) -> np.ndarray:
     """Exact derivative of the scaled kernel equations along (c, kappa, T).
 
@@ -579,22 +567,19 @@ def _parameter_jacobian(
     function theorem gives dw/dp = F_w^-1 (ell^2 dm_p u^2), one linear
     solve for all columns.  At a kernel mode k, where w is zero,
     dJ_k/dp = dm_p(k) v_k + 2 (u dw/dp)_k, projected and scaled like
-    the equations themselves.  ``ell`` and ``terms`` may pass ell(k) for
-    k = 0..K and :func:`_j_terms` of the profile, which the iterate's
-    remainder solve and residual already computed.
+    the equations themselves.  ``ell`` holds ell(k) for k = 0..K, the
+    ``WSolveResult.ell`` of the profile's remainder solve.
     """
     K, pair, u = profile.K, profile.pair, profile.modes
-    c, kappa, T = profile.c, profile.kappa, profile.T
+    kappa, T = profile.kappa, profile.T
     k = np.arange(K + 1)
     xi = kappa * k
     dm = np.zeros((3, K + 1))
     dm[0] = -1.0
     dm[1, 1:] = k[1:] * eval_symbol_deriv(T, xi[1:])
-    square, m = terms or _j_terms(profile)
+    square, m = profile.j_terms
     dm[2] = xi * xi * tanhc(xi) / (2.0 * m)
     dm = dm[: len(equations)]
-    if ell is None:
-        ell = _ell_values(MultiplierContext(pair=pair, c=c, kappa=kappa, T=T), K)
     free = _free_modes(pair, K)
     rhs = ell * ell * dm * square[: K + 1]
     dx = np.linalg.solve(_w_jacobian(u, ell, free), _pack(rhs, free).T)
@@ -640,21 +625,20 @@ def _solve_kernel(
     start = (point.c0, point.kappa0, float(T))
     free = len(equations)
 
-    def evaluate(x: np.ndarray) -> tuple[WaveProfile, WSolveResult, np.ndarray, tuple | None]:
-        """The iterate at x: its profile, remainder solve, g and J terms."""
+    def evaluate(x: np.ndarray) -> tuple[WaveProfile, WSolveResult, np.ndarray]:
+        """The iterate at x: its profile, remainder solve and g."""
         c, kappa, t = (*x, *start[free:])
         if v is None:
             modes = np.zeros(settings.K + 1, dtype=complex)
             zero = WaveProfile(modes, settings.K, pair, ModalParameters(0.0, 0.0), c, kappa, t)
-            return zero, WSolveResult(w=zero, iterations=0, method="none"), np.zeros(0), None
+            return zero, WSolveResult(w=zero, iterations=0, method="none"), np.zeros(0)
         result = solve_w(v, c, kappa, t, settings)
         profile = assemble_profile(v, result.w, c, kappa, t)
-        terms = _j_terms(profile)
-        projections = _inner_products(profile, _j_modes(profile, terms))
-        return profile, result, np.array([projections[i] / d for i, d in equations]), terms
+        projections = inner_products(profile)
+        return profile, result, np.array([projections[i] / d for i, d in equations])
 
     x = np.array(start[:free])
-    profile, wres, g, terms = evaluate(x)
+    profile, wres, g = evaluate(x)
     g_inf = float(np.max(np.abs(g), initial=0.0))
     steps = 0
     while g_inf > settings.tol_newton:
@@ -666,7 +650,7 @@ def _solve_kernel(
             )
         steps += 1
         try:
-            jac = _parameter_jacobian(profile, equations, wres.ell, terms)
+            jac = _parameter_jacobian(profile, equations, wres.ell)
             delta = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular parameter Jacobian", step=steps) from exc
@@ -686,14 +670,13 @@ def _solve_kernel(
             )
         step = scale * delta
         x = x + step
-        profile, wres, g, terms = trial
+        profile, wres, g = trial
         g_inf = float(np.max(np.abs(g)))
         if np.all(np.abs(step) <= _STEP_FLOOR * np.abs(x)):
             break
-    # The zero wave has no terms; the residuals then compute their own.
-    rj = residual_j_inf(profile, terms)
-    orth, _ = variational_identity(profile, terms)
-    lindep = linear_dependence_residual(profile, terms)
+    rj = residual_j_inf(profile)
+    orth, _ = variational_identity(profile)
+    lindep = linear_dependence_residual(profile)
     converged = (
         rj <= _TOL_RESIDUAL_J
         and abs(orth) <= _TOL_ORTHOGONALITY
@@ -757,8 +740,7 @@ def solve_wave(
         tolerances; its context then holds ``reason``, ``g_inf`` and
         ``residual_J_inf``.
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     settings = settings or SolverSettings()
     params = params.reduced(pair)
     if not asymmetry_test(pair, params):
@@ -791,8 +773,7 @@ def symmetric_solve(
     the wave speed alone.  Zero amplitudes give the zero wave at the
     bifurcation point, after no Newton step.
     """
-    if not isinstance(pair, WaveNumberPair):
-        pair = WaveNumberPair(*pair)
+    pair = WaveNumberPair.coerce(pair)
     settings = settings or SolverSettings()
     params = params.reduced(pair)
     if asymmetry_test(pair, params):

@@ -23,10 +23,14 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def _stderr_envelope(err):
     lines = [line for line in err.strip().splitlines() if line]
     assert len(lines) == 1
-    return json.loads(lines[0])
+    return json.loads(lines[0], parse_constant=_reject_constant)
 
 
 def test_expand_writes_golden_bytes(tmp_path, capsys):
@@ -170,6 +174,9 @@ TABLE_SHA256 = {
         _WAVE_FOLD, 3,
         {"wave_report.json": "307a2477e62aa89ddc3aa6447a9d7bc5c6cde4139192ee0ebc76b8bc65e0155b"},
     ),
+    # Holds at OpenBLAS's default thread count only: with
+    # OPENBLAS_NUM_THREADS=1 the w-Newton fallback's linear solves round
+    # differently and the profile and report bytes change.
     "wave-symmetric": (
         _WAVE_SYMMETRIC, 0,
         {
@@ -221,7 +228,7 @@ def test_exit_code_follows_error_class(tmp_path, capsys, monkeypatch, name):
     error_type = getattr(errors, name)
 
     def fail(args, cfg):
-        raise error_type("injected failure", where="handler")
+        raise error_type("injected failure", where="handler", bounds=(0.5, (math.nan, -math.inf)))
 
     monkeypatch.setattr(cli, "_cmd_expand", fail)
     code, out, err = _run(capsys, "expand", *_PAIR, "--out", str(tmp_path))
@@ -231,7 +238,7 @@ def test_exit_code_follows_error_class(tmp_path, capsys, monkeypatch, name):
     assert _stderr_envelope(err) == {
         "code": code,
         "message": "injected failure",
-        "context": {"where": "handler"},
+        "context": {"where": "handler", "bounds": [0.5, ["nan", "-inf"]]},
     }
 
 
@@ -320,6 +327,17 @@ def test_bifurcate_requires_tension(tmp_path, capsys):
     )
     assert code == 2
     assert _stderr_envelope(err)["code"] == 2
+    # A non-finite tension is refused too; JSON has no Infinity, so the
+    # envelope writes it as a string.
+    code, out, err = _run(
+        capsys, "bifurcate", "--k1", "2", "--k2", "5", "--T", "inf", "--out", str(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    assert _stderr_envelope(err) == {
+        "code": 2,
+        "message": "double bifurcation points exist only for 0 < T < 1/3",
+        "context": {"T": "inf"},
+    }
 
 
 def test_bifurcate_rejects_malformed_grid(tmp_path, capsys):

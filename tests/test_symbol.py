@@ -128,6 +128,11 @@ def test_pair_validation_and_reduction():
     assert pair.astuple() == (2, 5)
     assert WaveNumberPair(4, 10).astuple() == (2, 5)
     assert WaveNumberPair(6, 12).astuple() == (1, 2)
+    # coerce passes a pair through and builds one from a (k1, k2) tuple.
+    assert WaveNumberPair.coerce(pair) is pair
+    assert WaveNumberPair.coerce((4, 10)) == pair
+    with pytest.raises(DomainError):
+        WaveNumberPair.coerce((5, 2))
     with pytest.raises(DomainError):
         WaveNumberPair(5, 2)
     with pytest.raises(DomainError):

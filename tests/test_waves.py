@@ -1,6 +1,8 @@
 """Tests for kernel synthesis, the remainder solve, and the wave solvers."""
 
 import math
+from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -94,6 +96,9 @@ def test_synthesize_places_half_amplitudes():
     assert v.modes[5] == pytest.approx(0.1 * np.exp(1j * 5 * 0.15))
     others = [k for k in range(17) if k not in (2, 5)]
     assert np.all(v.modes[others] == 0.0)
+    # A bare kernel profile has no (c, kappa, T), so it has no J terms.
+    with pytest.raises(DomainError, match="metadata"):
+        residual_j_inf(v)
 
 
 def test_synthesize_sample_matches_cosines():
@@ -410,12 +415,13 @@ def test_parameter_jacobian_matches_central_differences(params, equations):
 
     def g(x):
         full = (*x, *x0[n:])
-        profile = assemble_profile(v, solve_w(v, *full, settings).w, *full)
+        result = solve_w(v, *full, settings)
+        profile = assemble_profile(v, result.w, *full)
         projections = inner_products(profile)
-        return np.array([projections[i] / d for i, d in equations]), profile
+        return np.array([projections[i] / d for i, d in equations]), profile, result.ell
 
-    g0, profile = g(x0[:n])
-    jac = _parameter_jacobian(profile, equations)
+    g0, profile, ell = g(x0[:n])
+    jac = _parameter_jacobian(profile, equations, ell)
     ref = np.empty((n, n))
     for j in range(n):
         step = np.zeros(n)
@@ -427,32 +433,68 @@ def test_parameter_jacobian_matches_central_differences(params, equations):
 
 
 def test_parameter_jacobian_reuses_the_iterate_terms_bitwise(monkeypatch):
-    # The Newton passes the ell of the iterate's remainder solve and the
-    # u^2 and m_T of its residual; they must give the Jacobian that
-    # recomputing them gives, at every step and at the converged wave.
+    # The Newton passes the ell of the iterate's remainder solve, and the
+    # profile keeps the u^2 and m_T of its projections.  Each evaluated
+    # iterate computes those J terms once, and they, the ell and the
+    # Jacobian equal, bit for bit, what a fresh copy of the profile
+    # (dataclasses.replace starts with an empty cache) recomputes, at
+    # every step and at the converged wave.
     from capwhitham import waves
 
     original = waves._parameter_jacobian
     calls = []
+    counts = {"terms": 0, "symbol": 0, "solved": 0}
 
-    def recording(profile, equations, ell=None, terms=None):
-        calls.append((profile, equations, ell, terms))
-        return original(profile, equations, ell, terms)
+    def recording(profile, equations, ell):
+        calls.append((profile, equations, ell))
+        return original(profile, equations, ell)
+
+    real_terms = WaveProfile.j_terms.func
+
+    def counting_terms(profile):
+        counts["terms"] += 1
+        return real_terms(profile)
+
+    counting_property = cached_property(counting_terms)
+    counting_property.__set_name__(WaveProfile, "j_terms")
+    real_solve_w = waves.solve_w
+
+    def counting_solve_w(*args, **kwargs):
+        result = real_solve_w(*args, **kwargs)
+        counts["solved"] += 1
+        return result
+
+    real_symbol = waves.eval_symbol
+
+    def counting_symbol(*args):
+        counts["symbol"] += 1
+        return real_symbol(*args)
 
     monkeypatch.setattr(waves, "_parameter_jacobian", recording)
+    monkeypatch.setattr(waves, "eval_symbol", counting_symbol)
+    monkeypatch.setattr(waves, "solve_w", counting_solve_w)
+    monkeypatch.setattr(WaveProfile, "j_terms", counting_property)
     params = ModalParameters(0.002, 0.0015, 0.35, 0.05).reduced(PAIR_2_5)
     profile, report = solve_wave(PAIR_2_5, params, T0)
     assert report.converged and report.iterations_newton == len(calls) > 1
-    assert all(ell is not None and terms is not None for _, _, ell, terms in calls)
+    # m_T is evaluated only for the J terms, so a bypass of the cache
+    # would show in the symbol count as well.
+    assert counts["terms"] == counts["symbol"] == counts["solved"] >= len(calls) + 1
     sine = math.sin(10.0 * (params.theta1 - params.theta2))
     equations = ((0, params.r1), (1, params.r2), (2, params.r1**4 * params.r2**2 * sine))
     assert calls[0][1] == equations
     v = synthesize_v(PAIR_2_5, params, profile.K)
-    ell = solve_w(v, profile.c, profile.kappa, profile.T).ell
-    calls.append((profile, equations, ell, waves._j_terms(profile)))
-    for profile, equations, ell, terms in calls:
-        reused = original(profile, equations, ell, terms)
-        recomputed = original(profile, equations)
+    calls.append((profile, equations, real_solve_w(v, profile.c, profile.kappa, profile.T).ell))
+    for profile, equations, ell in calls:
+        assert "j_terms" in vars(profile)
+        fresh = replace(profile)
+        assert "j_terms" not in vars(fresh)
+        fresh_ell = real_solve_w(v, fresh.c, fresh.kappa, fresh.T).ell
+        assert ell.tobytes() == fresh_ell.tobytes()
+        for cached, recomputed in zip(profile.j_terms, fresh.j_terms):
+            assert cached.tobytes() == recomputed.tobytes()
+        reused = original(profile, equations, ell)
+        recomputed = original(fresh, equations, fresh_ell)
         assert reused.tobytes() == recomputed.tobytes()
 
 
@@ -558,10 +600,14 @@ def test_solve_wave_asymmetric_small_amplitude():
     assert abs(report.residual_lindep) <= 1e-12
     assert asymmetry_test(PAIR_2_5, profile.params)
     assert abs(report.T - T0) <= 5e-3
-    # The report reuses the last iterate's J terms; recomputed, they agree.
-    assert residual_j_inf(profile) == report.residual_J_inf
-    assert variational_identity(profile)[0] == report.residual_orthogonality
-    assert linear_dependence_residual(profile) == report.residual_lindep
+    # The report reads the last iterate's cached J terms; a fresh copy of
+    # the profile, whose cache is empty, recomputes the same bits.
+    assert "j_terms" in vars(profile)
+    fresh = replace(profile)
+    assert "j_terms" not in vars(fresh)
+    assert residual_j_inf(fresh).hex() == report.residual_J_inf.hex()
+    assert variational_identity(fresh)[0].hex() == report.residual_orthogonality.hex()
+    assert linear_dependence_residual(fresh).hex() == report.residual_lindep.hex()
     # The kernel modes still carry exactly the prescribed (r, theta).
     assert profile.mode(2) == pytest.approx(
         0.5 * h * np.exp(1j * 2 * math.pi / 20.0), rel=1e-12
