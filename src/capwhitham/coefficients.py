@@ -225,46 +225,62 @@ def _sequential_sum(left, right):
     return np.add.accumulate(products, axis=0)[-1] + 0.0
 
 
-def _scaled_u2(
-    pair: WaveNumberPair,
-    alpha: MultiIndex,
-    beta: MultiIndex,
-    ell,
-    one=1.0,
-    cell_sum=_sequential_sum,
-):
-    """Scaled square coefficient 2**order * (u^2)_hat_{alpha,beta}.
+def _scaled_u2(corner: tuple[int, int, int, int], ell, one=1.0, cell_sum=_sequential_sum):
+    """Fill the table of scaled square coefficients below ``corner``.
 
-    Holds s in one array S over the box (a0+1, a1+1, b0+1, b1+1), with
-    the trailing shape and dtype of ``one`` (object for monomials), and
-    fills it in lexicographic order, in which every strict sub-cell comes
-    first.  Order-one cells hold ``one``.  Cell c hands the slices
-    S[:c0+1, ..., :c3+1] and S[c0::-1, ..., c3::-1] to ``cell_sum``:
-    their C-order entries, less the first and last (order-zero halves),
-    pair s(left) with s(c - left) in lexicographic order of the left
-    half.  It stores ell(k) times the sum; the corner returns the sum.
-    ``ell`` must be even: it is asked once per |k|, at |k|.
+    Holds s in one array S over the box (c0+1, c1+1, c2+1, c3+1) of the
+    corner, with the trailing shape and dtype of ``one`` (object for
+    monomials), and fills it in lexicographic order, in which every
+    strict sub-cell comes first.  Order-one cells hold ``one``.  Cell c
+    hands the slices S[:c0+1, ..., :c3+1] and S[c0::-1, ..., c3::-1] to
+    ``cell_sum``: their C-order entries, less the first and last
+    (order-zero halves), pair s(left) with s(c - left) in lexicographic
+    order of the left half.  It stores ``ell(c)`` times the sum and
+    returns S; ``ell`` gives 1 at a corner, so S holds the sum there.
+
+    The trailing axis may hold a stack: the value columns of several
+    tables side by side, ordered so that the tables whose box holds a
+    cell are a prefix.  ``ell(c)`` then has the length of that prefix,
+    and the cell's sum and product run over those columns only.
     """
-    k1, k2 = pair.k1, pair.k2
-    corner = (*alpha, *beta)
     box = tuple(n + 1 for n in corner)
     S = np.zeros(box + np.shape(one), dtype=np.asarray(one).dtype)
     for axis in np.flatnonzero(corner):
         S[tuple(np.eye(4, dtype=int)[axis])] = one
-    ells = {}
+    stacked = S.ndim > 4
     for cell in np.ndindex(box):
         c0, c1, c2, c3 = cell
         if c0 + c1 + c2 + c3 < 2:
             continue
+        m = ell(cell)
+        cols = slice(len(m)) if stacked else Ellipsis
         total = cell_sum(
-            S[: c0 + 1, : c1 + 1, : c2 + 1, : c3 + 1], S[c0::-1, c1::-1, c2::-1, c3::-1]
+            S[: c0 + 1, : c1 + 1, : c2 + 1, : c3 + 1, cols],
+            S[c0::-1, c1::-1, c2::-1, c3::-1, cols],
         )
+        S[c0, c1, c2, c3, cols] = m * total
+    return S
+
+
+def _table_ell(pair: WaveNumberPair, corner, ell, one=1.0):
+    """The cell multiplier of one pair's table below ``corner``.
+
+    A cell of wavenumber k takes ell(|k|), asked once per |k| (``ell``
+    must be even), and the corner takes ``one``.
+    """
+    k1, k2 = pair.k1, pair.k2
+    ells = {}
+
+    def at(cell):
         if cell == corner:
-            return total
+            return one
+        c0, c1, c2, c3 = cell
         k = abs(k1 * (c0 - c2) + k2 * (c1 - c3))
         if k not in ells:
             ells[k] = ell(k)
-        S[cell] = ells[k] * total
+        return ells[k]
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -295,7 +311,8 @@ class _NumericSession:
                 "square coefficients need |alpha|+|beta| >= 2", alpha=alpha, beta=beta
             )
         larger = max((alpha, beta), (beta, alpha))
-        return float(_scaled_u2(self.ctx.pair, *larger, self.ctx.ell))
+        corner = (*larger[0], *larger[1])
+        return float(_scaled_u2(corner, _table_ell(self.ctx.pair, corner, self.ctx.ell))[corner])
 
     def u(self, alpha: MultiIndex, beta: MultiIndex) -> float:
         """Unscaled u_hat_{alpha,beta}."""
@@ -441,7 +458,8 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
             )
         return _Monomials(unit[j : j + 1], one.c)
 
-    raw = _scaled_u2(pair, alpha, beta, ell, one, _Monomials.cell_sum)
+    corner = (*alpha, *beta)
+    raw = _scaled_u2(corner, _table_ell(pair, corner, ell, one), one, _Monomials.cell_sum)[corner]
     total = int(raw.c.sum())
     if total != n_expected:
         raise AssertionError(

@@ -43,7 +43,8 @@ class RunConfig:
             )
         if self.grid < 2 or self.K < 1 or self.jobs < 1:
             raise DomainError(
-                "sizes must be positive", grid=self.grid, K=self.K, jobs=self.jobs
+                "sizes need grid >= 2, K >= 1 and jobs >= 1",
+                grid=self.grid, K=self.K, jobs=self.jobs,
             )
         if self.format not in ("", "csv", "json"):
             raise DomainError("unknown output format", format=self.format)

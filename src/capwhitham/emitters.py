@@ -11,6 +11,7 @@ uses '.' decimals, '\\n' line endings and UTF-8.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -22,7 +23,6 @@ from .symmetry_breaking import PhiRoot
 from .waves import SolveReport, WaveProfile
 
 __all__ = [
-    "fmt_float",
     "write_text",
     "json_text",
     "csv_text",
@@ -33,11 +33,6 @@ __all__ = [
     "wave_report_dict",
     "error_envelope",
 ]
-
-
-def fmt_float(value: float) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    return repr(float(value))
 
 
 def write_text(path: Path, text: str) -> Path:
@@ -56,7 +51,7 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return fmt_float(value)
+        return float.__repr__(value)
     return str(value)
 
 
@@ -112,11 +107,16 @@ def expansion_json(expansion: PhiExpansion) -> str:
     return header[:-3] + f',\n  "monomials": {monomials}\n}}\n'
 
 
+@functools.lru_cache(maxsize=8)
+def _profile_x_cells(n: int) -> tuple[str, ...]:
+    """The x column of an n-point profile, as CSV cells."""
+    return tuple(map(repr, (2.0 * np.pi * np.arange(n) / n).tolist()))
+
+
 def wave_profile_csv(profile: WaveProfile) -> str:
     """The profile on 1024 grid points, or 2K+2 where K needs more."""
     n = max(1024, 2 * profile.K + 2)
-    xs = 2.0 * np.pi * np.arange(n) / n
-    return csv_text(("x", "u"), zip(xs.tolist(), profile.sample(n).tolist()))
+    return csv_text(("x", "u"), zip(_profile_x_cells(n), profile.sample(n).tolist()))
 
 
 def wave_report_dict(

@@ -136,13 +136,18 @@ def _symbol(T, xi: np.ndarray) -> np.ndarray:
     return np.sqrt((1.0 + T * xi * xi) * _tanhc(x, _libm(math.tanh, x)))
 
 
-def _symbol_deriv(T, xi: np.ndarray) -> np.ndarray:
-    """m_T'(xi) for xi > 0."""
+def _symbol_and_deriv(T, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m_T(xi) and m_T'(xi) for xi > 0, from one tanh evaluation."""
     th = _libm(math.tanh, xi)
     tc = _tanhc(xi, th)
     a = 1.0 + T * xi * xi
-    fp = 2.0 * T * xi * tc + a * _dtanhc(xi, th)
-    return fp / (2.0 * np.sqrt(a * tc))
+    m = np.sqrt(a * tc)
+    return m, (2.0 * T * xi * tc + a * _dtanhc(xi, th)) / (2.0 * m)
+
+
+def _symbol_deriv(T, xi: np.ndarray) -> np.ndarray:
+    """m_T'(xi) for xi > 0."""
+    return _symbol_and_deriv(T, xi)[1]
 
 
 def _validated(T, xi, xi_ok, message: str) -> tuple[np.ndarray, np.ndarray]:
@@ -417,10 +422,11 @@ def _solve_bifurcations(pairs, T, xi_t=None):
     if idx.size:
         Ts = T[idx]
         kappa0[idx] = _brentq(gap, lo[idx], hi[idx], _BRACKET_XTOL, args=(Ts, modes[idx]))
-        c0[idx] = _symbol(Ts, k1[idx] * kappa0[idx])
-        residual[idx] = np.abs(gap(kappa0[idx], Ts, modes[idx]))
-        d1[idx] = _symbol_deriv(Ts, k1[idx] * kappa0[idx])
-        d2[idx] = _symbol_deriv(Ts, k2[idx] * kappa0[idx])
+        # Both modes' symbol and slope at kappa0 from one tanh each.
+        m, dm = _symbol_and_deriv(Ts[:, None], kappa0[idx, None] * modes[idx])
+        c0[idx] = m[:, 0]
+        residual[idx] = np.abs(m[:, 0] - m[:, 1])
+        d1[idx], d2[idx] = dm.T
     checks = [
         (~straddle, lambda i: ConvergenceError(
             "bracket endpoints do not straddle a sign change",

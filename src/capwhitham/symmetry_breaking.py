@@ -28,7 +28,6 @@ from .coefficients import (
     _phi_path,
     _scaled_u2,
     limit_ratio,
-    phi_target_indices,
 )
 from .errors import CapWhithamError, DomainError
 from .symbol import (
@@ -131,8 +130,9 @@ def _warn_k1_one(pair: WaveNumberPair) -> None:
         )
 
 
-def _check_values(pair: WaveNumberPair, grid: np.ndarray, values: np.ndarray) -> None:
-    """Raise on the first non-finite phi; enforce positivity for k1 = 1."""
+def _check_values(pair: WaveNumberPair, grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The values, after raising on the first non-finite phi; enforce
+    positivity for k1 = 1."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         T = float(grid[bad[0]])
@@ -146,32 +146,91 @@ def _check_values(pair: WaveNumberPair, grid: np.ndarray, values: np.ndarray) ->
         raise AssertionError(
             f"phi(T={grid[i]}; 1, {pair.k2}) = {values[i]} violates the positivity invariant"
         )
+    return values
 
 
-def _phi(pair: WaveNumberPair, values: np.ndarray):
-    """phi from the coefficient table, with ell at the i-th |k| of the phi path in values[i]."""
-    alpha, beta = phi_target_indices(pair)
-    ell = dict(zip(_phi_path(pair), values)).__getitem__
-    one = np.ones(values.shape[1:])
-    return _scaled_u2(pair, alpha, beta, ell, one) / 2.0 ** (pair.k1 + pair.k2 - 1)
+@functools.lru_cache(maxsize=1024)
+def _phi_cells(pair: WaveNumberPair) -> np.ndarray:
+    """The ell row of each cell (a, 0, 0, b) of the pair's phi box.
+
+    That is the index of |k1 a - k2 b| on the phi path, or the path's
+    length, one past its end, for the cells that take no multiplier:
+    those of order below 2 and the corner.
+    """
+    k1, k2 = pair.k1, pair.k2
+    path = np.array(_phi_path(pair), dtype=int)
+    k = np.abs(k1 * np.arange(k2)[:, None] - k2 * np.arange(k1 + 1))
+    cells = np.where(np.isin(k, path), np.searchsorted(path, k), len(path))
+    cells.flags.writeable = False
+    return cells
+
+
+def _phi(pairs: list[WaveNumberPair], rows: list[np.ndarray]) -> list[np.ndarray]:
+    """phi of pairs that share k1, from one stack of their coefficient tables.
+
+    ``rows[p]`` holds ell of pair p at the i-th |k| of its phi path in
+    row i, with one column per evaluation point, G columns for every
+    pair.  A pair's phi box is (k2, 1, 1, k1+1).  With the pairs in
+    descending k2 and their columns side by side on the trailing axis,
+    the pairs whose box holds a cell of row a are those with k2 > a, a
+    prefix of the columns.  The largest box is filled once: each cell
+    sums over its prefix and multiplies every pair's columns by that
+    pair's ell at |k1 a - k2 b|, or by 1 at the pair's own corner, where
+    its phi is read.  No column's arithmetic involves another, so each
+    pair's values are bitwise equal to its table filled alone.
+    """
+    k1, G = pairs[0].k1, rows[0].shape[1]
+    order = sorted(range(len(pairs)), key=lambda p: -pairs[p].k2)
+    k2s = np.array([pairs[p].k2 for p in order])
+    top = int(k2s[0])
+    # Every pair's rows followed by a row of ones, which the cells
+    # without a multiplier take, and the row of each pair's cells.
+    ell = np.concatenate([r for p in order for r in (rows[p], np.ones((1, G)))])
+    at = np.zeros((top, k1 + 1, len(pairs)), dtype=int)
+    start = 0
+    for j, p in enumerate(order):
+        at[: pairs[p].k2, :, j] = start + _phi_cells(pairs[p])
+        start += len(rows[p]) + 1
+    live = (k2s > np.arange(top)[:, None]).sum(axis=1).tolist()
+
+    # The filler asks the cells row after row; one row's multipliers
+    # are held at a time.
+    @functools.lru_cache(maxsize=1)
+    def row(a):
+        return ell[at[a, :, : live[a]]].reshape(k1 + 1, -1)
+
+    S = _scaled_u2((top - 1, 0, 0, k1), lambda cell: row(cell[0])[cell[3]], np.ones(len(pairs) * G))
+    phi = [None] * len(pairs)
+    for j, p in enumerate(order):
+        k2 = pairs[p].k2
+        phi[p] = S[k2 - 1, 0, 0, k1, j * G : (j + 1) * G] / 2.0 ** (k1 + k2 - 1)
+    return phi
+
+
+def _path_ell(pair: WaveNumberPair, T, points) -> np.ndarray:
+    """ell at every |k| of the phi path (rows) and every tension of T
+    (columns), given the arrays (c0, kappa0, residual) of their
+    bifurcation points, from one array multiplier call."""
+    c0, kappa0, _ = points
+    ks = np.array(_phi_path(pair), dtype=int)
+    return MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T).ell(ks[:, None])
+
+
+def _limit_ell(pair: WaveNumberPair) -> np.ndarray:
+    """The normalized endpoint ratios at every |k| of the phi path, one
+    column per endpoint."""
+    ks = np.array(_phi_path(pair), dtype=int)
+    return np.stack([limit_ratio(pair, end, ks) for end in (LIMIT_LOW_T, LIMIT_HIGH_T)], 1)
 
 
 def _phi_values(pair: WaveNumberPair, T, points) -> np.ndarray:
     """phi at a 1-D array of tensions, given the arrays (c0, kappa0,
-    residual) of their bifurcation points.
-
-    One array multiplier call gives ell at every |k| of the phi path and
-    every tension, and one pass of the coefficient table gives phi.
-    """
+    residual) of their bifurcation points."""
     T = np.asarray(T, dtype=float)
-    c0, kappa0, _ = points
-    ell = MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T).ell
-    ks = np.array(_phi_path(pair), dtype=int)
     # Overflow surfaces as inf or nan, which _check_values reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _phi(pair, ell(ks[:, None]))
-    _check_values(pair, T, values)
-    return values
+        [values] = _phi([pair], [_path_ell(pair, T, points)])
+    return _check_values(pair, T, values)
 
 
 def phi_eval(pair: WaveNumberPair, T: float) -> PhiSample:
@@ -239,9 +298,8 @@ def phi_limits(pair: WaveNumberPair) -> tuple[float, float]:
     replaced by its normalized endpoint ratios, both endpoints at once.
     """
     pair = WaveNumberPair.coerce(pair)
-    ks = np.array(_phi_path(pair), dtype=int)
-    rho = np.stack([limit_ratio(pair, end, ks) for end in (LIMIT_LOW_T, LIMIT_HIGH_T)], 1)
-    return tuple(_phi(pair, rho).tolist())
+    [limits] = _phi([pair], [_limit_ell(pair)])
+    return tuple(limits.tolist())
 
 
 def phi_root(
@@ -264,14 +322,14 @@ def phi_root(
     if not xtol > 0.0:
         raise DomainError("root tolerance must be positive", xtol=xtol)
     _warn_k1_one(pair)
-    return _phi_roots(pair, grid_size, xtol, _bifurcation_arrays(pair, *_tension_grid(grid_size)))
+    T, xi_t = _tension_grid(grid_size)
+    return _phi_roots(pair, T, _phi_values(pair, T, _bifurcation_arrays(pair, T, xi_t)), xtol)
 
 
-def _phi_roots(pair: WaveNumberPair, grid_size: int, xtol: float, points) -> list[PhiRoot]:
-    """The body of :func:`phi_root`, given the arrays of the grid
-    bifurcation points."""
-    T = _tension_grid(grid_size)[0]
-    values = _phi_values(pair, T, points)
+def _phi_roots(
+    pair: WaveNumberPair, T: np.ndarray, values: np.ndarray, xtol: float
+) -> list[PhiRoot]:
+    """The body of :func:`phi_root`, given phi on the grid T."""
 
     def phi(T):
         return _phi_values(pair, T, _bifurcation_arrays(pair, T))
@@ -334,12 +392,11 @@ def _unless_error(value):
     return value
 
 
-def _classify_pair(pair: WaveNumberPair, limits, points, grid_size: int) -> PairVerdict:
+def _classify_pair(pair: WaveNumberPair, limits, values, grid_size: int) -> PairVerdict:
     """Classify one surviving pair (never raises).
 
-    ``limits`` and ``points`` (the arrays of the grid bifurcation points)
-    may be the error computing them raised; points of None skip the root
-    scan.
+    ``limits`` and ``values`` (phi on the tension grid) may be the error
+    computing them raised; values of None skip the root scan.
     """
     verdict = PairVerdict(k1=pair.k1, k2=pair.k2, reduced=pair, status=STATUS_UNDECIDED)
     try:
@@ -347,27 +404,53 @@ def _classify_pair(pair: WaveNumberPair, limits, points, grid_size: int) -> Pair
         verdict = replace(verdict, limit_low=low, limit_high=high)
         if low * high < 0.0:
             return replace(verdict, status=STATUS_ADMITS)
-        if points is None:
+        if values is None:
             return verdict
-        roots = tuple(_phi_roots(pair, grid_size, _ROOT_XTOL, _unless_error(points)))
+        T = _tension_grid(grid_size)[0]
+        roots = tuple(_phi_roots(pair, T, _unless_error(values), _ROOT_XTOL))
         return replace(verdict, status=STATUS_ADMITS if roots else STATUS_UNDECIDED, roots=roots)
     except _PAIR_ERRORS as exc:
         return replace(verdict, error=f"{type(exc).__name__}: {exc}")
 
 
+def _phi_stacks(pairs: list[WaveNumberPair], rows) -> list:
+    """phi of every pair, filled as one stack per k1 (see :func:`_phi`).
+
+    ``rows(i)`` gives the ell rows of pairs[i]; a pair whose rows raise
+    gets that error instead.  Each group's rows are computed just before
+    its fill, so one group's are held at a time.
+    """
+    phi = [None] * len(pairs)
+    groups: dict[int, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        groups.setdefault(pair.k1, []).append(i)
+    for group in groups.values():
+        for i in group:
+            phi[i] = _attempt(rows, i)
+        ok = [i for i in group if not isinstance(phi[i], Exception)]
+        if ok:
+            for i, values in zip(ok, _phi([pairs[i] for i in ok], [phi[i] for i in ok])):
+                phi[i] = values
+    return phi
+
+
 def _classify_pairs(chunk: tuple) -> list[PairVerdict]:
     """Worker body: classify a chunk of surviving coprime pairs end to end.
 
-    ``chunk`` is (pairs, refine, grid_size).  Every pair's limits come
-    first; when refining, the grid bifurcation points of all pairs whose
-    limits do not admit come from one solve, each bitwise equal to the
-    pair's own.  A grid that fails a check holds its error; if the Brent
-    solve itself fails, each pair solves its own.
+    ``chunk`` is (pairs, refine, grid_size).  The limits of every pair
+    come first, from one stacked table per k1.  When refining, the grid
+    bifurcation points of all pairs whose limits do not admit come from
+    one solve, each bitwise equal to the pair's own, and their phi on the
+    grid from one stacked table per k1.  A grid that fails a check holds
+    its error; if the Brent solve itself fails, each pair solves its own.
     """
     pairs, refine, grid_size = chunk
     pairs = [WaveNumberPair(*pair) for pair in pairs]
-    limits = [_attempt(phi_limits, pair) for pair in pairs]
-    points = [None] * len(pairs)
+    limits = [
+        lim if isinstance(lim, Exception) else tuple(lim.tolist())
+        for lim in _phi_stacks(pairs, lambda i: _limit_ell(pairs[i]))
+    ]
+    values = [None] * len(pairs)
     scan = [
         i for i, lim in enumerate(limits)
         if refine and not isinstance(lim, Exception) and not lim[0] * lim[1] < 0.0
@@ -378,14 +461,25 @@ def _classify_pairs(chunk: tuple) -> list[PairVerdict]:
             c0, kappa0, residual, errors = _solve_bifurcations(
                 [pairs[i].astuple() for i in scan], T, xi_t
             )
-            for row, (i, error) in enumerate(zip(scan, errors)):
-                points[i] = error or (c0[row], kappa0[row], residual[row])
+            points = [
+                error or (c0[row], kappa0[row], residual[row])
+                for row, error in enumerate(errors)
+            ]
         except _PAIR_ERRORS:
-            for i in scan:
-                points[i] = _attempt(_bifurcation_arrays, pairs[i], T, xi_t)
+            points = [_attempt(_bifurcation_arrays, pairs[i], T, xi_t) for i in scan]
+        # Overflow surfaces as inf or nan, which _check_values reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = _phi_stacks(
+                [pairs[i] for i in scan],
+                lambda j: _path_ell(pairs[scan[j]], T, _unless_error(points[j])),
+            )
+        for i, phi in zip(scan, grid):
+            if not isinstance(phi, Exception):
+                phi = _attempt(_check_values, pairs[i], T, phi)
+            values[i] = phi
     return [
-        _classify_pair(pair, lim, pts, grid_size)
-        for pair, lim, pts in zip(pairs, limits, points)
+        _classify_pair(pair, lim, phi, grid_size)
+        for pair, lim, phi in zip(pairs, limits, values)
     ]
 
 

@@ -28,7 +28,7 @@ from capwhitham import (
     phi_target_indices,
     turning_point,
 )
-from capwhitham.coefficients import _phi_path, _scaled_u2
+from capwhitham.coefficients import _phi_path, _scaled_u2, _table_ell
 from capwhitham.symbol import (
     _bifurcation_arrays,
     _brentq,
@@ -278,8 +278,10 @@ _COPRIME_30 = [
 def _per_k_phi(pair, ell, one):
     """phi from a table that asks ell(k) once per |k|, as the scalar paths do."""
     alpha, beta = phi_target_indices(pair)
+    corner = (*alpha, *beta)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _scaled_u2(pair, alpha, beta, ell, one) / 2.0 ** (pair.k1 + pair.k2 - 1)
+        S = _scaled_u2(corner, _table_ell(pair, corner, ell, one), one)
+        return S[corner] / 2.0 ** (pair.k1 + pair.k2 - 1)
 
 
 @pytest.mark.parametrize(

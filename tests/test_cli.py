@@ -447,6 +447,17 @@ def test_pairs_refine_rejects_small_grid(tmp_path, capsys):
     assert envelope["code"] == 2
     assert envelope["context"] == {"grid_size": 8}
     assert list(tmp_path.iterdir()) == []
+    # Below any command's minimum, the run configuration names the bounds.
+    for argv in (("pairs", "--kmax", "6"), ("phi", "curve", *_PAIR)):
+        code, out, err = _run(capsys, *argv, "--grid", "1", "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert _stderr_envelope(err) == {
+            "code": 2,
+            "message": "sizes need grid >= 2, K >= 1 and jobs >= 1",
+            "context": {"grid": 1, "K": 64, "jobs": 1},
+        }
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_pairs_rejects_small_kmax(tmp_path, capsys):

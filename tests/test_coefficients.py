@@ -222,10 +222,10 @@ def test_expansion_1_2_has_no_factors():
 
 @pytest.mark.parametrize("k", [0, 2, 5, -5])
 def test_expansion_refuses_kernel_and_zero_factors(monkeypatch, k):
-    def fill(pair, alpha, beta, ell, one, cell_sum):
-        return ell(k)
+    def cell_ell(pair, corner, ell, one):
+        return lambda cell: ell(k)
 
-    monkeypatch.setattr(coefficients, "_scaled_u2", fill)
+    monkeypatch.setattr(coefficients, "_table_ell", cell_ell)
     with pytest.raises(AssertionError, match=rf"phi-path purity violated: ell\({k}\)"):
         expand_symbolic(PAIR_2_5)
 
@@ -241,9 +241,11 @@ def test_expansion_refuses_kernel_and_zero_factors(monkeypatch, k):
 def test_expansion_invariants_fail_loudly(monkeypatch, corrupt, message):
     fill = coefficients._scaled_u2
 
-    def corrupted(*args):
-        table = fill(*args)
-        return coefficients._Monomials(*corrupt(table.E, table.c))
+    def corrupted(corner, *args):
+        S = fill(corner, *args)
+        table = S[corner]
+        S[corner] = coefficients._Monomials(*corrupt(table.E, table.c))
+        return S
 
     monkeypatch.setattr(coefficients, "_scaled_u2", corrupted)
     with pytest.raises(AssertionError, match=message):
@@ -413,6 +415,13 @@ def _hex(value):
     return [float(v).hex() for v in np.ravel(value)]
 
 
+def _fill(pair, alpha, beta, ell, one):
+    """s at the corner (alpha, beta) of one pair's table."""
+    corner = (*alpha, *beta)
+    S = coefficients._scaled_u2(corner, coefficients._table_ell(pair, corner, ell, one), one)
+    return S[corner]
+
+
 def _random_ell(rng, shape):
     """Random multipliers of both signs over six decades, one per |k|."""
     values = {}
@@ -435,7 +444,7 @@ def test_fill_matches_reference_loop_bitwise(shape):
     ]:
         ell = _random_ell(rng, shape)
         want = _reference_sums(pair, (*target[0], *target[1]), ell)[(*target[0], *target[1])]
-        got = coefficients._scaled_u2(pair, *target, ell, np.ones(shape))
+        got = _fill(pair, *target, ell, np.ones(shape))
         assert got.shape == shape
         assert _hex(got) == _hex(np.broadcast_to(want, shape))
 
@@ -450,7 +459,7 @@ def test_fill_cancellation_sums_are_sequential():
     for _ in range(20):
         ell = _random_ell(rng, (1,))
         want = _reference_sums(PAIR_2_5, corner, ell)[corner]
-        got = coefficients._scaled_u2(PAIR_2_5, (3, 3), (3, 3), ell, np.ones(1))
+        got = _fill(PAIR_2_5, (3, 3), (3, 3), ell, np.ones(1))
         assert _hex(got) == _hex(want)
 
 
@@ -459,7 +468,7 @@ def test_fill_all_negative_zero_cell_is_positive_zero():
     # corner (3, 0, 0, 0) are -0.0; a loop from 0.0 gives +0.0.
     for shape in [(), (2,)]:
         ell = lambda k: np.full(shape, -0.0)  # noqa: E731
-        got = coefficients._scaled_u2(PAIR_2_5, (3, 0), (0, 0), ell, np.ones(shape))
+        got = _fill(PAIR_2_5, (3, 0), (0, 0), ell, np.ones(shape))
         assert _hex(got) == _hex(np.zeros(shape))
         assert not np.signbit(got).any()
 

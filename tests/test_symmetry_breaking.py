@@ -1,5 +1,6 @@
 """Tests for the phi sign function, its roots, limits, and the pair scan."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -282,9 +283,9 @@ def test_pair_scan_classifies_each_reduced_pair_once(monkeypatch):
     original = symmetry_breaking._classify_pair
     seen = []
 
-    def counting(pair, limits, points, grid_size):
+    def counting(pair, limits, values, grid_size):
         seen.append(pair.astuple())
-        return original(pair, limits, points, grid_size)
+        return original(pair, limits, values, grid_size)
 
     monkeypatch.setattr(symmetry_breaking, "_classify_pair", counting)
     verdicts = {(v.k1, v.k2): v for v in pair_scan(10, refine=True, grid_size=64)}
@@ -294,6 +295,104 @@ def test_pair_scan_classifies_each_reduced_pair_once(monkeypatch):
     v610, v35 = verdicts[(6, 10)], verdicts[(3, 5)]
     assert (v610.k1, v610.k2) == (6, 10)
     assert replace(v610, k1=3, k2=5) == v35
+
+
+# --- Stacked tables: one fill per k1 group -----------------------------------
+
+
+def _surviving(k2_max):
+    return [
+        WaveNumberPair(k1, k2)
+        for k2 in range(2, k2_max + 1)
+        for k1 in range(1, k2)
+        if math.gcd(k1, k2) == 1 and exclusion_check(k1, k2) == STATUS_PASSES
+    ]
+
+
+def _one_pair_fill(pair, ell, one):
+    """phi from the pair's own table, asking ell once per |k|."""
+    alpha, beta = coefficients.phi_target_indices(pair)
+    corner = (*alpha, *beta)
+    S = coefficients._scaled_u2(corner, coefficients._table_ell(pair, corner, ell, one), one)
+    return S[corner] / 2.0 ** (pair.k1 + pair.k2 - 1)
+
+
+@pytest.mark.parametrize("grid_size", [64, 200])
+def test_stacked_grid_phi_equals_one_pair_fills(grid_size):
+    pairs = _surviving(20)
+    T, xi_t = symmetry_breaking._tension_grid(grid_size)
+    points = [symbol._bifurcation_arrays(pair, T, xi_t) for pair in pairs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = symmetry_breaking._phi_stacks(
+            pairs, lambda i: symmetry_breaking._path_ell(pairs[i], T, points[i])
+        )
+        for pair, (c0, kappa0, _), phi in zip(pairs, points, stacked):
+            ctx = MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T)
+            assert phi.tobytes() == _one_pair_fill(pair, ctx.ell, np.ones(grid_size)).tobytes()
+    assert max(sum(p.k1 == k1 for p in pairs) for k1 in range(1, 20)) > 5
+
+
+def test_stacked_limits_equal_one_pair_fills():
+    pairs = _surviving(30)
+    stacked = symmetry_breaking._phi_stacks(pairs, lambda i: symmetry_breaking._limit_ell(pairs[i]))
+    for pair, limits in zip(pairs, stacked):
+        rho = dict(zip(coefficients._phi_path(pair), symmetry_breaking._limit_ell(pair)))
+        assert limits.tobytes() == _one_pair_fill(pair, rho.__getitem__, np.ones(2)).tobytes()
+
+
+def test_stack_gives_each_pair_its_own_error(monkeypatch):
+    # On this grid phi(23, 30) overflows at the last tension, while the
+    # other k1 = 23 pairs stay finite; all six limits have one sign, so
+    # every pair is in the grid stack.
+    T = np.linspace(0.1, 0.3322, 16)
+    monkeypatch.setattr(
+        symmetry_breaking, "_tension_grid", lambda grid_size: (T, symbol._turning_points(T))
+    )
+    pairs = [(23, k2) for k2 in range(25, 31)]
+    stacked = symmetry_breaking._classify_pairs((pairs, True, 16))
+    for pair, verdict in zip(pairs, stacked):
+        assert verdict.limit_low * verdict.limit_high > 0.0
+        [alone] = symmetry_breaking._classify_pairs(([pair], True, 16))
+        assert verdict == alone
+        if pair == (23, 30):
+            assert verdict.error.startswith("DomainError: phi is not finite")
+        else:
+            assert verdict.error is None
+
+
+def test_pair_scan_fills_one_table_per_k1_group(monkeypatch):
+    # Every cell sum of a scan is a cell of a group's largest phi box: one
+    # box per k1 for the limits and one for the grid, none per pair.
+    fill = symmetry_breaking._scaled_u2
+    cells = []
+
+    def counting(corner, ell, one=1.0, cell_sum=coefficients._sequential_sum):
+        def counted(left, right):
+            cells.append(corner)
+            return cell_sum(left, right)
+
+        return fill(corner, ell, one, counted)
+
+    monkeypatch.setattr(symmetry_breaking, "_scaled_u2", counting)
+    verdicts = pair_scan(10, refine=True)
+    # No pair has a root at kmax 10, so no refinement fill runs.
+    assert not any(v.roots for v in verdicts)
+    limits = {v.reduced for v in verdicts if v.limit_low is not None}
+    grid = {
+        v.reduced for v in verdicts
+        if v.limit_low is not None and not v.limit_low * v.limit_high < 0.0
+    }
+
+    def box_cells(pairs):
+        """Cells of order >= 2 in the largest phi box of each k1 group."""
+        top = {}
+        for p in pairs:
+            top[p.k1] = max(top.get(p.k1, 0), p.k2)
+        return sum(k2 * (k1 + 1) - 3 for k1, k2 in top.items())
+
+    assert len(cells) == box_cells(limits) + box_cells(grid)
+    per_pair = sum(p.k2 * (p.k1 + 1) - 3 for group in (limits, grid) for p in group)
+    assert len(cells) < per_pair / 2
 
 
 def _scanned_alone(verdicts):
