@@ -8,6 +8,7 @@ a default file, overridden by the ``--config`` flag.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -34,9 +35,9 @@ class RunConfig:
     format: str = ""
 
     def __post_init__(self):
-        if not (self.tol_root > 0.0 and self.tol_w > 0.0 and self.tol_newton > 0.0):
+        if not all(0.0 < tol < math.inf for tol in (self.tol_root, self.tol_w, self.tol_newton)):
             raise DomainError(
-                "tolerances must be positive",
+                "tolerances must be positive and finite",
                 tol_root=self.tol_root,
                 tol_w=self.tol_w,
                 tol_newton=self.tol_newton,

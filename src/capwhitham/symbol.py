@@ -145,11 +145,6 @@ def _symbol_and_deriv(T, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, (2.0 * T * xi * tc + a * _dtanhc(xi, th)) / (2.0 * m)
 
 
-def _symbol_deriv(T, xi: np.ndarray) -> np.ndarray:
-    """m_T'(xi) for xi > 0."""
-    return _symbol_and_deriv(T, xi)[1]
-
-
 def _validated(T, xi, xi_ok, message: str) -> tuple[np.ndarray, np.ndarray]:
     T, xi = np.asarray(T, dtype=float), np.asarray(xi, dtype=float)
     positive = T > 0.0
@@ -195,7 +190,7 @@ def eval_symbol_deriv(T, xi):
     T, xi = _validated(
         T, xi, lambda xi: np.isfinite(xi) & (xi > 0.0), "xi must be finite and positive"
     )
-    return _result(_symbol_deriv(T, xi))
+    return _result(_symbol_and_deriv(T, xi)[1])
 
 
 def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
@@ -301,7 +296,7 @@ def _turning_points(T: np.ndarray) -> np.ndarray:
     """
     T = np.asarray(T, dtype=float)
     _check_tensions(T, "turning point exists")
-    d = _symbol_deriv(T[:, None], _TURNING_LADDER)
+    d = _symbol_and_deriv(T[:, None], _TURNING_LADDER)[1]
     prev, nxt = d[:, :-1], d[:, 1:]
     change = ((prev < 0.0) & (0.0 <= nxt)) | ((prev <= 0.0) & (0.0 < nxt))
     found = change.any(axis=1)
@@ -311,7 +306,7 @@ def _turning_points(T: np.ndarray) -> np.ndarray:
         )
     j = change.argmax(axis=1)
     return _brentq(
-        lambda x, T: _symbol_deriv(T, x), _TURNING_LADDER[j], _TURNING_LADDER[j + 1],
+        lambda x, T: _symbol_and_deriv(T, x)[1], _TURNING_LADDER[j], _TURNING_LADDER[j + 1],
         _BRACKET_XTOL, args=(T,),
     )
 

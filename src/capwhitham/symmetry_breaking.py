@@ -106,8 +106,9 @@ class PairVerdict:
 
     ``k1``/``k2`` are the raw enumerated values and ``reduced`` the
     coprime pair actually analysed.  Excluded statuses carry no limits
-    or roots; per-pair failures are recorded in ``error`` with status
-    undecided rather than aborting a scan, with any limits computed first.
+    or roots.  A pair's failure is recorded in ``error``, with status
+    undecided, rather than aborting a scan; the verdict keeps what the
+    stages before the failure found.
     """
 
     k1: int
@@ -319,8 +320,8 @@ def phi_root(
     pair = WaveNumberPair.coerce(pair)
     if grid_size < 16:
         raise DomainError("root scan needs at least 16 points", grid_size=grid_size)
-    if not xtol > 0.0:
-        raise DomainError("root tolerance must be positive", xtol=xtol)
+    if not 0.0 < xtol < np.inf:
+        raise DomainError("root tolerance must be positive and finite", xtol=xtol)
     _warn_k1_one(pair)
     T, xi_t = _tension_grid(grid_size)
     return _phi_roots(pair, T, _phi_values(pair, T, _bifurcation_arrays(pair, T, xi_t)), xtol)
@@ -378,109 +379,86 @@ def exclusion_check(k1: int, k2: int) -> str:
 _PAIR_ERRORS = (CapWhithamError, ArithmeticError, ValueError)
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the error it raised."""
-    try:
-        return fn(*args)
-    except _PAIR_ERRORS as exc:
-        return exc
+def _stage(pairs, fn, fail) -> dict:
+    """{pair: fn(pair)} for the pairs where fn returns; the others go to ``fail``."""
+    done = {}
+    for pair in pairs:
+        try:
+            done[pair] = fn(pair)
+        except _PAIR_ERRORS as exc:
+            fail(pair, exc)
+    return done
 
 
-def _unless_error(value):
-    if isinstance(value, Exception):
-        raise value
-    return value
+def _phi_stacks(pairs: list[WaveNumberPair], rows, fail) -> dict:
+    """phi of the pairs whose ell rows fill, one stack per k1 (see :func:`_phi`).
 
-
-def _classify_pair(pair: WaveNumberPair, limits, values, grid_size: int) -> PairVerdict:
-    """Classify one surviving pair (never raises).
-
-    ``limits`` and ``values`` (phi on the tension grid) may be the error
-    computing them raised; values of None skip the root scan.
+    ``rows(pair)`` gives the pair's ell rows; a pair whose rows raise
+    goes to ``fail(pair, error)`` and gets no phi.  Each group's rows are
+    computed just before its fill, so one group's are held at a time.
     """
-    verdict = PairVerdict(k1=pair.k1, k2=pair.k2, reduced=pair, status=STATUS_UNDECIDED)
-    try:
-        low, high = _unless_error(limits)
-        verdict = replace(verdict, limit_low=low, limit_high=high)
-        if low * high < 0.0:
-            return replace(verdict, status=STATUS_ADMITS)
-        if values is None:
-            return verdict
-        T = _tension_grid(grid_size)[0]
-        roots = tuple(_phi_roots(pair, T, _unless_error(values), _ROOT_XTOL))
-        return replace(verdict, status=STATUS_ADMITS if roots else STATUS_UNDECIDED, roots=roots)
-    except _PAIR_ERRORS as exc:
-        return replace(verdict, error=f"{type(exc).__name__}: {exc}")
-
-
-def _phi_stacks(pairs: list[WaveNumberPair], rows) -> list:
-    """phi of every pair, filled as one stack per k1 (see :func:`_phi`).
-
-    ``rows(i)`` gives the ell rows of pairs[i]; a pair whose rows raise
-    gets that error instead.  Each group's rows are computed just before
-    its fill, so one group's are held at a time.
-    """
-    phi = [None] * len(pairs)
-    groups: dict[int, list[int]] = {}
-    for i, pair in enumerate(pairs):
-        groups.setdefault(pair.k1, []).append(i)
+    groups: dict[int, list[WaveNumberPair]] = {}
+    for pair in pairs:
+        groups.setdefault(pair.k1, []).append(pair)
+    phi = {}
     for group in groups.values():
-        for i in group:
-            phi[i] = _attempt(rows, i)
-        ok = [i for i in group if not isinstance(phi[i], Exception)]
-        if ok:
-            for i, values in zip(ok, _phi([pairs[i] for i in ok], [phi[i] for i in ok])):
-                phi[i] = values
+        filled = _stage(group, rows, fail)
+        if filled:
+            phi.update(zip(filled, _phi(list(filled), list(filled.values()))))
     return phi
 
 
 def _classify_pairs(chunk: tuple) -> list[PairVerdict]:
     """Worker body: classify a chunk of surviving coprime pairs end to end.
 
-    ``chunk`` is (pairs, refine, grid_size).  The limits of every pair
-    come first, from one stacked table per k1.  When refining, the grid
-    bifurcation points of all pairs whose limits do not admit come from
-    one solve, each bitwise equal to the pair's own, and their phi on the
-    grid from one stacked table per k1.  A grid that fails a check holds
-    its error; if the Brent solve itself fails, each pair solves its own.
+    ``chunk`` is (pairs, refine, grid_size).  The stages: the limits,
+    from one stacked table per k1; when refining, the grid bifurcation
+    points of the pairs whose limits do not admit, from one solve (each
+    bitwise equal to the pair's own; if the Brent solve itself fails,
+    each pair solves its own); their grid phi, from one stacked table
+    per k1; their roots.  A pair leaves at its first failing stage: its
+    verdict records that error and keeps what the earlier stages found.
     """
     pairs, refine, grid_size = chunk
     pairs = [WaveNumberPair(*pair) for pair in pairs]
-    limits = [
-        lim if isinstance(lim, Exception) else tuple(lim.tolist())
-        for lim in _phi_stacks(pairs, lambda i: _limit_ell(pairs[i]))
-    ]
-    values = [None] * len(pairs)
-    scan = [
-        i for i, lim in enumerate(limits)
-        if refine and not isinstance(lim, Exception) and not lim[0] * lim[1] < 0.0
-    ]
-    if scan:
-        T, xi_t = _tension_grid(grid_size)
-        try:
-            c0, kappa0, residual, errors = _solve_bifurcations(
-                [pairs[i].astuple() for i in scan], T, xi_t
-            )
-            points = [
-                error or (c0[row], kappa0[row], residual[row])
-                for row, error in enumerate(errors)
-            ]
-        except _PAIR_ERRORS:
-            points = [_attempt(_bifurcation_arrays, pairs[i], T, xi_t) for i in scan]
-        # Overflow surfaces as inf or nan, which _check_values reports.
-        with np.errstate(over="ignore", invalid="ignore"):
-            grid = _phi_stacks(
-                [pairs[i] for i in scan],
-                lambda j: _path_ell(pairs[scan[j]], T, _unless_error(points[j])),
-            )
-        for i, phi in zip(scan, grid):
-            if not isinstance(phi, Exception):
-                phi = _attempt(_check_values, pairs[i], T, phi)
-            values[i] = phi
-    return [
-        _classify_pair(pair, lim, phi, grid_size)
-        for pair, lim, phi in zip(pairs, limits, values)
-    ]
+    verdicts = {
+        pair: PairVerdict(k1=pair.k1, k2=pair.k2, reduced=pair, status=STATUS_UNDECIDED)
+        for pair in pairs
+    }
+
+    def fail(pair, exc):
+        verdicts[pair] = replace(verdicts[pair], error=f"{type(exc).__name__}: {exc}")
+
+    scan = []
+    for pair, limits in _phi_stacks(pairs, _limit_ell, fail).items():
+        low, high = limits.tolist()
+        verdicts[pair] = replace(verdicts[pair], limit_low=low, limit_high=high)
+        if low * high < 0.0:
+            verdicts[pair] = replace(verdicts[pair], status=STATUS_ADMITS)
+        elif refine:
+            scan.append(pair)
+    if not scan:
+        return [verdicts[pair] for pair in pairs]
+    T, xi_t = _tension_grid(grid_size)
+    try:
+        c0, kappa0, residual, errors = _solve_bifurcations([p.astuple() for p in scan], T, xi_t)
+    except _PAIR_ERRORS:
+        points = _stage(scan, lambda pair: _bifurcation_arrays(pair, T, xi_t), fail)
+    else:
+        points = {}
+        for row, (pair, error) in enumerate(zip(scan, errors)):
+            if error is None:
+                points[pair] = c0[row], kappa0[row], residual[row]
+            else:
+                fail(pair, error)
+    # Overflow surfaces as inf or nan, which _check_values reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = _phi_stacks(list(points), lambda pair: _path_ell(pair, T, points[pair]), fail)
+    found = _stage(grid, lambda p: _phi_roots(p, T, _check_values(p, T, grid[p]), _ROOT_XTOL), fail)
+    for pair, roots in found.items():
+        if roots:
+            verdicts[pair] = replace(verdicts[pair], status=STATUS_ADMITS, roots=tuple(roots))
+    return [verdicts[pair] for pair in pairs]
 
 
 def pair_scan(
@@ -496,10 +474,12 @@ def pair_scan(
     difference.  With ``refine`` set, undecided pairs are additionally
     scanned for roots, and a verified sign change upgrades them to
     admitting.  One worker body classifies a chunk of reduced pairs end
-    to end; the serial scan is one chunk of every pair, and ``jobs``
-    processes each take a round-robin chunk, receiving only pairs and
-    returning only verdicts.  The result order (sorted by (k1, k2)) and
-    content are independent of ``jobs``.
+    to end, in stages; a pair leaves at its first failing stage, and its
+    verdict records that error and keeps what the earlier stages found.
+    The serial scan is one chunk of every pair, and ``jobs`` processes
+    each take a round-robin chunk, receiving only pairs and returning
+    only verdicts.  The result order (sorted by (k1, k2)) and content
+    are independent of ``jobs``.
     """
     if k_max < 3:
         raise DomainError("scan needs k_max >= 3", k_max=k_max)

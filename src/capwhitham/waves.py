@@ -213,11 +213,6 @@ def _square_modes(modes: np.ndarray, K: int) -> np.ndarray:
     return _from_grid(g * g, 2 * K)
 
 
-def _ell_values(ctx: MultiplierContext, K: int) -> np.ndarray:
-    """Vector of ell(k) for k = 0..K (kernel modes are exactly zero)."""
-    return multiplier(ctx, np.arange(K + 1))
-
-
 def synthesize_v(pair: WaveNumberPair, params: ModalParameters, K: int = 64) -> WaveProfile:
     """Build the kernel profile v = r1*cos(k1*(x+theta1)) + r2*cos(k2*(x+theta2)).
 
@@ -286,7 +281,7 @@ def solve_w(
             cap=_AMPLITUDE_CAP,
         )
     ctx = MultiplierContext(pair=pair, c=c, kappa=kappa, T=T)
-    ell = _ell_values(ctx, K)
+    ell = multiplier(ctx, np.arange(K + 1))
     try:
         w_modes, iterations = _solve_w_picard(v.modes, ell, K, settings)
         method = "picard"

@@ -1,10 +1,13 @@
-"""The benchmark tracer's function names resolve in the package."""
+"""The benchmark's tracer and output checks work against the package."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _load_tracing():
@@ -63,3 +66,18 @@ def test_result_hooks_read_real_return_values(tmp_path):
     for name in calls:
         assert counts[name + ".calls"] == 1
         assert counts[name + ".raised"] == 0
+
+
+def test_bench_self_check_passes():
+    # The self-check compares a scan's pairs.json and a phi root's
+    # phi_roots.json with bench/expected.json, and shows that corrupted
+    # expected values fail; an output that drifts fails here before any
+    # benchmark run.
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--self-check"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]

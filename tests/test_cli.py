@@ -13,6 +13,7 @@ import pytest
 import oracles
 from capwhitham import cli, errors
 from capwhitham.cli import main
+from capwhitham.config import RunConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "expansion_2_5.json"
 
@@ -458,6 +459,41 @@ def test_pairs_refine_rejects_small_grid(tmp_path, capsys):
             "context": {"grid": 1, "K": 64, "jobs": 1},
         }
         assert list(tmp_path.iterdir()) == []
+
+
+_SMALL_WAVE = ("wave", *_PAIR, "--r1", "0.001", "--r2", "0.001", "--T", "0.1215")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("phi", "root", *_PAIR), "--tol-root", "inf"),
+        (("phi", "root", *_PAIR), "--tol-root", "nan"),
+        (_SMALL_WAVE, "--tol-w", "inf"),
+        (_SMALL_WAVE, "--tol-newton", "inf"),
+    ],
+)
+def test_non_finite_tolerances_are_rejected(tmp_path, capsys, argv, flag, value):
+    # With xtol = inf, Brent would stop at once and report a bracket end
+    # as the root; an infinite w or Newton tolerance would fail only
+    # after a whole solve.
+    out = tmp_path / "out"
+    code, stdout, err = _run(capsys, *argv, flag, value, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    context = {"tol_root": 1e-10, "tol_w": 1e-14, "tol_newton": 1e-12}
+    context[flag[2:].replace("-", "_")] = value
+    assert _stderr_envelope(err) == {
+        "code": 2, "message": "tolerances must be positive and finite", "context": context
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("field", ["tol_root", "tol_w", "tol_newton"])
+def test_run_config_needs_positive_finite_tolerances(field, value):
+    with pytest.raises(errors.DomainError, match="positive and finite"):
+        RunConfig(**{field: value})
 
 
 def test_pairs_rejects_small_kmax(tmp_path, capsys):

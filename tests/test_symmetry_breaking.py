@@ -75,8 +75,9 @@ def test_phi_root_unique_and_matches_oracle():
 def test_phi_root_respects_grid_and_tol_validation():
     with pytest.raises(DomainError):
         phi_root(PAIR_2_5, grid_size=8)
-    with pytest.raises(DomainError):
-        phi_root(PAIR_2_5, xtol=0.0)
+    for xtol in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="positive and finite"):
+            phi_root(PAIR_2_5, xtol=xtol)
 
 
 def test_phi_root_empty_for_constant_sign_pairs():
@@ -280,14 +281,15 @@ def test_nonfinite_phi_raises_and_is_recorded():
 
 
 def test_pair_scan_classifies_each_reduced_pair_once(monkeypatch):
-    original = symmetry_breaking._classify_pair
+    # Every classified pair enters the limits stage exactly once.
+    original = symmetry_breaking._limit_ell
     seen = []
 
-    def counting(pair, limits, values, grid_size):
+    def counting(pair):
         seen.append(pair.astuple())
-        return original(pair, limits, values, grid_size)
+        return original(pair)
 
-    monkeypatch.setattr(symmetry_breaking, "_classify_pair", counting)
+    monkeypatch.setattr(symmetry_breaking, "_limit_ell", counting)
     verdicts = {(v.k1, v.k2): v for v in pair_scan(10, refine=True, grid_size=64)}
     assert len(seen) == len(set(seen))
     assert all(WaveNumberPair(*p).astuple() == p for p in seen)
@@ -309,6 +311,10 @@ def _surviving(k2_max):
     ]
 
 
+def _never_fails(pair, exc):
+    raise AssertionError(f"{pair} failed in a stack") from exc
+
+
 def _one_pair_fill(pair, ell, one):
     """phi from the pair's own table, asking ell once per |k|."""
     alpha, beta = coefficients.phi_target_indices(pair)
@@ -321,21 +327,23 @@ def _one_pair_fill(pair, ell, one):
 def test_stacked_grid_phi_equals_one_pair_fills(grid_size):
     pairs = _surviving(20)
     T, xi_t = symmetry_breaking._tension_grid(grid_size)
-    points = [symbol._bifurcation_arrays(pair, T, xi_t) for pair in pairs]
+    points = {pair: symbol._bifurcation_arrays(pair, T, xi_t) for pair in pairs}
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = symmetry_breaking._phi_stacks(
-            pairs, lambda i: symmetry_breaking._path_ell(pairs[i], T, points[i])
+            pairs, lambda pair: symmetry_breaking._path_ell(pair, T, points[pair]), _never_fails
         )
-        for pair, (c0, kappa0, _), phi in zip(pairs, points, stacked):
+        for pair, (c0, kappa0, _) in points.items():
             ctx = MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T)
+            phi = stacked[pair]
             assert phi.tobytes() == _one_pair_fill(pair, ctx.ell, np.ones(grid_size)).tobytes()
     assert max(sum(p.k1 == k1 for p in pairs) for k1 in range(1, 20)) > 5
 
 
 def test_stacked_limits_equal_one_pair_fills():
     pairs = _surviving(30)
-    stacked = symmetry_breaking._phi_stacks(pairs, lambda i: symmetry_breaking._limit_ell(pairs[i]))
-    for pair, limits in zip(pairs, stacked):
+    stacked = symmetry_breaking._phi_stacks(pairs, symmetry_breaking._limit_ell, _never_fails)
+    for pair in pairs:
+        limits = stacked[pair]
         rho = dict(zip(coefficients._phi_path(pair), symmetry_breaking._limit_ell(pair)))
         assert limits.tobytes() == _one_pair_fill(pair, rho.__getitem__, np.ones(2)).tobytes()
 
@@ -358,6 +366,52 @@ def test_stack_gives_each_pair_its_own_error(monkeypatch):
             assert verdict.error.startswith("DomainError: phi is not finite")
         else:
             assert verdict.error is None
+
+
+PAIR_3_7, PAIR_4_7 = WaveNumberPair(3, 7), WaveNumberPair(4, 7)
+
+
+def _fail_stage(monkeypatch, name, pair, error):
+    """Make the scan stage that calls symmetry_breaking.<name> raise error for pair."""
+    real = getattr(symmetry_breaking, name)
+
+    def failing(p, *args):
+        if p == pair:
+            raise error
+        return real(p, *args)
+
+    monkeypatch.setattr(symmetry_breaking, name, failing)
+
+
+def test_pair_scan_records_a_failed_limits_stage(monkeypatch):
+    base = pair_scan(10, refine=True, grid_size=64)
+    _fail_stage(monkeypatch, "_limit_ell", PAIR_3_7, DomainError("forced failure"))
+    verdicts = pair_scan(10, refine=True, grid_size=64)
+    assert [v.reduced for v in verdicts if v.error] == [PAIR_3_7]
+    for v, b in zip(verdicts, base):
+        if v.reduced == PAIR_3_7:
+            assert b.limit_low is not None and b.error is None
+            error = "DomainError: forced failure"
+            assert v == replace(b, limit_low=None, limit_high=None, error=error)
+        else:
+            assert v == b
+
+
+def test_pair_scan_records_a_failed_refinement_stage(monkeypatch):
+    base = pair_scan(10, refine=True, grid_size=64)
+    # (4, 7) has limits of one sign, so the scan refines it.
+    [b47] = [b for b in base if b.reduced == PAIR_4_7]
+    assert b47.limit_low * b47.limit_high > 0.0
+    _fail_stage(monkeypatch, "_phi_roots", PAIR_4_7, ConvergenceError("forced failure"))
+    verdicts = pair_scan(10, refine=True, grid_size=64)
+    assert [v.reduced for v in verdicts if v.error] == [PAIR_4_7]
+    for v, b in zip(verdicts, base):
+        if v.reduced == PAIR_4_7:
+            assert (v.limit_low, v.limit_high) == (b.limit_low, b.limit_high)
+            assert (v.status, v.roots) == (STATUS_UNDECIDED, ())
+            assert v.error == "ConvergenceError: forced failure"
+        else:
+            assert v == b
 
 
 def test_pair_scan_fills_one_table_per_k1_group(monkeypatch):

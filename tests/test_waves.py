@@ -24,6 +24,7 @@ from capwhitham import (
     eval_symbol,
     inner_products,
     linear_dependence_residual,
+    multiplier,
     residual_j_inf,
     solve_w,
     solve_wave,
@@ -224,13 +225,13 @@ def test_solve_w_rejects_large_kernel_amplitude():
 def test_solve_w_divergence_and_fold():
     # At r = 0.05 the fixed-point map has gain ~2.8 and diverges; the
     # Newton continuation then loses the small branch at a fold.
-    from capwhitham.waves import _ell_values, _solve_w_picard
+    from capwhitham.waves import _solve_w_picard
 
     v = synthesize_v(PAIR_2_5, ModalParameters(0.05, 0.05, 0.0, 0.2), K=64)
     point = _point()
     ctx = MultiplierContext(pair=PAIR_2_5, c=point.c0, kappa=point.kappa0, T=0.1215)
     with pytest.raises(DivergenceError):
-        _solve_w_picard(v.modes, _ell_values(ctx, 64), 64, SolverSettings())
+        _solve_w_picard(v.modes, multiplier(ctx, np.arange(65)), 64, SolverSettings())
     with pytest.raises(ConvergenceError):
         solve_w(v, point.c0, point.kappa0, 0.1215, SolverSettings())
 
@@ -239,11 +240,11 @@ def test_solve_w_newton_agrees_with_picard_when_both_work():
     v = synthesize_v(PAIR_2_5, ModalParameters(0.008, 0.008, 0.05, 0.2), K=32)
     point = _point()
     picard = solve_w(v, point.c0, point.kappa0, 0.1215)
-    from capwhitham.waves import _solve_w_newton, _ell_values
+    from capwhitham.waves import _solve_w_newton
 
     ctx = MultiplierContext(pair=PAIR_2_5, c=point.c0, kappa=point.kappa0, T=0.1215)
     newton_modes, _ = _solve_w_newton(
-        v.modes, _ell_values(ctx, 32), 32, PAIR_2_5, SolverSettings()
+        v.modes, multiplier(ctx, np.arange(33)), 32, PAIR_2_5, SolverSettings()
     )
     assert picard.method == "picard"
     assert np.allclose(picard.w.modes, newton_modes, atol=1e-12)
