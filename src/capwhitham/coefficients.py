@@ -9,7 +9,8 @@ convolution recursion weighted by the multiplier
     ell(k) = 1 / (c - m_T(kappa*|k|))   otherwise,
 
 with m_T(0) = 1 at k = 0.  One function fills the recursion as a table
-below a target; the evaluation modes differ only in ell's value type:
+below a target, and one cell map names the multiplier of each cell; the
+evaluation modes differ only in ell's value type:
 
 * numeric -- floats at a concrete (c, kappa, T), or arrays over a grid;
 * limit-ratio -- ell replaced by its normalized endpoint limits
@@ -262,25 +263,22 @@ def _scaled_u2(corner: tuple[int, int, int, int], ell, one=1.0, cell_sum=_sequen
     return S
 
 
-def _table_ell(pair: WaveNumberPair, corner, ell, one=1.0):
-    """The cell multiplier of one pair's table below ``corner``.
-
-    A cell of wavenumber k takes ell(|k|), asked once per |k| (``ell``
-    must be even), and the corner takes ``one``.
+@functools.lru_cache(maxsize=1024)
+def _cell_map(pair: WaveNumberPair, corner) -> tuple[tuple[int, ...], np.ndarray]:
+    """(ks, rows): the ascending |k| at which the table below ``corner``
+    asks ell (which is even), and for each cell the index in ks of its
+    |k|, or len(ks) for the cells that take ``one``: those of order below
+    2 and the corner.  A table reads cell multipliers as values[rows[cell]].
     """
-    k1, k2 = pair.k1, pair.k2
-    ells = {}
-
-    def at(cell):
-        if cell == corner:
-            return one
-        c0, c1, c2, c3 = cell
-        k = abs(k1 * (c0 - c2) + k2 * (c1 - c3))
-        if k not in ells:
-            ells[k] = ell(k)
-        return ells[k]
-
-    return at
+    c = np.indices(tuple(n + 1 for n in corner))
+    k = np.abs(pair.k1 * (c[0] - c[2]) + pair.k2 * (c[1] - c[3]))
+    asks = c.sum(axis=0) >= 2
+    asks[tuple(corner)] = False
+    # The distinct |k| in ascending order; np.unique would load numpy.ma.
+    ks = np.flatnonzero(np.bincount(k[asks]))
+    rows = np.where(asks, np.searchsorted(ks, k), len(ks))
+    rows.flags.writeable = False
+    return tuple(ks.tolist()), rows
 
 
 @dataclass(frozen=True)
@@ -312,7 +310,9 @@ class _NumericSession:
             )
         larger = max((alpha, beta), (beta, alpha))
         corner = (*larger[0], *larger[1])
-        return float(_scaled_u2(corner, _table_ell(self.ctx.pair, corner, self.ctx.ell))[corner])
+        ks, rows = _cell_map(self.ctx.pair, corner)
+        values = np.append(self.ctx.ell(ks), 1.0)
+        return float(_scaled_u2(corner, lambda cell: values[rows[cell]])[corner])
 
     def u(self, alpha: MultiIndex, beta: MultiIndex) -> float:
         """Unscaled u_hat_{alpha,beta}."""
@@ -392,17 +392,13 @@ def phi_target_indices(pair: WaveNumberPair) -> tuple[MultiIndex, MultiIndex]:
     return (pair.k2 - 1, 0), (0, pair.k1)
 
 
-@functools.lru_cache(maxsize=64)
 def _phi_path(pair: WaveNumberPair) -> tuple[int, ...]:
-    """The ascending |k| at which the phi table asks ell.
-
-    The cells (a, 0, 0, b) of order >= 2 have wavenumber k1*a - k2*b, and
-    ell is asked for all but the corner, at -k1; for a coprime pair no
-    other is 0, k1 or k2.  Empty for (1, 2), where M = 0.
+    """The ascending |k| at which the phi table asks ell: |k1 a - k2 b| at
+    its cells (a, 0, 0, b) of order >= 2 but the corner.  For a coprime
+    pair none is 0, k1 or k2.  Empty for (1, 2), where M = 0.
     """
-    k1, k2 = pair.k1, pair.k2
-    path = {abs(k1 * a - k2 * b) for a in range(k2) for b in range(k1 + 1) if a + b >= 2}
-    return tuple(sorted(path - {0, k1, k2}))
+    alpha, beta = phi_target_indices(pair)
+    return _cell_map(pair, (*alpha, *beta))[0]
 
 
 def expansion_size(pair: WaveNumberPair) -> tuple[int, int]:
@@ -443,23 +439,15 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
         )
     k1, k2 = pair.k1, pair.k2
     alpha, beta = phi_target_indices(pair)
-    # A factor ell(0), ell(k1) or ell(k2) would silently change the term
-    # count, so it has no column and raises.
-    ks = _phi_path(pair)
-    columns = {k: j for j, k in enumerate(ks)}
-    unit = np.eye(len(ks), dtype=np.uint8)
-    one = _Monomials(np.zeros((1, len(ks)), dtype=np.uint8), np.ones(1, dtype=np.int64))
-
-    def ell(k: int) -> _Monomials:
-        j = columns.get(abs(k))
-        if j is None:
-            raise AssertionError(
-                f"phi-path purity violated: ell({k}) arose in a symbolic expansion"
-            )
-        return _Monomials(unit[j : j + 1], one.c)
-
     corner = (*alpha, *beta)
-    raw = _scaled_u2(corner, _table_ell(pair, corner, ell, one), one, _Monomials.cell_sum)[corner]
+    ks, rows = _cell_map(pair, corner)
+    # A factor ell(0), ell(k1) or ell(k2) would silently change the term
+    # count, so it raises.
+    for k in sorted(set(ks) & {0, k1, k2}):
+        raise AssertionError(f"phi-path purity violated: ell({k}) arose in a symbolic expansion")
+    one = _Monomials(np.zeros((1, len(ks)), dtype=np.uint8), np.ones(1, dtype=np.int64))
+    values = [_Monomials(unit[None], one.c) for unit in np.eye(len(ks), dtype=np.uint8)] + [one]
+    raw = _scaled_u2(corner, lambda cell: values[rows[cell]], one, _Monomials.cell_sum)[corner]
     total = int(raw.c.sum())
     if total != n_expected:
         raise AssertionError(

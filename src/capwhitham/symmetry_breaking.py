@@ -25,6 +25,7 @@ from .coefficients import (
     LIMIT_HIGH_T,
     LIMIT_LOW_T,
     MultiplierContext,
+    _cell_map,
     _phi_path,
     _scaled_u2,
     limit_ratio,
@@ -150,22 +151,6 @@ def _check_values(pair: WaveNumberPair, grid: np.ndarray, values: np.ndarray) ->
     return values
 
 
-@functools.lru_cache(maxsize=1024)
-def _phi_cells(pair: WaveNumberPair) -> np.ndarray:
-    """The ell row of each cell (a, 0, 0, b) of the pair's phi box.
-
-    That is the index of |k1 a - k2 b| on the phi path, or the path's
-    length, one past its end, for the cells that take no multiplier:
-    those of order below 2 and the corner.
-    """
-    k1, k2 = pair.k1, pair.k2
-    path = np.array(_phi_path(pair), dtype=int)
-    k = np.abs(k1 * np.arange(k2)[:, None] - k2 * np.arange(k1 + 1))
-    cells = np.where(np.isin(k, path), np.searchsorted(path, k), len(path))
-    cells.flags.writeable = False
-    return cells
-
-
 def _phi(pairs: list[WaveNumberPair], rows: list[np.ndarray]) -> list[np.ndarray]:
     """phi of pairs that share k1, from one stack of their coefficient tables.
 
@@ -190,7 +175,8 @@ def _phi(pairs: list[WaveNumberPair], rows: list[np.ndarray]) -> list[np.ndarray
     at = np.zeros((top, k1 + 1, len(pairs)), dtype=int)
     start = 0
     for j, p in enumerate(order):
-        at[: pairs[p].k2, :, j] = start + _phi_cells(pairs[p])
+        k2 = pairs[p].k2
+        at[:k2, :, j] = start + _cell_map(pairs[p], (k2 - 1, 0, 0, k1))[1][:, 0, 0]
         start += len(rows[p]) + 1
     live = (k2s > np.arange(top)[:, None]).sum(axis=1).tolist()
 
@@ -483,6 +469,8 @@ def pair_scan(
     """
     if k_max < 3:
         raise DomainError("scan needs k_max >= 3", k_max=k_max)
+    if jobs < 1:
+        raise DomainError("scan needs jobs >= 1", jobs=jobs)
     if refine and grid_size < 16:
         raise DomainError("root scan needs at least 16 points", grid_size=grid_size)
     verdicts: list[PairVerdict] = []

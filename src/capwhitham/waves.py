@@ -128,11 +128,21 @@ class WaveProfile:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Truncation order and tolerances of the wave solvers."""
+    """Truncation order K >= 1 and positive, finite tolerances of the wave solvers."""
 
     K: int = 64
     tol_w: float = 1e-14
     tol_newton: float = 1e-12
+
+    def __post_init__(self):
+        if not (0.0 < self.tol_w < math.inf and 0.0 < self.tol_newton < math.inf):
+            raise DomainError(
+                "tolerances must be positive and finite",
+                tol_w=self.tol_w,
+                tol_newton=self.tol_newton,
+            )
+        if self.K < 1:
+            raise DomainError("truncation needs K >= 1", K=self.K)
 
 
 # Iteration budgets of the w fixed point and the parameter Newton.

@@ -15,6 +15,10 @@ dense 4-index polynomial and squares by a truncated direct sum.
 ``exact_phi_monomials`` is an independent exact expansion of phi: a
 memoized recursion on single coefficients, in plain dicts keyed by sorted
 factor tuples, that sums every splitting in both orders.
+
+``table_ell`` is the per-|k| reference for the cell multipliers of a
+coefficient table: it asks ell once per |k| as the cells come, in place
+of one call on every |k| at once.
 """
 
 import functools
@@ -179,6 +183,27 @@ def exact_phi_monomials(k1: int, k2: int) -> dict:
         return times({(k,): 1}, square(cell))
 
     return square((k2 - 1, 0, 0, k1))
+
+
+def table_ell(pair, corner, ell, one=1.0):
+    """The cell multiplier of one pair's table below ``corner``.
+
+    A cell of wavenumber k takes ell(|k|), asked once per |k| (``ell``
+    must be even), and the corner takes ``one``.
+    """
+    k1, k2 = pair.k1, pair.k2
+    ells = {}
+
+    def at(cell):
+        if cell == corner:
+            return one
+        c0, c1, c2, c3 = cell
+        k = abs(k1 * (c0 - c2) + k2 * (c1 - c3))
+        if k not in ells:
+            ells[k] = ell(k)
+        return ells[k]
+
+    return at
 
 
 if __name__ == "__main__":

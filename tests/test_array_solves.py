@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import oracles
 from capwhitham import (
     LIMIT_HIGH_T,
     LIMIT_LOW_T,
@@ -28,7 +29,7 @@ from capwhitham import (
     phi_target_indices,
     turning_point,
 )
-from capwhitham.coefficients import _phi_path, _scaled_u2, _table_ell
+from capwhitham.coefficients import _phi_path, _scaled_u2
 from capwhitham.symbol import (
     _bifurcation_arrays,
     _brentq,
@@ -280,7 +281,7 @@ def _per_k_phi(pair, ell, one):
     alpha, beta = phi_target_indices(pair)
     corner = (*alpha, *beta)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = _scaled_u2(corner, _table_ell(pair, corner, ell, one), one)
+        S = _scaled_u2(corner, oracles.table_ell(pair, corner, ell, one), one)
         return S[corner] / 2.0 ** (pair.k1 + pair.k2 - 1)
 
 

@@ -1,8 +1,10 @@
 """Tests for the multiplier and the Taylor-Fourier coefficient engine."""
 
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,62 @@ def test_phi_target_indices():
     assert phi_target_indices(WaveNumberPair(3, 7)) == ((6, 0), (0, 3))
 
 
+def test_phi_path_is_the_set_of_cell_wavenumbers():
+    # For every coprime pair with k2 <= 40: |k1 a - k2 b| over the cells
+    # (a, 0, 0, b) of order >= 2 but the corner, none of them 0, k1 or k2.
+    for k2 in range(2, 41):
+        for k1 in range(1, k2):
+            if math.gcd(k1, k2) > 1:
+                continue
+            path = coefficients._phi_path(WaveNumberPair(k1, k2))
+            want = {
+                abs(k1 * a - k2 * b)
+                for a in range(k2)
+                for b in range(k1 + 1)
+                if a + b >= 2 and (a, b) != (k2 - 1, k1)
+            }
+            assert path == tuple(sorted(want))
+            assert not {0, k1, k2} & set(path)
+
+
+@pytest.mark.parametrize(
+    "pair, corner",
+    [
+        ((2, 5), (3, 3, 3, 3)),
+        ((3, 7), (2, 1, 3, 0)),
+        ((2, 5), (4, 0, 0, 2)),
+        ((1, 2), (1, 0, 0, 1)),
+    ],
+    ids=str,
+)
+def test_cell_map_rows_name_each_cells_wavenumber(pair, corner):
+    pair = WaveNumberPair(*pair)
+    ks, rows = coefficients._cell_map(pair, corner)
+    assert rows.shape == tuple(n + 1 for n in corner)
+    asked = set()
+    for cell in np.ndindex(rows.shape):
+        if sum(cell) < 2 or cell == corner:
+            assert rows[cell] == len(ks)
+        else:
+            k = abs(pair.k1 * (cell[0] - cell[2]) + pair.k2 * (cell[1] - cell[3]))
+            assert ks[rows[cell]] == k
+            asked.add(k)
+    assert ks == tuple(sorted(asked))
+
+
+def test_oracles_import_nothing_from_the_package():
+    # The oracles can arbitrate the package only while they share no code.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    assert "numpy" in modules
+    assert not [m for m in modules if m.split(".")[0] == "capwhitham"]
+
+
 def test_expansion_2_5_exact_monomials():
     expansion = expand_symbolic(PAIR_2_5)
     table = {m.factors: m.coeff for m in expansion.monomials}
@@ -220,12 +278,16 @@ def test_expansion_1_2_has_no_factors():
     assert (expansion.coefficient_total, expansion.factors_per_monomial) == (2, 0)
 
 
-@pytest.mark.parametrize("k", [0, 2, 5, -5])
+@pytest.mark.parametrize("k", [0, 2, 5])
 def test_expansion_refuses_kernel_and_zero_factors(monkeypatch, k):
-    def cell_ell(pair, corner, ell, one):
-        return lambda cell: ell(k)
+    # The cells of the first |k| on the path are mapped to k instead.
+    cell_map = coefficients._cell_map
 
-    monkeypatch.setattr(coefficients, "_table_ell", cell_ell)
+    def with_k(pair, corner):
+        ks, rows = cell_map(pair, corner)
+        return (k, *ks[1:]), rows
+
+    monkeypatch.setattr(coefficients, "_cell_map", with_k)
     with pytest.raises(AssertionError, match=rf"phi-path purity violated: ell\({k}\)"):
         expand_symbolic(PAIR_2_5)
 
@@ -418,7 +480,7 @@ def _hex(value):
 def _fill(pair, alpha, beta, ell, one):
     """s at the corner (alpha, beta) of one pair's table."""
     corner = (*alpha, *beta)
-    S = coefficients._scaled_u2(corner, coefficients._table_ell(pair, corner, ell, one), one)
+    S = coefficients._scaled_u2(corner, oracles.table_ell(pair, corner, ell, one), one)
     return S[corner]
 
 

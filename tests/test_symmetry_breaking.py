@@ -223,6 +223,12 @@ def test_pair_scan_rejects_small_kmax():
         pair_scan(2)
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_pair_scan_rejects_jobs_below_one(jobs):
+    with pytest.raises(DomainError, match="jobs >= 1"):
+        pair_scan(6, jobs=jobs)
+
+
 def test_phi_curve_bitwise_equals_eval():
     # The batched recursion must reproduce the scalar one exactly, also
     # for (1, 2), where phi never applies a multiplier (M = 0).
@@ -319,7 +325,7 @@ def _one_pair_fill(pair, ell, one):
     """phi from the pair's own table, asking ell once per |k|."""
     alpha, beta = coefficients.phi_target_indices(pair)
     corner = (*alpha, *beta)
-    S = coefficients._scaled_u2(corner, coefficients._table_ell(pair, corner, ell, one), one)
+    S = coefficients._scaled_u2(corner, oracles.table_ell(pair, corner, ell, one), one)
     return S[corner] / 2.0 ** (pair.k1 + pair.k2 - 1)
 
 

@@ -90,6 +90,19 @@ def test_modal_parameters_reject_non_finite(values):
         ModalParameters(*values)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("field", ["tol_w", "tol_newton"])
+def test_solver_settings_need_positive_finite_tolerances(field, value):
+    with pytest.raises(DomainError, match="tolerances must be positive and finite"):
+        SolverSettings(**{field: value})
+
+
+@pytest.mark.parametrize("K", [0, -3])
+def test_solver_settings_need_a_positive_truncation(K):
+    with pytest.raises(DomainError, match="K >= 1"):
+        SolverSettings(K=K)
+
+
 def test_synthesize_places_half_amplitudes():
     params = ModalParameters(0.1, 0.2, theta1=0.3, theta2=0.15)
     v = synthesize_v(PAIR_2_5, params, K=16)
