@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -342,27 +342,49 @@ class Monomial:
     factors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiExpansion:
     """Exact integer expansion of 2**(k1+k2-1) * phi as monomials in ell.
 
-    ``evaluate`` at concrete ell-values returns that scaled quantity;
-    divide by 2**prefactor_exponent to recover phi itself.
+    Rows over ``ks``, the ascending |k| of the phi path: uint8 ``exponents``
+    (the power of ell(ks[j]) in column j) and int64 ``coeffs``, one monomial
+    per row in canonical order; ``monomials`` is built from them on first
+    use.  ``evaluate`` at concrete ell-values returns 2**prefactor_exponent * phi.
     """
 
     pair: WaveNumberPair
     prefactor_exponent: int
-    monomials: tuple[Monomial, ...]
+    ks: tuple[int, ...]
+    exponents: np.ndarray
+    coeffs: np.ndarray
+
+    def __eq__(self, other):
+        """Equal by value, field by field; the arrays leave expansions unhashable."""
+        if not isinstance(other, PhiExpansion):
+            return NotImplemented
+        names = [f.name for f in fields(self)]
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in names)
 
     @property
     def coefficient_total(self) -> int:
         """Total monomial count N with multiplicity."""
-        return sum(m.coeff for m in self.monomials)
+        return int(self.coeffs.sum())
 
     @property
     def factors_per_monomial(self) -> int:
         """Common factor count M of every monomial."""
-        return len(self.monomials[0].factors) if self.monomials else 0
+        return self.pair.k1 + self.pair.k2 - 3
+
+    def factor_columns(self) -> np.ndarray:
+        """uint8 matrix of each monomial's M factors, as ascending column indices into ks."""
+        columns = np.broadcast_to(np.arange(len(self.ks), dtype=np.uint8), self.exponents.shape)
+        return np.repeat(columns, self.exponents.ravel()).reshape(len(self.coeffs), -1)
+
+    @functools.cached_property
+    def monomials(self) -> tuple[Monomial, ...]:
+        """The rows as ``Monomial`` terms, each with its ascending factor tuple."""
+        factors = np.array(self.ks)[self.factor_columns()].tolist()
+        return tuple(map(Monomial, self.coeffs.tolist(), map(tuple, factors)))
 
     def evaluate(self, ell) -> float:
         """Sum coeff * prod ell(factor); equals 2**prefactor_exponent * phi."""
@@ -381,9 +403,7 @@ class PhiExpansion:
             "prefactor_exponent": self.prefactor_exponent,
             "N": self.coefficient_total,
             "M": self.factors_per_monomial,
-            "monomials": [
-                {"coeff": m.coeff, "factors": list(m.factors)} for m in self.monomials
-            ],
+            "monomials": [{"coeff": m.coeff, "factors": list(m.factors)} for m in self.monomials],
         }
 
 
@@ -420,9 +440,9 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
 
     Fills the scaled table with integer-weighted monomial rows, in which
     ell(k) is the single row with exponent 1 in the column of |k|.  The
-    corner's rows arrive merged and in canonical order, so the factor
-    tuples are read off them once, at the end.  The expansion is refused
-    up front if its exact term count N exceeds the size guard.
+    corner's rows arrive merged and in canonical order, and the expansion
+    keeps them, read-only.  The expansion is refused up front if its
+    exact term count N exceeds the size guard.
 
     Raises
     ------
@@ -433,9 +453,7 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
     n_expected, m_expected = expansion_size(pair)
     if n_expected > SIZE_GUARD:
         raise SizeGuardError(
-            "expansion term count exceeds the size guard",
-            size=n_expected,
-            guard=SIZE_GUARD,
+            "expansion term count exceeds the size guard", size=n_expected, guard=SIZE_GUARD
         )
     k1, k2 = pair.k1, pair.k2
     alpha, beta = phi_target_indices(pair)
@@ -450,24 +468,15 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
     raw = _scaled_u2(corner, lambda cell: values[rows[cell]], one, _Monomials.cell_sum)[corner]
     total = int(raw.c.sum())
     if total != n_expected:
-        raise AssertionError(
-            f"expansion coefficient total {total} != exact count {n_expected}"
-        )
+        raise AssertionError(f"expansion coefficient total {total} != exact count {n_expected}")
     bad = np.flatnonzero(raw.E.sum(axis=1) != m_expected)
     if bad.size:
         raise AssertionError(
             f"monomial {dict(zip(ks, raw.E[bad[0]].tolist()))} violates the "
             f"factor-count invariant M={m_expected}"
         )
-    # Every row holds M factors, so the repeated wavenumbers, taken M at a
-    # time, are the ascending factor tuples.
-    flat = np.repeat(np.tile(np.array(ks, dtype=np.uint8), len(raw.c)), raw.E.ravel()).tolist()
-    factors = zip(*[iter(flat)] * m_expected) if m_expected else [()] * len(raw.c)
-    return PhiExpansion(
-        pair=pair,
-        prefactor_exponent=k1 + k2 - 1,
-        monomials=tuple(map(Monomial, raw.c.tolist(), factors)),
-    )
+    raw.E.flags.writeable = raw.c.flags.writeable = False
+    return PhiExpansion(pair, k1 + k2 - 1, ks, raw.E, raw.c)
 
 
 def limit_ratio(pair: WaveNumberPair, endpoint: str, n):

@@ -77,34 +77,29 @@ def root_dict(root: PhiRoot) -> dict:
     }
 
 
-def _factors_text(factors: tuple[int, ...]) -> str:
-    if not factors:
-        return "[]"
-    return "[\n        " + ",\n        ".join(map(str, factors)) + "\n      ]"
-
-
 def expansion_json(expansion: PhiExpansion) -> str:
     """Canonical serialization of an exact expansion (lex-sorted monomials).
 
-    Writes the bytes of ``json_text(expansion.to_dict())``.  The monomial
-    list, which can hold 10^4 entries, is formatted directly rather than
-    by the json module's pure-Python indenting encoder.
+    Writes the bytes of ``json_text(expansion.to_dict())`` from the rows in
+    one join: per monomial, a head cell with its coefficient, then each
+    factor's text by its column in ks, the last one closing the monomial.
     """
-    header = json_text(
-        {
-            "pair": [expansion.pair.k1, expansion.pair.k2],
-            "prefactor_exponent": expansion.prefactor_exponent,
-            "N": expansion.coefficient_total,
-            "M": expansion.factors_per_monomial,
-        }
-    )
-    items = ",\n".join(
-        f'    {{\n      "coeff": {m.coeff},\n      "factors": {_factors_text(m.factors)}\n    }}'
-        for m in expansion.monomials
-    )
-    monomials = f"[\n{items}\n  ]" if items else "[]"
+    pair, ks, columns = expansion.pair, expansion.ks, expansion.factor_columns()
+    n, m = columns.shape
+    top = {"pair": [pair.k1, pair.k2], "prefactor_exponent": expansion.prefactor_exponent}
+    header = json_text({**top, "N": expansion.coefficient_total, "M": m})
+    close = "\n      ]\n    }"
+    text = [f"\n        {k}," for k in ks] + [f"\n        {k}{close}" for k in ks]
+    columns[:, -1:] += len(ks)
+    start, end = ',\n    {\n      "coeff": ', ',\n      "factors": [' + ("" if m else "]\n    }")
     # The header ends in "\n}\n"; the monomial list goes before that brace.
-    return header[:-3] + f',\n  "monomials": {monomials}\n}}\n'
+    cells = np.empty(n * (m + 1) + 2, dtype=object)
+    cells[0], cells[-1] = header[:-3] + ',\n  "monomials": [', "\n  ]\n}\n"
+    rows = cells[1:-1].reshape(n, m + 1)
+    rows[:, 0] = [f"{start}{c}{end}" for c in expansion.coeffs.tolist()]
+    rows[:, 1:] = np.array(text, dtype=object)[columns]
+    rows[0, 0] = rows[0, 0][1:]  # no comma before the first monomial
+    return "".join(cells.tolist())
 
 
 @functools.lru_cache(maxsize=8)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from capwhitham import cli, errors
+from capwhitham import cli, coefficients, errors
 from capwhitham.cli import main
 from capwhitham.config import RunConfig
 
@@ -78,6 +78,18 @@ def test_expand_bytes_are_pinned(tmp_path, capsys, pair):
     assert (code, err) == (0, "")
     digest = hashlib.sha256((tmp_path / "expansion.json").read_bytes()).hexdigest()
     assert digest == EXPANSION_SHA256[pair]
+
+
+def test_expand_builds_no_monomial_objects(tmp_path, capsys, monkeypatch):
+    # The expand path writes the file from the exponent rows alone.
+    def refuse(*args):
+        raise AssertionError("expand built a Monomial")
+
+    monkeypatch.setattr(coefficients, "Monomial", refuse)
+    code, out, err = _run(capsys, "expand", "--k1", "5", "--k2", "8", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256((tmp_path / "expansion.json").read_bytes()).hexdigest()
+    assert digest == EXPANSION_SHA256[(5, 8)]
 
 
 _PAIR = ("--k1", "2", "--k2", "5")

@@ -1,6 +1,7 @@
 """Tests for the multiplier and the Taylor-Fourier coefficient engine."""
 
 import ast
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -229,9 +230,10 @@ def test_expansion_2_5_exact_monomials():
     assert factors == sorted(factors)
 
 
-@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 5), (3, 7)])
+@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 5), (3, 7), (4, 7), (5, 7), (4, 9)])
 def test_expansion_json_matches_json_encoder(pair):
-    # (1, 2) has M = 0, so its factor lists are empty.
+    # (1, 2) has M = 0, so its factor lists are empty; (4, 7), (5, 7) and
+    # (4, 9) have two-digit factors and M = 8 to 10 on up to 8,221 rows.
     expansion = expand_symbolic(WaveNumberPair(*pair))
     assert emitters.expansion_json(expansion) == emitters.json_text(expansion.to_dict())
 
@@ -269,6 +271,25 @@ def test_expansion_matches_exact_oracle(pair):
     expansion = expand_symbolic(WaveNumberPair(*pair))
     want = sorted(oracles.exact_phi_monomials(*pair).items())
     assert [(m.factors, m.coeff) for m in expansion.monomials] == want
+
+
+@pytest.mark.parametrize("pair", _ORACLE_PAIRS, ids=lambda p: f"{p[0]}_{p[1]}")
+def test_expansion_rows_api(pair):
+    pair = WaveNumberPair(*pair)
+    expansion = expand_symbolic(pair)
+    n, m = expansion_size(pair)
+    assert (expansion.coefficient_total, expansion.factors_per_monomial) == (n, m)
+    assert (expansion.exponents.sum(axis=1) == m).all()
+    assert expansion.monomials is expansion.monomials
+    with pytest.raises(ValueError):
+        expansion.exponents[0, :] = 0
+    with pytest.raises(ValueError):
+        expansion.coeffs[0] = 0
+    assert expansion == expand_symbolic(pair)
+    doubled = dataclasses.replace(expansion, coeffs=2 * expansion.coeffs)
+    assert expansion != doubled
+    other = WaveNumberPair(1, 2) if pair != WaveNumberPair(1, 2) else PAIR_2_5
+    assert expansion != expand_symbolic(other)
 
 
 def test_expansion_1_2_has_no_factors():
