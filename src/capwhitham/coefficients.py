@@ -387,14 +387,18 @@ class PhiExpansion:
         return tuple(map(Monomial, self.coeffs.tolist(), map(tuple, factors)))
 
     def evaluate(self, ell) -> float:
-        """Sum coeff * prod ell(factor); equals 2**prefactor_exponent * phi."""
-        total = 0.0
-        for mono in self.monomials:
-            term = float(mono.coeff)
-            for k in mono.factors:
-                term *= ell(k)
-            total += term
-        return total
+        """Sum coeff * prod ell(factor); equals 2**prefactor_exponent * phi.
+
+        Asks ell once per |k| of ``ks``.  Each row's product runs over its
+        ascending factors, left to right from its coefficient, and the rows
+        add in canonical order from 0.0 (``+ 0.0`` as in _sequential_sum),
+        so the value rounds like a loop over the monomials.
+        """
+        values = np.array([ell(k) for k in self.ks], dtype=float)
+        terms = self.coeffs.astype(float)
+        for column in self.factor_columns().T:
+            terms = terms * values[column]
+        return float(np.add.accumulate(terms)[-1] + 0.0)
 
     def to_dict(self) -> dict:
         """Canonical serialization (factors ascending, monomials lex-sorted)."""
@@ -412,13 +416,72 @@ def phi_target_indices(pair: WaveNumberPair) -> tuple[MultiIndex, MultiIndex]:
     return (pair.k2 - 1, 0), (0, pair.k1)
 
 
+def _phi_corner(pair: WaveNumberPair) -> tuple[int, int, int, int]:
+    """The corner (k2-1, 0, 0, k1) of the phi table: its target indices,
+    flattened.  Its order k1 + k2 - 1 is the scale exponent of phi."""
+    alpha, beta = phi_target_indices(pair)
+    return (*alpha, *beta)
+
+
 def _phi_path(pair: WaveNumberPair) -> tuple[int, ...]:
     """The ascending |k| at which the phi table asks ell: |k1 a - k2 b| at
     its cells (a, 0, 0, b) of order >= 2 but the corner.  For a coprime
     pair none is 0, k1 or k2.  Empty for (1, 2), where M = 0.
     """
-    alpha, beta = phi_target_indices(pair)
-    return _cell_map(pair, (*alpha, *beta))[0]
+    return _cell_map(pair, _phi_corner(pair))[0]
+
+
+def _phi(pairs: list[WaveNumberPair], rows: list[np.ndarray]) -> list[np.ndarray]:
+    """phi of pairs that share k1, from one stack of their coefficient tables.
+
+    ``rows[p]`` holds ell of pair p at the i-th |k| of its phi path in
+    row i, with one column per evaluation point, G columns for every
+    pair.  A pair's phi box is (k2, 1, 1, k1+1).  With the pairs in
+    descending k2 and their columns side by side on the trailing axis,
+    the pairs whose box holds a cell of row a are those with k2 > a, a
+    prefix of the columns.  The largest box is filled once: each cell
+    sums over its prefix and multiplies every pair's columns by that
+    pair's ell at |k1 a - k2 b|, or by 1 at the pair's own corner, where
+    its phi is read.  No column's arithmetic involves another, so each
+    pair's values are bitwise equal to its table filled alone.
+    """
+    G = rows[0].shape[1]
+    order = sorted(range(len(pairs)), key=lambda p: -pairs[p].k2)
+    corners = [_phi_corner(pairs[p]) for p in order]
+    top = corners[0]
+    # Every pair's rows followed by a row of ones, which the cells
+    # without a multiplier take, and at each cell the row of every pair's
+    # multiplier; a cell gathers the rows of its prefix.
+    ell = np.concatenate([r for p in order for r in (rows[p], np.ones((1, G)))])
+    at = np.zeros((*(n + 1 for n in top), len(pairs)), dtype=int)
+    start = 0
+    for j, (p, corner) in enumerate(zip(order, corners)):
+        at[: corner[0] + 1, ..., j] = start + _cell_map(pairs[p], corner)[1]
+        start += len(rows[p]) + 1
+    live = [sum(c[0] >= a for c in corners) for a in range(top[0] + 1)]
+    S = _scaled_u2(
+        top, lambda cell: ell[at[cell][: live[cell[0]]]].reshape(-1), np.ones(len(pairs) * G)
+    )
+    phi = [None] * len(pairs)
+    for j, (p, corner) in enumerate(zip(order, corners)):
+        phi[p] = S[corner][j * G : (j + 1) * G] / 2.0 ** sum(corner)
+    return phi
+
+
+def _path_ell(pair: WaveNumberPair, T, points) -> np.ndarray:
+    """ell at every |k| of the phi path (rows) and every tension of T
+    (columns), given the arrays (c0, kappa0, residual) of their
+    bifurcation points, from one array multiplier call."""
+    c0, kappa0, _ = points
+    ks = np.array(_phi_path(pair), dtype=int)
+    return MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T).ell(ks[:, None])
+
+
+def _limit_ell(pair: WaveNumberPair) -> np.ndarray:
+    """The normalized endpoint ratios at every |k| of the phi path, one
+    column per endpoint."""
+    ks = np.array(_phi_path(pair), dtype=int)
+    return np.stack([limit_ratio(pair, end, ks) for end in (LIMIT_LOW_T, LIMIT_HIGH_T)], 1)
 
 
 def expansion_size(pair: WaveNumberPair) -> tuple[int, int]:
@@ -455,13 +518,11 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
         raise SizeGuardError(
             "expansion term count exceeds the size guard", size=n_expected, guard=SIZE_GUARD
         )
-    k1, k2 = pair.k1, pair.k2
-    alpha, beta = phi_target_indices(pair)
-    corner = (*alpha, *beta)
+    corner = _phi_corner(pair)
     ks, rows = _cell_map(pair, corner)
     # A factor ell(0), ell(k1) or ell(k2) would silently change the term
     # count, so it raises.
-    for k in sorted(set(ks) & {0, k1, k2}):
+    for k in sorted(set(ks) & {0, pair.k1, pair.k2}):
         raise AssertionError(f"phi-path purity violated: ell({k}) arose in a symbolic expansion")
     one = _Monomials(np.zeros((1, len(ks)), dtype=np.uint8), np.ones(1, dtype=np.int64))
     values = [_Monomials(unit[None], one.c) for unit in np.eye(len(ks), dtype=np.uint8)] + [one]
@@ -476,7 +537,7 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
             f"factor-count invariant M={m_expected}"
         )
     raw.E.flags.writeable = raw.c.flags.writeable = False
-    return PhiExpansion(pair, k1 + k2 - 1, ks, raw.E, raw.c)
+    return PhiExpansion(pair, sum(corner), ks, raw.E, raw.c)
 
 
 def limit_ratio(pair: WaveNumberPair, endpoint: str, n):

@@ -23,7 +23,11 @@ CONFIG_ENV_VAR = "CAPWHITHAM_CONFIG"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerances, sizes, parallelism and output destination of a run."""
+    """Tolerances, sizes, parallelism and output destination of a run.
+
+    ``tol_root`` applies to ``phi root`` only; ``pairs --refine`` always
+    refines roots to the fixed ``_ROOT_XTOL``.
+    """
 
     tol_root: float = _ROOT_XTOL
     tol_w: float = SolverSettings.tol_w

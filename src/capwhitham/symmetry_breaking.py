@@ -21,15 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import (
-    LIMIT_HIGH_T,
-    LIMIT_LOW_T,
-    MultiplierContext,
-    _cell_map,
-    _phi_path,
-    _scaled_u2,
-    limit_ratio,
-)
+from .coefficients import _limit_ell, _path_ell, _phi
 from .errors import CapWhithamError, DomainError
 from .symbol import (
     WEAK_TENSION_LIMIT,
@@ -149,65 +141,6 @@ def _check_values(pair: WaveNumberPair, grid: np.ndarray, values: np.ndarray) ->
             f"phi(T={grid[i]}; 1, {pair.k2}) = {values[i]} violates the positivity invariant"
         )
     return values
-
-
-def _phi(pairs: list[WaveNumberPair], rows: list[np.ndarray]) -> list[np.ndarray]:
-    """phi of pairs that share k1, from one stack of their coefficient tables.
-
-    ``rows[p]`` holds ell of pair p at the i-th |k| of its phi path in
-    row i, with one column per evaluation point, G columns for every
-    pair.  A pair's phi box is (k2, 1, 1, k1+1).  With the pairs in
-    descending k2 and their columns side by side on the trailing axis,
-    the pairs whose box holds a cell of row a are those with k2 > a, a
-    prefix of the columns.  The largest box is filled once: each cell
-    sums over its prefix and multiplies every pair's columns by that
-    pair's ell at |k1 a - k2 b|, or by 1 at the pair's own corner, where
-    its phi is read.  No column's arithmetic involves another, so each
-    pair's values are bitwise equal to its table filled alone.
-    """
-    k1, G = pairs[0].k1, rows[0].shape[1]
-    order = sorted(range(len(pairs)), key=lambda p: -pairs[p].k2)
-    k2s = np.array([pairs[p].k2 for p in order])
-    top = int(k2s[0])
-    # Every pair's rows followed by a row of ones, which the cells
-    # without a multiplier take, and the row of each pair's cells.
-    ell = np.concatenate([r for p in order for r in (rows[p], np.ones((1, G)))])
-    at = np.zeros((top, k1 + 1, len(pairs)), dtype=int)
-    start = 0
-    for j, p in enumerate(order):
-        k2 = pairs[p].k2
-        at[:k2, :, j] = start + _cell_map(pairs[p], (k2 - 1, 0, 0, k1))[1][:, 0, 0]
-        start += len(rows[p]) + 1
-    live = (k2s > np.arange(top)[:, None]).sum(axis=1).tolist()
-
-    # The filler asks the cells row after row; one row's multipliers
-    # are held at a time.
-    @functools.lru_cache(maxsize=1)
-    def row(a):
-        return ell[at[a, :, : live[a]]].reshape(k1 + 1, -1)
-
-    S = _scaled_u2((top - 1, 0, 0, k1), lambda cell: row(cell[0])[cell[3]], np.ones(len(pairs) * G))
-    phi = [None] * len(pairs)
-    for j, p in enumerate(order):
-        k2 = pairs[p].k2
-        phi[p] = S[k2 - 1, 0, 0, k1, j * G : (j + 1) * G] / 2.0 ** (k1 + k2 - 1)
-    return phi
-
-
-def _path_ell(pair: WaveNumberPair, T, points) -> np.ndarray:
-    """ell at every |k| of the phi path (rows) and every tension of T
-    (columns), given the arrays (c0, kappa0, residual) of their
-    bifurcation points, from one array multiplier call."""
-    c0, kappa0, _ = points
-    ks = np.array(_phi_path(pair), dtype=int)
-    return MultiplierContext(pair=pair, c=c0, kappa=kappa0, T=T).ell(ks[:, None])
-
-
-def _limit_ell(pair: WaveNumberPair) -> np.ndarray:
-    """The normalized endpoint ratios at every |k| of the phi path, one
-    column per endpoint."""
-    ks = np.array(_phi_path(pair), dtype=int)
-    return np.stack([limit_ratio(pair, end, ks) for end in (LIMIT_LOW_T, LIMIT_HIGH_T)], 1)
 
 
 def _phi_values(pair: WaveNumberPair, T, points) -> np.ndarray:
@@ -377,7 +310,7 @@ def _stage(pairs, fn, fail) -> dict:
 
 
 def _phi_stacks(pairs: list[WaveNumberPair], rows, fail) -> dict:
-    """phi of the pairs whose ell rows fill, one stack per k1 (see :func:`_phi`).
+    """phi of the pairs whose ell rows fill, one stack per k1 (see ``coefficients._phi``).
 
     ``rows(pair)`` gives the pair's ell rows; a pair whose rows raise
     goes to ``fail(pair, error)`` and gets no phi.  Each group's rows are

@@ -218,6 +218,26 @@ def test_oracles_import_nothing_from_the_package():
     assert not [m for m in modules if m.split(".")[0] == "capwhitham"]
 
 
+def test_phi_table_is_decided_in_coefficients():
+    # symmetry_breaking takes the stacked phi fill and its two row builders
+    # from coefficients, and no other module fills a table or reads the
+    # cell map itself.
+    src = Path(coefficients.__file__).parent
+    tree = ast.parse((src / "symmetry_breaking.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "coefficients" and node.level == 1
+        for alias in node.names
+    }
+    assert imported == {"_phi", "_path_ell", "_limit_ell"}
+    others = [p.name for p in src.glob("*.py") if p.name != "coefficients.py"]
+    assert "symmetry_breaking.py" in others
+    for name in others:
+        text = (src / name).read_text()
+        assert "_cell_map(" not in text and "_scaled_u2(" not in text, name
+
+
 def test_expansion_2_5_exact_monomials():
     expansion = expand_symbolic(PAIR_2_5)
     table = {m.factors: m.coeff for m in expansion.monomials}
@@ -356,6 +376,36 @@ def test_expansion_evaluate_matches_typed_polynomial():
     assert expansion.evaluate(ctx.ell) / 64.0 == pytest.approx(
         oracles.phi_from_monomials(ctx.ell), rel=1e-13
     )
+
+
+@pytest.mark.parametrize("pair", [(2, 5), (3, 7), (4, 9), (5, 8)], ids=str)
+def test_expansion_evaluate_reads_the_rows(pair):
+    # One ell call per |k| of the path, and the value of a loop over the
+    # monomials: each product left to right from its coefficient, the
+    # terms added in canonical order from 0.0.
+    pair = WaveNumberPair(*pair)
+    expansion = expand_symbolic(pair)
+    ctx = MultiplierContext.from_bifurcation(double_bifurcation(pair, 0.2))
+    ells = [ctx.ell] + [
+        lambda n, end=end: limit_ratio(pair, end, n) for end in (LIMIT_LOW_T, LIMIT_HIGH_T)
+    ]
+    for ell in ells:
+        asked = []
+
+        def counting(k, ell=ell):
+            asked.append(k)
+            return ell(k)
+
+        value = expansion.evaluate(counting)
+        assert sorted(asked) == list(expansion.ks)
+        known = {k: ell(k) for k in expansion.ks}
+        total = 0.0
+        for mono in expansion.monomials:
+            term = float(mono.coeff)
+            for k in mono.factors:
+                term *= known[k]
+            total += term
+        assert value.hex() == total.hex()
 
 
 def test_limit_ratio_normalization():

@@ -423,7 +423,7 @@ def test_pair_scan_records_a_failed_refinement_stage(monkeypatch):
 def test_pair_scan_fills_one_table_per_k1_group(monkeypatch):
     # Every cell sum of a scan is a cell of a group's largest phi box: one
     # box per k1 for the limits and one for the grid, none per pair.
-    fill = symmetry_breaking._scaled_u2
+    fill = coefficients._scaled_u2
     cells = []
 
     def counting(corner, ell, one=1.0, cell_sum=coefficients._sequential_sum):
@@ -433,7 +433,7 @@ def test_pair_scan_fills_one_table_per_k1_group(monkeypatch):
 
         return fill(corner, ell, one, counted)
 
-    monkeypatch.setattr(symmetry_breaking, "_scaled_u2", counting)
+    monkeypatch.setattr(coefficients, "_scaled_u2", counting)
     verdicts = pair_scan(10, refine=True)
     # No pair has a root at kmax 10, so no refinement fill runs.
     assert not any(v.roots for v in verdicts)
