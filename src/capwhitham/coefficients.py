@@ -389,10 +389,9 @@ class PhiExpansion:
     def evaluate(self, ell) -> float:
         """Sum coeff * prod ell(factor); equals 2**prefactor_exponent * phi.
 
-        Asks ell once per |k| of ``ks``.  Each row's product runs over its
-        ascending factors, left to right from its coefficient, and the rows
-        add in canonical order from 0.0 (``+ 0.0`` as in _sequential_sum),
-        so the value rounds like a loop over the monomials.
+        Asks ell once per |k| of ``ks``.  Each row multiplies its factors in
+        ascending order onto its coefficient, and the rows add in canonical
+        order from 0.0 (see _sequential_sum), as a loop over the monomials.
         """
         values = np.array([ell(k) for k in self.ks], dtype=float)
         terms = self.coeffs.astype(float)
@@ -417,8 +416,7 @@ def phi_target_indices(pair: WaveNumberPair) -> tuple[MultiIndex, MultiIndex]:
 
 
 def _phi_corner(pair: WaveNumberPair) -> tuple[int, int, int, int]:
-    """The corner (k2-1, 0, 0, k1) of the phi table: its target indices,
-    flattened.  Its order k1 + k2 - 1 is the scale exponent of phi."""
+    """The phi table's corner (k2-1, 0, 0, k1), whose order k1 + k2 - 1 scales phi."""
     alpha, beta = phi_target_indices(pair)
     return (*alpha, *beta)
 
@@ -449,9 +447,8 @@ def _phi(pairs: list[WaveNumberPair], rows: list[np.ndarray]) -> list[np.ndarray
     order = sorted(range(len(pairs)), key=lambda p: -pairs[p].k2)
     corners = [_phi_corner(pairs[p]) for p in order]
     top = corners[0]
-    # Every pair's rows followed by a row of ones, which the cells
-    # without a multiplier take, and at each cell the row of every pair's
-    # multiplier; a cell gathers the rows of its prefix.
+    # Every pair's rows, each followed by the row of ones that the cells
+    # without a multiplier take, and at each cell every pair's row.
     ell = np.concatenate([r for p in order for r in (rows[p], np.ones((1, G)))])
     at = np.zeros((*(n + 1 for n in top), len(pairs)), dtype=int)
     start = 0
@@ -459,9 +456,13 @@ def _phi(pairs: list[WaveNumberPair], rows: list[np.ndarray]) -> list[np.ndarray
         at[: corner[0] + 1, ..., j] = start + _cell_map(pairs[p], corner)[1]
         start += len(rows[p]) + 1
     live = [sum(c[0] >= a for c in corners) for a in range(top[0] + 1)]
-    S = _scaled_u2(
-        top, lambda cell: ell[at[cell][: live[cell[0]]]].reshape(-1), np.ones(len(pairs) * G)
-    )
+
+    # The filler asks the cells row after row; gather one row at a time.
+    @functools.lru_cache(maxsize=1)
+    def row(a):
+        return ell[at[a, ..., : live[a]]].reshape(*at.shape[1:-1], -1)
+
+    S = _scaled_u2(top, lambda cell: row(cell[0])[cell[1:]], np.ones(len(pairs) * G))
     phi = [None] * len(pairs)
     for j, (p, corner) in enumerate(zip(order, corners)):
         phi[p] = S[corner][j * G : (j + 1) * G] / 2.0 ** sum(corner)
