@@ -446,23 +446,23 @@ def _phi(pairs: list[WaveNumberPair], rows: list[np.ndarray]) -> list[np.ndarray
     G = rows[0].shape[1]
     order = sorted(range(len(pairs)), key=lambda p: -pairs[p].k2)
     corners = [_phi_corner(pairs[p]) for p in order]
-    top = corners[0]
-    # Every pair's rows, each followed by the row of ones that the cells
-    # without a multiplier take, and at each cell every pair's row.
+    top, _, _, k1 = corners[0]
+    # Every pair's rows followed by a row of ones, which the cells
+    # without a multiplier take, and the row of each pair's cells.
     ell = np.concatenate([r for p in order for r in (rows[p], np.ones((1, G)))])
-    at = np.zeros((*(n + 1 for n in top), len(pairs)), dtype=int)
+    at = np.zeros((top + 1, k1 + 1, len(pairs)), dtype=int)
     start = 0
     for j, (p, corner) in enumerate(zip(order, corners)):
-        at[: corner[0] + 1, ..., j] = start + _cell_map(pairs[p], corner)[1]
+        at[: corner[0] + 1, :, j] = start + _cell_map(pairs[p], corner)[1][:, 0, 0]
         start += len(rows[p]) + 1
-    live = [sum(c[0] >= a for c in corners) for a in range(top[0] + 1)]
+    live = (np.array(corners)[:, :1] >= np.arange(top + 1)).sum(axis=0).tolist()
 
-    # The filler asks the cells row after row; gather one row at a time.
+    # The filler asks the cells row after row; hold one row at a time.
     @functools.lru_cache(maxsize=1)
     def row(a):
-        return ell[at[a, ..., : live[a]]].reshape(*at.shape[1:-1], -1)
+        return ell[at[a, :, : live[a]]].reshape(k1 + 1, -1)
 
-    S = _scaled_u2(top, lambda cell: row(cell[0])[cell[1:]], np.ones(len(pairs) * G))
+    S = _scaled_u2(corners[0], lambda cell: row(cell[0])[cell[3]], np.ones(len(pairs) * G))
     phi = [None] * len(pairs)
     for j, (p, corner) in enumerate(zip(order, corners)):
         phi[p] = S[corner][j * G : (j + 1) * G] / 2.0 ** sum(corner)
