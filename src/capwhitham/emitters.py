@@ -47,18 +47,10 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return float.__repr__(value)
-    return str(value)
-
-
 def csv_text(columns, rows) -> str:
     """Header line, then one line per row; ``None`` is an empty cell."""
     lines = [",".join(columns)]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
+    lines.extend(",".join("" if v is None else str(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -311,13 +311,11 @@ def _turning_points(T: np.ndarray) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=4096)
 def turning_point(T: float) -> float:
     """Locate the unique interior minimum xi_T of m_T for 0 < T < 1/3.
 
     The bracket is found by scanning xi = 2**j, j = -20..40, for a sign
-    change of the derivative, then refined by Brent's method.  Results
-    are cached by T.
+    change of the derivative, then refined by Brent's method.
     """
     return float(_turning_points(np.array([float(T)]))[0])
 
@@ -491,8 +489,7 @@ def double_bifurcation(pair: WaveNumberPair, T: float) -> BifurcationPoint:
     m_T(k1*kappa) - m_T(k2*kappa) changes sign, then refined by Brent's
     method.  The returned point satisfies the derivative-sign and speed
     invariants of a double bifurcation point.  Points are cached by
-    (pair, T), like turning points by T: every wave solve at a tension
-    starts from its point.
+    (pair, T): every wave solve at a tension starts from its point.
     """
     pair = WaveNumberPair.coerce(pair)
     return _bifurcation_point(pair, float(T))
@@ -500,10 +497,7 @@ def double_bifurcation(pair: WaveNumberPair, T: float) -> BifurcationPoint:
 
 @functools.lru_cache(maxsize=4096)
 def _bifurcation_point(pair: WaveNumberPair, T: float) -> BifurcationPoint:
-    T = np.array([T])
-    _check_tensions(T, "double bifurcation points exist")
-    xi_t = np.array([turning_point(T[0])])
-    return _points(pair, T, *_bifurcation_arrays(pair, T, xi_t))[0]
+    return bifurcation_grid(pair, [T])[0]
 
 
 def kappa_asymptote_low_T(pair: WaveNumberPair, T: float) -> float:

@@ -143,16 +143,6 @@ def _check_values(pair: WaveNumberPair, grid: np.ndarray, values: np.ndarray) ->
     return values
 
 
-def _phi_values(pair: WaveNumberPair, T, points) -> np.ndarray:
-    """phi at a 1-D array of tensions, given the arrays (c0, kappa0,
-    residual) of their bifurcation points."""
-    T = np.asarray(T, dtype=float)
-    # Overflow surfaces as inf or nan, which _check_values reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        [values] = _phi([pair], [_path_ell(pair, T, points)])
-    return _check_values(pair, T, values)
-
-
 def phi_eval(pair: WaveNumberPair, T: float) -> PhiSample:
     """Evaluate phi(T; k1, k2) at the solved bifurcation point.
 
@@ -168,8 +158,7 @@ def phi_eval(pair: WaveNumberPair, T: float) -> PhiSample:
     pair = WaveNumberPair.coerce(pair)
     _warn_k1_one(pair)
     T = np.array([float(T)])
-    point = _bifurcation_arrays(pair, T)
-    values = _phi_values(pair, T, point)
+    values, point = _phi_on([pair], T)[pair]
     return PhiSample(T=float(T[0]), value=float(values[0]), bifurcation=_points(pair, T, *point)[0])
 
 
@@ -202,8 +191,7 @@ def phi_curve(pair: WaveNumberPair, grid_size: int = DEFAULT_GRID_SIZE) -> list[
         raise DomainError("curve needs at least two points", grid_size=grid_size)
     _warn_k1_one(pair)
     grid, xi_t = _tension_grid(grid_size)
-    point = _bifurcation_arrays(pair, grid, xi_t)
-    values = _phi_values(pair, grid, point)
+    values, point = _phi_on([pair], grid, xi_t)[pair]
     return [
         PhiSample(T=p.T, value=v, bifurcation=p)
         for p, v in zip(_points(pair, grid, *point), values.tolist())
@@ -243,7 +231,7 @@ def phi_root(
         raise DomainError("root tolerance must be positive and finite", xtol=xtol)
     _warn_k1_one(pair)
     T, xi_t = _tension_grid(grid_size)
-    return _phi_roots(pair, T, _phi_values(pair, T, _bifurcation_arrays(pair, T, xi_t)), xtol)
+    return _phi_roots(pair, T, _phi_on([pair], T, xi_t)[pair][0], xtol)
 
 
 def _phi_roots(
@@ -252,7 +240,7 @@ def _phi_roots(
     """The body of :func:`phi_root`, given phi on the grid T."""
 
     def phi(T):
-        return _phi_values(pair, T, _bifurcation_arrays(pair, T))
+        return _phi_on([pair], T)[pair][0]
 
     # Compare signs, not products: |phi| reaches 1e295, and the product of
     # two neighbours would overflow.
@@ -327,16 +315,44 @@ def _phi_stacks(pairs: list[WaveNumberPair], rows, fail) -> dict:
     return phi
 
 
+def _reraise(pair, exc):
+    raise exc
+
+
+def _phi_on(pairs: list[WaveNumberPair], T: np.ndarray, xi_t=None, fail=_reraise) -> dict:
+    """{pair: (phi, (c0, kappa0, residual))} at the tensions T, for every pair that gets there.
+
+    One bifurcation solve for all pairs, bitwise equal to each pair's own
+    (which each pair makes if that solve raises), then one stacked table
+    per k1.  A pair that fails goes to ``fail(pair, error)``, by default
+    a raise of that error.
+    """
+    try:
+        c0, kappa0, residual, errors = _solve_bifurcations([p.astuple() for p in pairs], T, xi_t)
+    except _PAIR_ERRORS:
+        points = _stage(pairs, lambda pair: _bifurcation_arrays(pair, T, xi_t), fail)
+    else:
+        points = {}
+        for row, (pair, error) in enumerate(zip(pairs, errors)):
+            if error is None:
+                points[pair] = c0[row], kappa0[row], residual[row]
+            else:
+                fail(pair, error)
+    # Overflow surfaces as inf or nan, which _check_values reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _phi_stacks(list(points), lambda pair: _path_ell(pair, T, points[pair]), fail)
+    checked = _stage(phi, lambda pair: _check_values(pair, T, phi[pair]), fail)
+    return {pair: (values, points[pair]) for pair, values in checked.items()}
+
+
 def _classify_pairs(chunk: tuple) -> list[PairVerdict]:
     """Worker body: classify a chunk of surviving coprime pairs end to end.
 
     ``chunk`` is (pairs, refine, grid_size).  The stages: the limits,
-    from one stacked table per k1; when refining, the grid bifurcation
-    points of the pairs whose limits do not admit, from one solve (each
-    bitwise equal to the pair's own; if the Brent solve itself fails,
-    each pair solves its own); their grid phi, from one stacked table
-    per k1; their roots.  A pair leaves at its first failing stage: its
-    verdict records that error and keeps what the earlier stages found.
+    from one stacked table per k1; when refining, the grid phi of the
+    pairs whose limits do not admit, from :func:`_phi_on`; their roots.
+    A pair leaves at its first failing stage: its verdict records that
+    error and keeps what the earlier stages found.
     """
     pairs, refine, grid_size = chunk
     pairs = [WaveNumberPair(*pair) for pair in pairs]
@@ -359,21 +375,8 @@ def _classify_pairs(chunk: tuple) -> list[PairVerdict]:
     if not scan:
         return [verdicts[pair] for pair in pairs]
     T, xi_t = _tension_grid(grid_size)
-    try:
-        c0, kappa0, residual, errors = _solve_bifurcations([p.astuple() for p in scan], T, xi_t)
-    except _PAIR_ERRORS:
-        points = _stage(scan, lambda pair: _bifurcation_arrays(pair, T, xi_t), fail)
-    else:
-        points = {}
-        for row, (pair, error) in enumerate(zip(scan, errors)):
-            if error is None:
-                points[pair] = c0[row], kappa0[row], residual[row]
-            else:
-                fail(pair, error)
-    # Overflow surfaces as inf or nan, which _check_values reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = _phi_stacks(list(points), lambda pair: _path_ell(pair, T, points[pair]), fail)
-    found = _stage(grid, lambda p: _phi_roots(p, T, _check_values(p, T, grid[p]), _ROOT_XTOL), fail)
+    on = _phi_on(scan, T, xi_t, fail)
+    found = _stage(on, lambda pair: _phi_roots(pair, T, on[pair][0], _ROOT_XTOL), fail)
     for pair, roots in found.items():
         if roots:
             verdicts[pair] = replace(verdicts[pair], status=STATUS_ADMITS, roots=tuple(roots))

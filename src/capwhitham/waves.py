@@ -206,9 +206,7 @@ class WSolveResult:
 
 def _to_grid(modes: np.ndarray, n: int) -> np.ndarray:
     """Evaluate a half-spectrum profile on n uniform grid points."""
-    spec = np.zeros(n // 2 + 1, dtype=complex)
-    spec[: len(modes)] = modes
-    return np.fft.irfft(spec * n, n)
+    return np.fft.irfft(modes * n, n)
 
 
 def _from_grid(values: np.ndarray, kmax: int) -> np.ndarray:
@@ -711,6 +709,11 @@ def _solve_kernel(
     return profile, report
 
 
+def _phase_sine(pair: WaveNumberPair, params: ModalParameters) -> float:
+    """sin(k1 k2 (theta1 - theta2)), the factor the asymmetric solve divides by."""
+    return math.sin(pair.k1 * pair.k2 * (params.theta1 - params.theta2))
+
+
 def solve_wave(
     pair: WaveNumberPair,
     params: ModalParameters,
@@ -750,14 +753,12 @@ def solve_wave(
     params = params.reduced(pair)
     if not asymmetry_test(pair, params):
         return symmetric_solve(pair, params, T_init, settings)
-    k1, k2 = pair.k1, pair.k2
-    sine = math.sin(k1 * k2 * (params.theta1 - params.theta2))
+    sine = _phase_sine(pair, params)
     if abs(sine) < _SINE_GUARD:
         raise DegenerateDirectionError(
-            "sine factor numerically zero; use the symmetric solver",
-            sine=sine,
+            "sine factor numerically zero; use the symmetric solver", sine=sine
         )
-    monomial = params.r1 ** (k2 - 1) * params.r2**k1 * sine
+    monomial = params.r1 ** (pair.k2 - 1) * params.r2**pair.k1 * sine
     equations = ((0, params.r1), (1, params.r2), (2, monomial))
     return _solve_kernel(pair, params, T_init, settings, "asymmetric", equations)
 
@@ -776,12 +777,13 @@ def symmetric_solve(
     rather than solved.  Unimodal parameters leave the period scaling
     free, so kappa is frozen at the bifurcation value and Newton runs on
     the wave speed alone.  Zero amplitudes give the zero wave at the
-    bifurcation point, after no Newton step.
+    bifurcation point, after no Newton step.  Parameters whose sine
+    factor :func:`solve_wave` guards as degenerate are solved here too.
     """
     pair = WaveNumberPair.coerce(pair)
     settings = settings or SolverSettings()
     params = params.reduced(pair)
-    if asymmetry_test(pair, params):
+    if asymmetry_test(pair, params) and abs(_phase_sine(pair, params)) >= _SINE_GUARD:
         raise DomainError("parameters are asymmetric; use solve_wave")
     # One cosine equation per nonzero amplitude; none gives the zero wave.
     equations = tuple(

@@ -41,7 +41,7 @@ from capwhitham.symbol import (
 from capwhitham.symmetry_breaking import (
     STATUS_PASSES,
     _clustered_grid,
-    _phi_values,
+    _phi_on,
     _tension_grid,
     exclusion_check,
 )
@@ -297,7 +297,7 @@ def test_one_call_phi_values_equal_per_k_fill(pair):
         points = _bifurcation_arrays(pair, T, xi_t if T is grid else None)
         ctx = MultiplierContext(pair=pair, c=points[0], kappa=points[1], T=T)
         want = _per_k_phi(pair, ctx.ell, np.ones(T.shape))
-        assert _phi_values(pair, T, points).tobytes() == want.tobytes()
+        assert _phi_on([pair], T, xi_t if T is grid else None)[pair][0].tobytes() == want.tobytes()
 
 
 def _closed_form_ratio(k1, k2, endpoint, n):

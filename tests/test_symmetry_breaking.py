@@ -511,6 +511,25 @@ def test_pair_scan_solves_each_pair_alone_when_the_batch_brent_fails(monkeypatch
             assert v == base[(v.k1, v.k2)]
 
 
+def test_pair_scan_equals_itself_when_every_batched_solve_fails(monkeypatch):
+    # Each pair then solves its own grid points, which are the same.  At
+    # kmax 12 the grid finds a root of (4, 11), so a dropped pair shows.
+    base = pair_scan(12, refine=True, grid_size=64)
+    assert any(v.roots for v in base)
+    real = symmetry_breaking._solve_bifurcations
+    batches = []
+
+    def failing(pairs, *args):
+        if len(pairs) > 1:
+            batches.append(len(pairs))
+            raise ConvergenceError("forced failure")
+        return real(pairs, *args)
+
+    monkeypatch.setattr(symmetry_breaking, "_solve_bifurcations", failing)
+    assert pair_scan(12, refine=True, grid_size=64) == base
+    assert batches
+
+
 @pytest.mark.parametrize(
     "k_max, refine, jobs",
     [

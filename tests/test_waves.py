@@ -669,6 +669,17 @@ def test_solve_wave_degenerate_direction_guard():
         solve_wave(PAIR_2_5, params, 0.1215)
 
 
+def test_symmetric_solve_takes_the_degenerate_direction():
+    # The request solve_wave refuses above, with its advice followed.
+    dth = math.pi / 10.0 + 5e-12
+    params = ModalParameters(0.002, 0.002, theta1=dth, theta2=0.0)
+    assert asymmetry_test(PAIR_2_5, params)
+    _, report = symmetric_solve(PAIR_2_5, params, 0.1215)
+    assert report.mode == "symmetric"
+    assert report.converged
+    assert report.residual_J_inf <= 1e-10
+
+
 def test_solve_wave_literal_overload_raises():
     params = ModalParameters(0.05, 0.05, theta1=math.pi / 20.0, theta2=0.0)
     with pytest.raises(ConvergenceError):
