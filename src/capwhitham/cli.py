@@ -178,7 +178,7 @@ def _cmd_phi(args, cfg) -> tuple[list[Path], int]:
         roots = phi_root(pair, cfg.grid, xtol=cfg.tol_root)
         stem, columns = "phi_roots", ("T0", "bracket_lo", "bracket_hi", "slope")
         rows = [(r.T0, r.bracket[0], r.bracket[1], r.slope) for r in roots]
-        body["roots"] = [emitters.root_dict(r) for r in roots]
+        body["roots"] = [emitters.field_dict(r) for r in roots]
     elif args.action == "limits":
         stem, columns = "phi_limits", ("limit_low", "limit_high")
         rows = [phi_limits(pair)]
@@ -216,14 +216,9 @@ def _cmd_pairs(args, cfg) -> tuple[list[Path], int]:
     ]
     body = [
         {
-            "k1": v.k1,
-            "k2": v.k2,
+            **emitters.field_dict(v),
             "reduced": [v.reduced.k1, v.reduced.k2],
-            "status": v.status,
-            "limit_low": v.limit_low,
-            "limit_high": v.limit_high,
-            "roots": [emitters.root_dict(r) for r in v.roots],
-            "error": v.error,
+            "roots": [emitters.field_dict(r) for r in v.roots],
         }
         for v in verdicts
     ]
@@ -252,14 +247,8 @@ def _cmd_wave(args, cfg) -> tuple[list[Path], int]:
     try:
         profile, report = solve_wave(pair, params, args.T, settings)
     except ConvergenceError as exc:
-        body = emitters.wave_report_dict(
-            None,
-            pair,
-            params,
-            settings.K,
-            asymmetric,
-            error={"message": exc.message, "context": repr(exc.context)},
-        )
+        error = {"message": exc.message, "context": repr(exc.context)}
+        body = emitters.wave_report_dict(None, pair, params, settings.K, asymmetric, error)
         path = emitters.write_text(out / "wave_report.json", emitters.json_text(body))
         print(path)
         raise

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import DomainError
 from .symmetry_breaking import _ROOT_XTOL, DEFAULT_GRID_SIZE
@@ -55,16 +55,8 @@ class RunConfig:
             raise DomainError("unknown output format", format=self.format)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _coerce(name: str, raw: str):
-    kind = _FIELD_TYPES[name]
-    if kind == "float":
-        return float(raw)
-    if kind == "int":
-        return int(raw)
-    return raw
+# Each field's default, whose type parses that key's config-file values.
+_DEFAULTS = dict(vars(RunConfig()))
 
 
 def load_config_file(path: str) -> dict:
@@ -90,10 +82,10 @@ def load_config_file(path: str) -> dict:
             )
         key, raw = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _FIELD_TYPES:
+        if key not in _DEFAULTS:
             raise DomainError("unknown config key", path=path, line=lineno, key=key)
         try:
-            overrides[key] = _coerce(key, raw)
+            overrides[key] = type(_DEFAULTS[key])(raw)
         except ValueError:
             raise DomainError(
                 "config value has the wrong type",
@@ -116,7 +108,7 @@ def resolve_config(flag_values: dict, config_path: str | None = None) -> RunConf
     explicit = {
         key: value
         for key, value in flag_values.items()
-        if value is not None and key in _FIELD_TYPES
+        if value is not None and key in _DEFAULTS
     }
     if explicit:
         config = replace(config, **explicit)

@@ -14,12 +14,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .coefficients import PhiExpansion
-from .symmetry_breaking import PhiRoot
 from .waves import SolveReport, WaveProfile
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "json_text",
     "csv_text",
     "write_table",
-    "root_dict",
+    "field_dict",
     "expansion_json",
     "wave_profile_csv",
     "wave_report_dict",
@@ -61,12 +61,9 @@ def write_table(out, stem: str, fmt: str, columns, rows, body) -> Path:
     return write_text(Path(out) / f"{stem}.csv", csv_text(columns, rows))
 
 
-def root_dict(root: PhiRoot) -> dict:
-    return {
-        "T0": root.T0,
-        "bracket": [root.bracket[0], root.bracket[1]],
-        "slope": root.slope,
-    }
+def field_dict(obj) -> dict:
+    """The fields of dataclass instance ``obj`` by name, in declaration order."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def expansion_json(expansion: PhiExpansion) -> str:
@@ -106,46 +103,27 @@ def wave_profile_csv(profile: WaveProfile) -> str:
     return csv_text(("x", "u"), zip(_profile_x_cells(n), profile.sample(n).tolist()))
 
 
+# SolveReport's residual fields and their keys under the report's "residuals".
+_RESIDUAL_KEYS = {
+    "residual_J_inf": "J_inf", "residual_orthogonality": "orthogonality",
+    "residual_lindep": "linear_dependence", "g_inf": "g_inf",
+}
+
+
 def wave_report_dict(
-    report: SolveReport | None,
-    pair,
-    params,
-    K: int,
-    asymmetric: bool,
-    error: dict | None = None,
+    report: SolveReport | None, pair, params, K: int, asymmetric: bool, error: dict | None = None
 ) -> dict:
-    """Report JSON body; ``error`` replaces solver fields on failure."""
-    body = {
-        "pair": [pair.k1, pair.k2],
-        "r1": params.r1,
-        "r2": params.r2,
-        "theta1": params.theta1,
-        "theta2": params.theta2,
-        "K": K,
-        "asymmetric": asymmetric,
-    }
+    """Report JSON body; ``error`` replaces the ``report`` fields on failure.
+
+    The ``params`` fields follow the pair; the ``report`` fields, which
+    overwrite ``converged``, end with T, the period pi/kappa and the residuals.
+    """
+    body = {"pair": [pair.k1, pair.k2], **field_dict(params), "K": K, "asymmetric": asymmetric}
+    body["converged"] = False
     if report is not None:
-        body.update(
-            {
-                "converged": report.converged,
-                "mode": report.mode,
-                "w_method": report.w_method,
-                "iterations_w": report.iterations_w,
-                "iterations_newton": report.iterations_newton,
-                "c": report.c,
-                "kappa": report.kappa,
-                "T": report.T,
-                "period": math.pi / report.kappa,
-                "residuals": {
-                    "J_inf": report.residual_J_inf,
-                    "orthogonality": report.residual_orthogonality,
-                    "linear_dependence": report.residual_lindep,
-                    "g_inf": report.g_inf,
-                },
-            }
-        )
-    else:
-        body["converged"] = False
+        solved = field_dict(report)
+        residuals = {key: solved.pop(name) for name, key in _RESIDUAL_KEYS.items()}
+        body.update(solved, period=math.pi / report.kappa, residuals=residuals)
     if error is not None:
         body["error"] = error
     return body

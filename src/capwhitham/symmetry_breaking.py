@@ -323,14 +323,18 @@ def _phi_on(pairs: list[WaveNumberPair], T: np.ndarray, xi_t=None, fail=_reraise
     """{pair: (phi, (c0, kappa0, residual))} at the tensions T, for every pair that gets there.
 
     One bifurcation solve for all pairs, bitwise equal to each pair's own
-    (which each pair makes if that solve raises), then one stacked table
-    per k1.  A pair that fails goes to ``fail(pair, error)``, by default
-    a raise of that error.
+    (which each of several pairs makes if that solve raises), then one
+    stacked table per k1.  A failing pair goes to ``fail(pair, error)``,
+    by default a raise of that error.
     """
     try:
         c0, kappa0, residual, errors = _solve_bifurcations([p.astuple() for p in pairs], T, xi_t)
-    except _PAIR_ERRORS:
-        points = _stage(pairs, lambda pair: _bifurcation_arrays(pair, T, xi_t), fail)
+    except _PAIR_ERRORS as exc:
+        if len(pairs) == 1:  # the batch was that pair's own solve
+            points = {}
+            fail(pairs[0], exc)
+        else:
+            points = _stage(pairs, lambda pair: _bifurcation_arrays(pair, T, xi_t), fail)
     else:
         points = {}
         for row, (pair, error) in enumerate(zip(pairs, errors)):

@@ -13,7 +13,7 @@ import pytest
 import oracles
 from capwhitham import cli, coefficients, errors
 from capwhitham.cli import main
-from capwhitham.config import RunConfig
+from capwhitham.config import RunConfig, resolve_config
 
 GOLDEN = Path(__file__).parent / "golden" / "expansion_2_5.json"
 
@@ -334,6 +334,23 @@ def test_bifurcate_t_grid_json(tmp_path, capsys):
     assert all(0.0 < p["c0"] < 1.0 for p in data["points"])
 
 
+def test_bifurcate_t_grid_of_one_point(tmp_path, capsys):
+    # One point is A itself: np.linspace(A, inf, 1) would give nan.
+    code, out, err = _run(
+        capsys, "bifurcate", *_PAIR, "--T-grid", "0.1:0.2:1", "--out", str(tmp_path)
+    )
+    assert (code, err) == (0, "")
+    lines = (tmp_path / "bifurcate.csv").read_text().splitlines()
+    assert len(lines) == 2 and float(lines[1].split(",")[0]) == 0.1
+    out = tmp_path / "none"
+    code, stdout, err = _run(
+        capsys, "bifurcate", *_PAIR, "--T-grid", "0.1:0.2:0", "--out", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert _stderr_envelope(err)["message"] == "T grid needs at least one point"
+    assert not out.exists()
+
+
 def test_bifurcate_requires_tension(tmp_path, capsys):
     code, out, err = _run(
         capsys, "bifurcate", "--k1", "2", "--k2", "5", "--out", str(tmp_path)
@@ -638,6 +655,14 @@ def test_config_file_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert len((out_c / "phi_curve.csv").read_text().strip().splitlines()) == 19
 
 
+def test_config_file_values_take_their_default_types(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# solver\n\ntol_w = 1e-13  # tighter\nK = 64\nout = results\n")
+    config = resolve_config({}, config_path=str(cfg))
+    assert (config.tol_w, config.K, config.out) == (1e-13, 64, "results")
+    assert type(config.tol_w) is float and type(config.K) is int
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery = 3\n")
@@ -654,8 +679,9 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     [
         (None, "cannot read config file", {}),
         ("grid = abc\n", "config value has the wrong type", {"line": 1, "key": "grid"}),
+        ("# sizes\n\ngrid 12\n", "config lines must be key = value", {"line": 3}),
     ],
-    ids=["missing-file", "bad-value"],
+    ids=["missing-file", "bad-value", "no-equals"],
 )
 def test_config_file_errors_leave_through_the_envelope(
     tmp_path, capsys, monkeypatch, content, message, context

@@ -511,6 +511,26 @@ def test_pair_scan_solves_each_pair_alone_when_the_batch_brent_fails(monkeypatch
             assert v == base[(v.k1, v.k2)]
 
 
+def test_one_pair_phi_raises_its_batch_error_once(monkeypatch):
+    # The batch of one pair is that pair's own solve, so its error is
+    # raised as it is, with no second solve chained to it.
+    calls = []
+    real = symbol._solve_bifurcations
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(symbol, "_solve_bifurcations", counting)
+    monkeypatch.setattr(symmetry_breaking, "_solve_bifurcations", counting)
+    with pytest.raises(DomainError) as info:
+        phi_eval(PAIR_2_5, 0.5)
+    assert info.value.message == "double bifurcation points exist only for 0 < T < 1/3"
+    assert info.value.context == {"T": 0.5}
+    assert info.value.__context__ is None
+    assert len(calls) == 1
+
+
 def test_pair_scan_equals_itself_when_every_batched_solve_fails(monkeypatch):
     # Each pair then solves its own grid points, which are the same.  At
     # kmax 12 the grid finds a root of (4, 11), so a dropped pair shows.

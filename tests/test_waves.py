@@ -25,6 +25,7 @@ from capwhitham import (
     inner_products,
     linear_dependence_residual,
     multiplier,
+    phi_root,
     residual_j_inf,
     solve_w,
     solve_wave,
@@ -169,6 +170,16 @@ def test_asymmetry_test_cases():
     # The test respects its tolerance around the symmetric lattice.
     assert not asymmetry_test(PAIR_2_5, p(math.pi / 10.0 + 1e-14))
     assert asymmetry_test(PAIR_2_5, p(math.pi / 10.0 + 1e-9))
+    # With theta1 < theta2 the phase difference is negative; each verdict
+    # stands.
+    for dth, asymmetric in [
+        (math.pi / 20.0, True),
+        (math.pi / 10.0, False),
+        (3.0 * math.pi / 10.0, False),
+        (math.pi / 10.0 + 1e-9, True),
+    ]:
+        swapped = ModalParameters(0.1, 0.1, theta1=0.0, theta2=dth)
+        assert asymmetry_test(PAIR_2_5, swapped) is asymmetric
 
 
 def test_solve_w_zero_kernel_gives_zero():
@@ -544,6 +555,60 @@ def test_solve_wave_stops_after_a_rounding_size_step():
     assert report.converged
     assert report.g_inf > SolverSettings().tol_newton
     assert report.iterations_newton <= 6
+
+
+def _newton_exit_request():
+    """The README request at the first root T0 that ``phi_root`` finds."""
+    params = ModalParameters(0.00125, 0.00125, theta1=math.pi / 20.0, theta2=0.0)
+    return PAIR_2_5, params, phi_root(PAIR_2_5)[0].T0
+
+
+def _failing_solve_w(monkeypatch, fails):
+    """Patch ``waves.solve_w`` to raise on the calls n where fails(n)."""
+    from capwhitham import waves
+
+    real, calls = waves.solve_w, []
+
+    def solve(*args):
+        calls.append(args)
+        if fails(len(calls)):
+            raise ConvergenceError("forced failure")
+        return real(*args)
+
+    monkeypatch.setattr(waves, "solve_w", solve)
+    return calls
+
+
+def test_parameter_newton_step_budget(monkeypatch):
+    from capwhitham import waves
+
+    request = _newton_exit_request()
+    _, report = solve_wave(*request)
+    assert report.iterations_newton == 4
+    monkeypatch.setattr(waves, "_MAX_ITER_NEWTON", 1)
+    with pytest.raises(ConvergenceError) as info:
+        solve_wave(*request)
+    assert info.value.message == "Newton did not converge within the step budget"
+    assert info.value.context["steps"] == 1
+
+
+def test_parameter_newton_halves_a_step_whose_trial_fails(monkeypatch):
+    request = _newton_exit_request()
+    _, base = solve_wave(*request)
+    _failing_solve_w(monkeypatch, lambda n: n == 2)
+    _, report = solve_wave(*request)
+    assert report.converged and report.iterations_newton == 5
+    assert report.T == pytest.approx(base.T, rel=1e-10)
+
+
+def test_parameter_newton_leaves_the_evaluable_domain(monkeypatch):
+    calls = _failing_solve_w(monkeypatch, lambda n: n > 1)
+    with pytest.raises(ConvergenceError) as info:
+        solve_wave(*_newton_exit_request())
+    assert info.value.message == "Newton step left the evaluable domain"
+    assert info.value.context["step"] == 1
+    # The starting point, then 11 trials at halving step sizes.
+    assert len(calls) == 12
 
 
 def test_variational_identity_random_profiles():
