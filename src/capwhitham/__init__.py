@@ -22,8 +22,6 @@ from .coefficients import (
 from .errors import (
     CapWhithamError,
     ConvergenceError,
-    DegenerateDirectionError,
-    DivergenceError,
     DomainError,
     NearResonanceError,
     SizeGuardError,
@@ -71,8 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapWhithamError",
     "ConvergenceError",
-    "DegenerateDirectionError",
-    "DivergenceError",
     "DomainError",
     "LIMIT_HIGH_T",
     "LIMIT_LOW_T",

@@ -232,7 +232,12 @@ def _cmd_pairs(args, cfg) -> tuple[list[Path], int]:
         extent=(1.0, float(args.kmax), 1.0, float(args.kmax)),
     )
     paths.append(emitters.write_text(Path(cfg.out) / "pairs.svg", plot))
-    all_errored = bool(verdicts) and all(v.error is not None for v in verdicts)
+    # The files have no error column: name the pairs an error left undecided.
+    errored = [{"pair": [v.k1, v.k2], "error": v.error} for v in verdicts if v.error]
+    if errored:
+        envelope = emitters.error_envelope(0, "pairs left undecided by an error", {"errors": errored})
+        print(envelope, file=sys.stderr)
+    all_errored = bool(verdicts) and len(errored) == len(verdicts)
     return paths, (EXIT_CONVERGENCE if all_errored else EXIT_OK)
 
 

@@ -15,9 +15,7 @@ __all__ = [
     "DomainError",
     "NearResonanceError",
     "TruncationError",
-    "DegenerateDirectionError",
     "ConvergenceError",
-    "DivergenceError",
     "SizeGuardError",
 ]
 
@@ -48,24 +46,8 @@ class TruncationError(DomainError):
     """The Fourier truncation order is too small for the requested data."""
 
 
-class DegenerateDirectionError(DomainError):
-    """The sine factor of the phase equation is numerically zero.
-
-    The asymmetric three-variable solve divides by
-    sin(k1*k2*(theta1-theta2)); when that factor is below the guard the
-    caller should use the symmetric two-variable solver instead.
-    """
-
-
 class ConvergenceError(CapWhithamError):
     """An iterative solver stopped without meeting its tolerance."""
-
-
-class DivergenceError(ConvergenceError):
-    """A fixed-point iteration grew instead of contracting.
-
-    ``context['history']`` holds the recorded iterate-update norms.
-    """
 
 
 class SizeGuardError(CapWhithamError):

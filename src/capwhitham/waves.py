@@ -25,13 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import MultiplierContext, multiplier
-from .errors import (
-    ConvergenceError,
-    DegenerateDirectionError,
-    DivergenceError,
-    DomainError,
-    TruncationError,
-)
+from .errors import ConvergenceError, DomainError, TruncationError
 from .symbol import WaveNumberPair, double_bifurcation, eval_symbol, eval_symbol_deriv, tanhc
 
 __all__ = [
@@ -154,11 +148,9 @@ _AMPLITUDE_CAP = 0.3
 _TOL_RESIDUAL_J = 1e-10
 _TOL_ORTHOGONALITY = 1e-12
 _TOL_LINDEP = 1e-12
-# Smallest |sin(k1 k2 (theta1 - theta2))| the asymmetric solve divides by.
+# Smallest |sin(k1 k2 (theta1 - theta2))| that asymmetry_test counts as
+# asymmetric, and so the smallest sine the asymmetric solve divides by.
 _SINE_GUARD = 1e-10
-# Smallest distance of theta1 - theta2 from the symmetric lattice
-# pi/(k1*k2) Z that asymmetry_test counts as asymmetric.
-_ASYMMETRY_TOL = 1e-12
 # The parameter Newton stops after a step no larger than this times |x|:
 # its error is then of the order of that step's square, the rounding of x.
 _STEP_FLOOR = math.sqrt(np.finfo(float).eps)
@@ -241,17 +233,22 @@ def asymmetry_test(pair: WaveNumberPair, params: ModalParameters) -> bool:
     """True iff the kernel profile has no axis of even symmetry.
 
     The profile is asymmetric exactly when both amplitudes are nonzero
-    and theta1 - theta2 is not a multiple of pi/(k1*k2); the modular
-    comparison is made to an absolute tolerance of 1e-12.
+    and theta1 - theta2 is not a multiple of pi/(k1*k2), that is when
+    sin(k1 k2 (theta1 - theta2)) is nonzero.  Numerically that sine, the
+    factor the asymmetric solve divides by, must be at least 1e-10 in
+    magnitude; phases nearer the lattice count as symmetric.  The sine is
+    taken at the reduced phases, as the solvers take it, so the verdict
+    does not depend on which representative of each phase is given.
     """
     pair = WaveNumberPair.coerce(pair)
-    if params.r1 == 0.0 or params.r2 == 0.0:
-        return False
-    period = math.pi / (pair.k1 * pair.k2)
-    d = math.fmod(params.theta1 - params.theta2, period)
-    if d < 0.0:
-        d += period
-    return min(d, period - d) > _ASYMMETRY_TOL
+    params = params.reduced(pair)
+    nonzero = params.r1 != 0.0 and params.r2 != 0.0
+    return nonzero and abs(_phase_sine(pair, params)) >= _SINE_GUARD
+
+
+def _phase_sine(pair: WaveNumberPair, params: ModalParameters) -> float:
+    """sin(k1 k2 (theta1 - theta2)), the factor the asymmetric solve divides by."""
+    return math.sin(pair.k1 * pair.k2 * (params.theta1 - params.theta2))
 
 
 def solve_w(
@@ -313,7 +310,6 @@ def _solve_w_picard(
 ) -> tuple[np.ndarray, int]:
     """Plain fixed-point iteration from w = 0."""
     w = np.zeros(K + 1, dtype=complex)
-    history: list[float] = []
     growth = 0
     prev_delta = math.inf
     for iteration in range(1, _MAX_ITER_W + 1):
@@ -322,15 +318,14 @@ def _solve_w_picard(
         with np.errstate(over="ignore", invalid="ignore"):
             w_next = _fixed_point_image(w, v_modes, ell, K)
             delta = float(np.max(np.abs(w_next - w)))
-        history.append(delta)
         if delta <= settings.tol_w:
             return w_next, iteration
         if not math.isfinite(delta) or delta > prev_delta:
             growth += 1
             if growth >= 10:
-                raise DivergenceError(
+                raise ConvergenceError(
                     "fixed-point iterate norms grew for 10 consecutive steps",
-                    history=history,
+                    last_delta=delta,
                 )
         else:
             growth = 0
@@ -339,7 +334,7 @@ def _solve_w_picard(
     raise ConvergenceError(
         "fixed point did not reach tolerance",
         iterations=_MAX_ITER_W,
-        last_delta=history[-1],
+        last_delta=delta,
         tol=settings.tol_w,
     )
 
@@ -709,11 +704,6 @@ def _solve_kernel(
     return profile, report
 
 
-def _phase_sine(pair: WaveNumberPair, params: ModalParameters) -> float:
-    """sin(k1 k2 (theta1 - theta2)), the factor the asymmetric solve divides by."""
-    return math.sin(pair.k1 * pair.k2 * (params.theta1 - params.theta2))
-
-
 def solve_wave(
     pair: WaveNumberPair,
     params: ModalParameters,
@@ -727,8 +717,9 @@ def solve_wave(
     g3 = <I,v1_sin>/(r1^(k2-1) r2^k1 sin(k1 k2 (theta1-theta2)))
     are driven to zero from the bifurcation point at T_init, re-solving
     the remainder equation at every iterate, with the exact Jacobian of
-    the reduced system.  Symmetric parameters route to
-    :func:`symmetric_solve` at fixed T.
+    the reduced system.  Parameters that :func:`asymmetry_test` counts as
+    symmetric, phases within its sine guard of the lattice included,
+    route to :func:`symmetric_solve` at fixed T.
 
     A returned report is always converged.  The parameter Newton, the
     loop of ``_solve_kernel`` that every wave mode shares, stops when g
@@ -738,9 +729,6 @@ def solve_wave(
 
     Raises
     ------
-    DegenerateDirectionError
-        If the parameters pass the asymmetry test but the sine factor is
-        below the guard; use the symmetric solver.
     ConvergenceError
         If the remainder or parameter iteration fails outright (in
         particular for amplitudes beyond the small-solution fold), or if
@@ -753,12 +741,7 @@ def solve_wave(
     params = params.reduced(pair)
     if not asymmetry_test(pair, params):
         return symmetric_solve(pair, params, T_init, settings)
-    sine = _phase_sine(pair, params)
-    if abs(sine) < _SINE_GUARD:
-        raise DegenerateDirectionError(
-            "sine factor numerically zero; use the symmetric solver", sine=sine
-        )
-    monomial = params.r1 ** (pair.k2 - 1) * params.r2**pair.k1 * sine
+    monomial = params.r1 ** (pair.k2 - 1) * params.r2**pair.k1 * _phase_sine(pair, params)
     equations = ((0, params.r1), (1, params.r2), (2, monomial))
     return _solve_kernel(pair, params, T_init, settings, "asymmetric", equations)
 
@@ -777,13 +760,12 @@ def symmetric_solve(
     rather than solved.  Unimodal parameters leave the period scaling
     free, so kappa is frozen at the bifurcation value and Newton runs on
     the wave speed alone.  Zero amplitudes give the zero wave at the
-    bifurcation point, after no Newton step.  Parameters whose sine
-    factor :func:`solve_wave` guards as degenerate are solved here too.
+    bifurcation point, after no Newton step.
     """
     pair = WaveNumberPair.coerce(pair)
     settings = settings or SolverSettings()
     params = params.reduced(pair)
-    if asymmetry_test(pair, params) and abs(_phase_sine(pair, params)) >= _SINE_GUARD:
+    if asymmetry_test(pair, params):
         raise DomainError("parameters are asymmetric; use solve_wave")
     # One cosine equation per nonzero amplitude; none gives the zero wave.
     equations = tuple(

@@ -19,10 +19,16 @@ factor tuples, that sums every splitting in both orders.
 ``table_ell`` is the per-|k| reference for the cell multipliers of a
 coefficient table: it asks ell once per |k| as the cells come, in place
 of one call on every |k| at once.
+
+``unimodal_c2`` and ``bimodal_shift`` are the closed-form order-r^2
+parameter shifts of small symmetric waves, from the r^3 cosine
+equations with the remainder w = L P_W v^2, evaluated with this file's
+own ``symbol``.
 """
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +210,61 @@ def table_ell(pair, corner, ell, one=1.0):
         return ells[k]
 
     return at
+
+
+def symbol(T, xi):
+    """The dispersion symbol m_T(xi) = sqrt((1 + T xi^2) tanh(xi) / xi), m_T(0) = 1."""
+    if xi == 0.0:
+        return 1.0
+    return math.sqrt((1.0 + T * xi * xi) * math.tanh(xi) / xi)
+
+
+def symbol_deriv(T, xi):
+    """m_T'(xi) for xi > 0: half the derivative of m_T^2, divided by m_T."""
+    t = math.tanh(xi)
+    square = 2.0 * T * t + (1.0 + T * xi * xi) * (xi * (1.0 - t * t) - t) / (xi * xi)
+    return square / (2.0 * symbol(T, xi))
+
+
+def _ell(T, c0, kappa0):
+    """ell(n) = 1 / (c0 - m_T(kappa0 n)) at a bifurcation point; ell(0) = 1 / (c0 - 1)."""
+    return lambda n: 1.0 / (c0 - symbol(T, kappa0 * n))
+
+
+def unimodal_c2(T, c0, kappa0, k):
+    """c2 of c = c0 + c2 r^2 + O(r^4) for the wave r cos(k x) at kappa = kappa0.
+
+    Mode k of 2 v w, with w = L P_W v^2 = r^2 (ell(0) + ell(2k) cos(2kx)) / 2,
+    balances (c - c0) v there: c2 = ell(0) + ell(2k)/2.
+    """
+    ell = _ell(T, c0, kappa0)
+    return ell(0) + ell(2 * k) / 2.0
+
+
+def bimodal_shift(T, c0, kappa0, k1, k2, r1, r2):
+    """Leading (c - c0, kappa - kappa0) of the symmetric wave r1 cos(k1 x) + r2 cos(k2 x).
+
+    With S = ell(k2-k1) + ell(k1+k2) and m'_j = m_T'(kappa0 k_j), the two
+    r^3 cosine equations are the 2x2 linear system
+
+        dc - k1 m'_1 dkappa = ell(0)(r1^2+r2^2) + ell(2k1) r1^2/2 + S r2^2
+        dc - k2 m'_2 dkappa = ell(0)(r1^2+r2^2) + ell(2k2) r2^2/2 + S r1^2.
+
+    It needs the modes 0, 2k1, 2k2 and k2 +- k1 of v^2, and the modes
+    that 2 v w sends to k1 and k2, to be these alone: k2 = 2k1 puts mode
+    2k1 in the kernel, and k2 = 3k1 sends mode 2k1 to k1 and k2 as well.
+    """
+    if k2 in (2 * k1, 3 * k1):
+        raise ValueError(f"no closed form for the resonant pair ({k1}, {k2})")
+    ell = _ell(T, c0, kappa0)
+    s = ell(k2 - k1) + ell(k1 + k2)
+    common = ell(0) * (r1 * r1 + r2 * r2)
+    b1 = common + ell(2 * k1) * r1 * r1 / 2.0 + s * r2 * r2
+    b2 = common + ell(2 * k2) * r2 * r2 / 2.0 + s * r1 * r1
+    a1 = k1 * symbol_deriv(T, kappa0 * k1)
+    a2 = k2 * symbol_deriv(T, kappa0 * k2)
+    dkappa = (b1 - b2) / (a2 - a1)
+    return b1 + a1 * dkappa, dkappa
 
 
 if __name__ == "__main__":

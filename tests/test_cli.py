@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from capwhitham import cli, coefficients, errors
+from capwhitham import DomainError, WaveNumberPair, cli, coefficients, errors
+from capwhitham import symmetry_breaking
 from capwhitham.cli import main
 from capwhitham.config import RunConfig, resolve_config
 
@@ -229,15 +230,15 @@ EXIT_CODES = {
     "DomainError": 2,
     "NearResonanceError": 2,
     "TruncationError": 2,
-    "DegenerateDirectionError": 2,
     "ConvergenceError": 3,
-    "DivergenceError": 3,
     "SizeGuardError": 4,
 }
 
 
 @pytest.mark.parametrize("name", errors.__all__)
 def test_exit_code_follows_error_class(tmp_path, capsys, monkeypatch, name):
+    # A retired or added error type without an entry here fails the suite.
+    assert set(EXIT_CODES) == set(errors.__all__)
     error_type = getattr(errors, name)
 
     def fail(args, cfg):
@@ -465,6 +466,39 @@ def test_pairs_refine_records_roots_json(tmp_path, capsys):
     assert by_pair[(2, 3)]["status"].startswith("excluded")
 
 
+def test_pairs_names_errored_pairs_on_stderr(tmp_path, capsys, monkeypatch):
+    # The files have no error column: a pair whose limits stage fails is
+    # named in one code-0 envelope, and the run still exits 0.
+    argv = ("pairs", "--kmax", "8", "--refine", "--grid", "64", "--format", "json")
+    code, _, err = _run(capsys, *argv, "--out", str(tmp_path / "base"))
+    assert (code, err) == (0, "")
+    real = symmetry_breaking._limit_ell
+
+    def failing(pair, *args):
+        if pair == WaveNumberPair(3, 7):
+            raise DomainError("forced failure")
+        return real(pair, *args)
+
+    monkeypatch.setattr(symmetry_breaking, "_limit_ell", failing)
+    code, _, err = _run(capsys, *argv, "--out", str(tmp_path / "failed"))
+    assert code == 0
+    error = "DomainError: forced failure"
+    assert _stderr_envelope(err) == {
+        "code": 0,
+        "message": "pairs left undecided by an error",
+        "context": {"errors": [{"pair": [3, 7], "error": error}]},
+    }
+    base, failed = (
+        json.loads((tmp_path / d / "pairs.json").read_text()) for d in ("base", "failed")
+    )
+    # The failed pair's row is the undecided row of a pair with no limits.
+    for b, f in zip(base, failed):
+        if (b["k1"], b["k2"]) == (3, 7):
+            b.update(status="undecided", limit_low=None, limit_high=None, roots=[])
+            b["error"] = error
+        assert f == b
+
+
 def test_pairs_refine_rejects_small_grid(tmp_path, capsys):
     # A refined scan needs the 16-point root grid; it fails up front
     # instead of marking every refined pair undecided.
@@ -584,6 +618,18 @@ def test_zero_wave_below_the_kernel_modes(tmp_path, capsys, K):
     report = json.loads((low / "wave_report.json").read_text())
     assert report == {**json.loads((ref / "wave_report.json").read_text()), "K": int(K)}
     assert (report["mode"], report["converged"]) == ("trivial", True)
+
+
+def test_bifurcate_rejects_a_wave_speed_that_rounds_to_one(tmp_path, capsys):
+    # Just below T = 1/3 the bifurcation speed c0 rounds to 1.0.
+    argv = ("bifurcate", *_PAIR, "--T", "0.3333333333", "--out", str(tmp_path))
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert _stderr_envelope(err) == {
+        "code": 3,
+        "message": "wave speed outside (0, 1)",
+        "context": {"T": 0.3333333333, "c0": 1.0},
+    }
 
 
 def test_wave_fold_exit_code_and_report(tmp_path, capsys):

@@ -107,6 +107,12 @@ def test_phi_curve_grid_shape():
     assert grid[-1] - grid[-2] < grid[mid + 1] - grid[mid]
 
 
+@pytest.mark.parametrize("grid_size", [0, 1])
+def test_phi_curve_needs_two_points(grid_size):
+    with pytest.raises(DomainError, match="at least two points"):
+        phi_curve(PAIR_2_5, grid_size)
+
+
 def test_phi_curve_values_match_eval():
     samples = phi_curve(PAIR_2_5, 16)
     for s in samples:

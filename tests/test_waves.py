@@ -10,8 +10,6 @@ import pytest
 import oracles
 from capwhitham import (
     ConvergenceError,
-    DegenerateDirectionError,
-    DivergenceError,
     DomainError,
     ModalParameters,
     MultiplierContext,
@@ -180,6 +178,10 @@ def test_asymmetry_test_cases():
     ]:
         swapped = ModalParameters(0.1, 0.1, theta1=0.0, theta2=dth)
         assert asymmetry_test(PAIR_2_5, swapped) is asymmetric
+    # Phases a thousand periods out round the sine otherwise than their
+    # reduced forms, which the solvers use; the verdict follows the latter.
+    far = p(1000.0 * math.pi + math.pi / 10.0 + 1e-11)
+    assert asymmetry_test(PAIR_2_5, far) is asymmetry_test(PAIR_2_5, far.reduced(PAIR_2_5))
 
 
 def test_solve_w_zero_kernel_gives_zero():
@@ -254,7 +256,7 @@ def test_solve_w_divergence_and_fold():
     v = synthesize_v(PAIR_2_5, ModalParameters(0.05, 0.05, 0.0, 0.2), K=64)
     point = _point()
     ctx = MultiplierContext(pair=PAIR_2_5, c=point.c0, kappa=point.kappa0, T=0.1215)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(ConvergenceError, match="grew for 10 consecutive steps"):
         _solve_w_picard(v.modes, multiplier(ctx, np.arange(65)), 64, SolverSettings())
     with pytest.raises(ConvergenceError):
         solve_w(v, point.c0, point.kappa0, 0.1215, SolverSettings())
@@ -611,6 +613,33 @@ def test_parameter_newton_leaves_the_evaluable_domain(monkeypatch):
     assert len(calls) == 12
 
 
+def _singular_solve(*args):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def test_newton_w_step_reports_a_singular_jacobian(monkeypatch):
+    from capwhitham.waves import _free_modes, _newton_w_step
+
+    v = synthesize_v(PAIR_2_5, ModalParameters(0.008, 0.008, 0.05, 0.2), K=32)
+    point = _point()
+    ctx = MultiplierContext(pair=PAIR_2_5, c=point.c0, kappa=point.kappa0, T=0.1215)
+    ell = multiplier(ctx, np.arange(33))
+    w0 = np.zeros(33, dtype=complex)
+    monkeypatch.setattr(np.linalg, "solve", _singular_solve)
+    with pytest.raises(ConvergenceError, match="singular w-Jacobian"):
+        _newton_w_step(v.modes, ell, 32, _free_modes(PAIR_2_5, 32), w0, SolverSettings())
+
+
+def test_parameter_newton_reports_a_singular_jacobian(monkeypatch):
+    # The remainder of this request solves by Picard, with no linear
+    # solve, so the first solve is the parameter Jacobian's.
+    request = _newton_exit_request()
+    monkeypatch.setattr(np.linalg, "solve", _singular_solve)
+    with pytest.raises(ConvergenceError, match="singular parameter Jacobian") as info:
+        solve_wave(*request)
+    assert info.value.context["step"] == 1
+
+
 def test_variational_identity_random_profiles():
     rng = np.random.default_rng(101)
     for _ in range(25):
@@ -725,20 +754,20 @@ def test_solve_wave_trivial_and_symmetric_routing():
     assert report_sym == symmetric_solve(PAIR_2_5, params, 0.1215)[1]
 
 
-def test_solve_wave_degenerate_direction_guard():
-    # Barely off the symmetric lattice: asymmetric per the modal test but
-    # with a sine factor below the guard.
+def test_solve_wave_routes_a_near_lattice_request_to_symmetric_solve():
+    # Barely off the symmetric lattice: the sine factor is below the
+    # guard, so the request is solved as symmetric.
     dth = math.pi / 10.0 + 5e-12
     params = ModalParameters(0.002, 0.002, theta1=dth, theta2=0.0)
-    with pytest.raises(DegenerateDirectionError):
-        solve_wave(PAIR_2_5, params, 0.1215)
+    _, report = solve_wave(PAIR_2_5, params, 0.1215)
+    assert report.mode == "symmetric"
+    assert report == symmetric_solve(PAIR_2_5, params, 0.1215)[1]
 
 
 def test_symmetric_solve_takes_the_degenerate_direction():
-    # The request solve_wave refuses above, with its advice followed.
     dth = math.pi / 10.0 + 5e-12
     params = ModalParameters(0.002, 0.002, theta1=dth, theta2=0.0)
-    assert asymmetry_test(PAIR_2_5, params)
+    assert not asymmetry_test(PAIR_2_5, params)
     _, report = symmetric_solve(PAIR_2_5, params, 0.1215)
     assert report.mode == "symmetric"
     assert report.converged
@@ -776,6 +805,53 @@ def test_symmetric_solve_unimodal_quadratic_speed_shift():
             assert report.kappa == point.kappa0
             deviations.append(report.c - point.c0)
         assert deviations[0] / deviations[1] == pytest.approx(4.0, abs=1.2)
+
+
+def _richardson(shift, r):
+    """(4 q(r/2) - q(r)) / 3 for q(h) = shift(h) / h^2, whose error is even in h."""
+    q = [np.asarray(shift(h)) / h**2 for h in (r, r / 2.0)]
+    return (4.0 * q[1] - q[0]) / 3.0
+
+
+_ORACLE_POINT = (0.1215, oracles.C0_2_5_T01215, oracles.KAPPA0_2_5_T01215)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_unimodal_speed_shift_matches_the_closed_form(k):
+    # The extrapolated r^2 coefficients of c - c0 from r = 1e-3 and 5e-4
+    # were 2.8e-6 (k = 2) and 6e-10 (k = 5) relative from the closed form.
+    T, c0, _ = _ORACLE_POINT
+
+    def shift(r):
+        params = ModalParameters(r, 0.0) if k == 2 else ModalParameters(0.0, r)
+        return symmetric_solve(PAIR_2_5, params, T)[1].c - c0
+
+    c2 = oracles.unimodal_c2(*_ORACLE_POINT, k)
+    assert _richardson(shift, 1e-3) == pytest.approx(c2, rel=1e-5)
+
+
+@pytest.mark.parametrize("theta1", [0.0, math.pi / 5.0])
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+def test_bimodal_symmetric_shifts_match_the_closed_form(rho, theta1):
+    # At r1 = rho r, r2 = r, extrapolated from r = 1e-3 and 5e-4, the gaps
+    # were at most 9.3e-5 relative in c (rho = 2) and 4.6e-6 in kappa
+    # (rho = 1); theta1 = pi/5 is the theta1 = 0 wave translated.
+    T, c0, kappa0 = _ORACLE_POINT
+
+    def shift(r):
+        report = symmetric_solve(PAIR_2_5, ModalParameters(rho * r, r, theta1), T)[1]
+        return report.c - c0, report.kappa - kappa0
+
+    c2, kappa2 = _richardson(shift, 1e-3)
+    dc, dkappa = oracles.bimodal_shift(*_ORACLE_POINT, 2, 5, rho, 1.0)
+    assert c2 == pytest.approx(dc, rel=3e-4)
+    assert kappa2 == pytest.approx(dkappa, rel=1.5e-5)
+
+
+@pytest.mark.parametrize("k2", [2, 3])
+def test_bimodal_closed_form_refuses_resonant_pairs(k2):
+    with pytest.raises(ValueError, match="resonant"):
+        oracles.bimodal_shift(*_ORACLE_POINT, 1, k2, 1.0, 1.0)
 
 
 def test_symmetric_solve_rejects_asymmetric_parameters():
