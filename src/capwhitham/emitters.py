@@ -98,9 +98,13 @@ def _profile_x_cells(n: int) -> tuple[str, ...]:
 
 
 def wave_profile_csv(profile: WaveProfile) -> str:
-    """The profile on 1024 grid points, or 2K+2 where K needs more."""
+    """The profile on 1024 grid points, or 2K+2 where K needs more.
+
+    The bytes of ``csv_text`` over the (x, u) rows, written in one join.
+    """
     n = max(1024, 2 * profile.K + 2)
-    return csv_text(("x", "u"), zip(_profile_x_cells(n), profile.sample(n).tolist()))
+    rows = zip(_profile_x_cells(n), map(repr, profile.sample(n).tolist()))
+    return "x,u\n" + "\n".join(map(",".join, rows)) + "\n"
 
 
 # SolveReport's residual fields and their keys under the report's "residuals".

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .coefficients import MultiplierContext, multiplier
 from .errors import ConvergenceError, DomainError, TruncationError
-from .symbol import WaveNumberPair, double_bifurcation, eval_symbol, eval_symbol_deriv, tanhc
+from .symbol import WaveNumberPair, _dtanhc, _libm, _tanhc, double_bifurcation, eval_symbol
 
 __all__ = [
     "ModalParameters",
@@ -300,9 +300,14 @@ def solve_w(
 
 
 def _fixed_point_image(w_modes: np.ndarray, v_modes: np.ndarray, ell: np.ndarray, K: int) -> np.ndarray:
-    """One application of w -> L P_W (v+w)^2."""
-    sq = _square_modes(v_modes + w_modes, K)[: K + 1]
-    return ell * sq
+    """One application of w -> L P_W (v+w)^2.
+
+    The operations of ``ell * _square_modes(v + w, K)[:K+1]``, with the
+    division by the grid size kept to the modes that are used.
+    """
+    n = 4 * K + 4
+    g = np.fft.irfft((v_modes + w_modes) * n, n)
+    return ell * (np.fft.rfft(g * g)[: K + 1] / n)
 
 
 def _solve_w_picard(
@@ -312,25 +317,25 @@ def _solve_w_picard(
     w = np.zeros(K + 1, dtype=complex)
     growth = 0
     prev_delta = math.inf
-    for iteration in range(1, _MAX_ITER_W + 1):
-        # Diverging iterates may overflow; nonfinite deltas are counted
-        # as growth below, so silence the transient warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Diverging iterates may overflow; nonfinite deltas are counted as
+    # growth below, so silence the transient warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, _MAX_ITER_W + 1):
             w_next = _fixed_point_image(w, v_modes, ell, K)
-            delta = float(np.max(np.abs(w_next - w)))
-        if delta <= settings.tol_w:
-            return w_next, iteration
-        if not math.isfinite(delta) or delta > prev_delta:
-            growth += 1
-            if growth >= 10:
-                raise ConvergenceError(
-                    "fixed-point iterate norms grew for 10 consecutive steps",
-                    last_delta=delta,
-                )
-        else:
-            growth = 0
-        prev_delta = delta
-        w = w_next
+            delta = float(np.abs(w_next - w).max())
+            if delta <= settings.tol_w:
+                return w_next, iteration
+            if not math.isfinite(delta) or delta > prev_delta:
+                growth += 1
+                if growth >= 10:
+                    raise ConvergenceError(
+                        "fixed-point iterate norms grew for 10 consecutive steps",
+                        last_delta=delta,
+                    )
+            else:
+                growth = 0
+            prev_delta = delta
+            w = w_next
     raise ConvergenceError(
         "fixed point did not reach tolerance",
         iterations=_MAX_ITER_W,
@@ -339,27 +344,56 @@ def _solve_w_picard(
     )
 
 
-def _free_modes(pair: WaveNumberPair, K: int) -> list[int]:
-    return [k for k in range(K + 1) if k not in (pair.k1, pair.k2)]
+@dataclass(frozen=True, eq=False)
+class _IndexMap:
+    """Index arrays of the packed remainder unknowns at one (pair, K).
+
+    ``free`` holds the modes 0..K other than k1 and k2, and ``pack``
+    reads the ``_pack`` layout off the float view of a half spectrum.
+    ``toeplitz`` and ``hankel`` gather the two terms of each
+    ``_w_jacobian`` entry from the extended spectrum, see there.  The
+    arrays are read-only, since the map is shared.
+    """
+
+    K: int
+    free: np.ndarray
+    pack: np.ndarray
+    toeplitz: np.ndarray
+    hankel: np.ndarray
 
 
-def _pack(w: np.ndarray, free: list[int]) -> np.ndarray:
+@lru_cache(maxsize=4)
+def _index_map(pair: WaveNumberPair, K: int) -> _IndexMap:
+    """The index arrays of the packed unknowns of (pair, K), built once."""
+    free = np.array([k for k in range(K + 1) if k not in (pair.k1, pair.k2)])
+    toeplitz = K + free[:, None] - free[None, :]
+    hankel = K + free[:, None] + free[None, :]
+    # Column m = 0 takes u[k] once: its Hankel term reads ext[3K], a zero.
+    hankel[:, 0] = 3 * K
+    pack = np.concatenate([2 * free, 2 * free[1:] + 1])
+    index = _IndexMap(K, free, pack, toeplitz, hankel)
+    for array in (free, pack, toeplitz, hankel):
+        array.setflags(write=False)
+    return index
+
+
+def _pack(w: np.ndarray, index: _IndexMap) -> np.ndarray:
     """Real unknown vector [Re w_k (k free), Im w_k (k free, k != 0)].
 
     Packs along the last axis, so a stack of profiles packs at once.
     """
-    return np.concatenate([w[..., free].real, w[..., free[1:]].imag], axis=-1)
+    return w.view(float)[..., index.pack]
 
 
-def _unpack(x: np.ndarray, free: list[int], K: int) -> np.ndarray:
-    w = np.zeros((*x.shape[:-1], K + 1), dtype=complex)
-    nf = len(free)
-    w[..., free] = x[..., :nf]
-    w[..., free[1:]] += 1j * x[..., nf:]
+def _unpack(x: np.ndarray, index: _IndexMap) -> np.ndarray:
+    w = np.zeros((*x.shape[:-1], index.K + 1), dtype=complex)
+    nf = len(index.free)
+    w[..., index.free] = x[..., :nf]
+    w[..., index.free[1:]] += 1j * x[..., nf:]
     return w
 
 
-def _w_jacobian(u: np.ndarray, ell: np.ndarray, free: list[int]) -> np.ndarray:
+def _w_jacobian(u: np.ndarray, ell: np.ndarray, index: _IndexMap) -> np.ndarray:
     """Packed Jacobian of F(w) = w - L P_W (v+w)^2 at u = v + w.
 
     The derivative of u^2 along delta is 2*u*delta.  At output mode k a
@@ -368,49 +402,44 @@ def _w_jacobian(u: np.ndarray, ell: np.ndarray, free: list[int]) -> np.ndarray:
     alone, where u[-j] = conj(u[j]) and u[j] = 0 for j > K.  Gathering
     the Toeplitz (k-m) and Hankel (k+m) entries from one extended
     spectrum and scaling row k by 2*ell(k) gives the four real blocks of
-    the ``_pack`` layout without any FFT.
+    the ``_pack`` layout without any FFT.  ``index`` is the
+    ``_index_map`` of u's pair and K.
     """
-    K = len(u) - 1
-    modes = np.asarray(free)
-    nf = len(modes)
-    ext = np.concatenate([np.conj(u[:0:-1]), u, np.zeros(K)])
-    toeplitz = K + modes[:, None] - modes[None, :]
-    hankel = K + modes[:, None] + modes[None, :]
-    a_re, a_im = ext.real[toeplitz], ext.imag[toeplitz]
-    b_re, b_im = ext.real[hankel], ext.imag[hankel]
-    # Column m = 0 takes u[k] once: its Hankel entry repeats the Toeplitz one.
-    b_re[:, 0] = b_im[:, 0] = 0.0
-    scale = (2.0 * ell[modes])[:, None]
+    ext = np.concatenate([np.conj(u[:0:-1]), u, np.zeros(index.K)])
+    a, b = ext[index.toeplitz], ext[index.hankel]
+    plus, minus = a + b, a - b
+    scale = (-2.0 * ell[index.free])[:, None]
+    nf = len(index.free)
     jac = np.empty((2 * nf - 1, 2 * nf - 1))
-    jac[:nf, :nf] = -scale * (a_re + b_re)
-    jac[nf:, :nf] = -scale[1:] * (a_im + b_im)[1:]
-    jac[:nf, nf:] = scale * (a_im - b_im)[:, 1:]
-    jac[nf:, nf:] = -scale[1:] * (a_re - b_re)[1:, 1:]
-    jac[np.diag_indices_from(jac)] += 1.0
+    np.multiply(scale, plus.real, out=jac[:nf, :nf])
+    np.multiply(scale[1:], plus.imag[1:], out=jac[nf:, :nf])
+    np.multiply(-scale, minus.imag[:, 1:], out=jac[:nf, nf:])
+    np.multiply(scale[1:], minus.real[1:, 1:], out=jac[nf:, nf:])
+    jac.ravel()[:: 2 * nf] += 1.0
     return jac
 
 
 def _newton_w_step(
     v_modes: np.ndarray,
     ell: np.ndarray,
-    K: int,
-    free: list[int],
+    index: _IndexMap,
     w0: np.ndarray,
     settings: SolverSettings,
 ) -> tuple[np.ndarray, int]:
     """Damped Newton for F(w) = w - L P_W (v+w)^2 from the given start."""
-    x = _pack(w0, free)
+    K = index.K
+    x = _pack(w0, index)
 
     def residual(xv: np.ndarray) -> np.ndarray:
-        w = _unpack(xv, free, K)
-        return _pack(w - _fixed_point_image(w, v_modes, ell, K), free)
+        w = _unpack(xv, index)
+        return _pack(w - _fixed_point_image(w, v_modes, ell, K), index)
 
     f = residual(x)
-    norm = float(np.max(np.abs(f)))
+    norm = float(np.abs(f).max())
     for iteration in range(1, 61):
         if norm <= settings.tol_w:
-            return _unpack(x, free, K), iteration
-        jac = _w_jacobian(v_modes + _unpack(x, free, K), ell, free)
+            return _unpack(x, index), iteration
+        jac = _w_jacobian(v_modes + _unpack(x, index), ell, index)
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:
@@ -418,7 +447,7 @@ def _newton_w_step(
         t = 1.0
         while True:
             f_try = residual(x + t * step)
-            norm_try = float(np.max(np.abs(f_try)))
+            norm_try = float(np.abs(f_try).max())
             if math.isfinite(norm_try) and norm_try <= (1.0 - 0.25 * t) * norm:
                 break
             t *= 0.5
@@ -446,7 +475,7 @@ def _solve_w_newton(
     stage from the last solved w; raises with diagnostics when the
     small-solution branch folds before full amplitude.
     """
-    free = _free_modes(pair, K)
+    index = _index_map(pair, K)
     w = np.zeros(K + 1, dtype=complex)
     total_iterations = 0
     s_done = 0.0
@@ -454,9 +483,7 @@ def _solve_w_newton(
     while s_done < 1.0:
         s = min(1.0, s_done + ds)
         try:
-            w_new, iterations = _newton_w_step(
-                s * v_modes, ell, K, free, w, settings
-            )
+            w_new, iterations = _newton_w_step(s * v_modes, ell, index, w, settings)
         except ConvergenceError:
             ds *= 0.5
             if ds < 1.0 / 512.0:
@@ -572,16 +599,22 @@ def _parameter_jacobian(
     kappa, T = profile.kappa, profile.T
     k = np.arange(K + 1)
     xi = kappa * k
-    dm = np.zeros((3, K + 1))
-    dm[0] = -1.0
-    dm[1, 1:] = k[1:] * eval_symbol_deriv(T, xi[1:])
     square, m = profile.j_terms
-    dm[2] = xi * xi * tanhc(xi) / (2.0 * m)
-    dm = dm[: len(equations)]
-    free = _free_modes(pair, K)
+    dm = np.zeros((len(equations), K + 1))
+    dm[0] = -1.0
+    if len(equations) > 1:
+        # One tanh per mode serves both symbol rows: m_T' is the formula
+        # of eval_symbol_deriv, with m from the J terms.
+        th = _libm(math.tanh, xi)
+        tc = _tanhc(xi, th)
+        x, dtc = xi[1:], _dtanhc(xi[1:], th[1:])
+        dm[1, 1:] = k[1:] * ((2.0 * T * x * tc[1:] + (1.0 + T * x * x) * dtc) / (2.0 * m[1:]))
+        if len(equations) > 2:
+            dm[2] = xi * xi * tc / (2.0 * m)
+    index = _index_map(pair, K)
     rhs = ell * ell * dm * square[: K + 1]
-    dx = np.linalg.solve(_w_jacobian(u, ell, free), _pack(rhs, free).T)
-    dw = _unpack(dx.T, free, K)
+    dx = np.linalg.solve(_w_jacobian(u, ell, index), _pack(rhs, index).T)
+    dw = _unpack(dx.T, index)
     # Mode k of a product: the full spectra -K..K of u and dw, the first
     # reversed, overlap on modes k-K..K.
     u_full = np.concatenate([np.conj(u[:0:-1]), u])

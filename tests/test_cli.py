@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
-from capwhitham import DomainError, WaveNumberPair, cli, coefficients, errors
+from capwhitham import DomainError, WaveNumberPair, cli, coefficients, emitters, errors
 from capwhitham import symmetry_breaking
 from capwhitham.cli import main
 from capwhitham.config import RunConfig, resolve_config
@@ -590,8 +591,16 @@ def test_wave_solve_writes_profile_and_report(tmp_path, capsys):
     assert report["residuals"]["J_inf"] <= 1e-10
 
 
-def test_wave_profile_grid_grows_with_K(tmp_path, capsys):
+def test_wave_profile_grid_grows_with_K(tmp_path, capsys, monkeypatch):
     # K = 520 needs 2K+2 = 1042 sample points, more than the default 1024.
+    profiles = []
+    real_csv = emitters.wave_profile_csv
+
+    def recording_csv(profile):
+        profiles.append(profile)
+        return real_csv(profile)
+
+    monkeypatch.setattr(emitters, "wave_profile_csv", recording_csv)
     code, out, err = _run(
         capsys,
         "wave", *_PAIR, "--r1", "0.001", "--r2", "0.001", "--theta1", "0.3",
@@ -601,6 +610,12 @@ def test_wave_profile_grid_grows_with_K(tmp_path, capsys):
     lines = (tmp_path / "wave_profile.csv").read_text().splitlines()
     assert lines[0] == "x,u"
     assert len(lines) == 1 + 1042
+    # The one-join writer gives the bytes of the generic CSV writer.
+    (profile,) = profiles
+    x = (2.0 * np.pi * np.arange(1042) / 1042).tolist()
+    rows = zip(map(repr, x), profile.sample(1042).tolist())
+    text = emitters.csv_text(("x", "u"), rows)
+    assert (tmp_path / "wave_profile.csv").read_bytes() == text.encode()
     report = json.loads((tmp_path / "wave_report.json").read_text())
     assert (report["K"], report["converged"]) == (520, True)
 

@@ -282,21 +282,51 @@ def _conv_square(u, K):
     return np.convolve(full, full)[2 * K : 3 * K + 1]
 
 
-def test_w_jacobian_matches_central_differences():
+@pytest.mark.parametrize("K", [12, 64])
+def test_fixed_point_image_equals_the_square_modes_path(K):
+    # The Picard image divides only the kept modes by the grid size; the
+    # bits must be those of the full square_modes path it replaces.
+    from capwhitham.waves import _fixed_point_image, _square_modes
+
+    rng = np.random.default_rng(K)
+    v = np.zeros(K + 1, dtype=complex)
+    v[[2, 5]] = 0.01 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    w = 1e-4 * (rng.standard_normal(K + 1) + 1j * rng.standard_normal(K + 1))
+    w[[2, 5]] = 0.0
+    w[0] = w[0].real
+    ell = rng.standard_normal(K + 1)
+    ell[[2, 5]] = 0.0
+    image = _fixed_point_image(w, v, ell, K)
+    assert image.tobytes() == (ell * _square_modes(v + w, K)[: K + 1]).tobytes()
+    direct = ell * _conv_square(v + w, K)
+    assert np.max(np.abs(image - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
+# (pair, K) keys of the index-map cache, two sharing a pair and two a K;
+# every case builds all of them, interleaved, before it checks its own.
+INDEX_MAP_KEYS = [((2, 5), 12), ((3, 8), 20), ((2, 5), 24), ((3, 8), 24)]
+
+
+@pytest.mark.parametrize("pair, K", INDEX_MAP_KEYS, ids=["2-5-K12", "3-8-K20", "2-5-K24", "3-8-K24"])
+def test_w_jacobian_matches_central_differences(pair, K):
     # F(x) = x - pack(ell * (v + unpack(x))^2) is quadratic in x, so a
     # central difference of the packed residual equals the Jacobian up to
     # rounding.  The residual, the packing and the square are rebuilt
     # here without the package's FFT code.
-    from capwhitham.waves import _w_jacobian
+    from capwhitham.waves import _index_map, _w_jacobian
 
-    K = 12
+    for key in INDEX_MAP_KEYS[::-1] + INDEX_MAP_KEYS:
+        _index_map(WaveNumberPair(*key[0]), key[1])
+    index = _index_map(WaveNumberPair(*pair), K)
+    assert index is _index_map(WaveNumberPair(*pair), K)
     rng = np.random.default_rng(2024)
-    free = [k for k in range(K + 1) if k not in (2, 5)]
+    free = [k for k in range(K + 1) if k not in pair]
     nf = len(free)
+    assert index.K == K and index.free.tolist() == free
     v = np.zeros(K + 1, dtype=complex)
-    v[[2, 5]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v[list(pair)] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     ell = rng.standard_normal(K + 1)
-    ell[[2, 5]] = 0.0
+    ell[list(pair)] = 0.0
 
     def unpack(x):
         w = np.zeros(K + 1, dtype=complex)
@@ -318,7 +348,7 @@ def test_w_jacobian_matches_central_differences():
         e = np.zeros(2 * nf - 1)
         e[j] = h
         ref[:, j] = (residual(x0 + e) - residual(x0 - e)) / (2.0 * h)
-    jac = _w_jacobian(u, ell, free)
+    jac = _w_jacobian(u, ell, index)
     assert jac.shape == ref.shape
     scale = float(np.max(np.abs(ref)))
     assert float(np.max(np.abs(jac - ref))) <= 1e-9 * scale
@@ -332,6 +362,23 @@ def test_w_jacobian_matches_central_differences():
     assert beyond.sum() > 0
     block = jac[:nf, :nf][beyond] - ref[:nf, :nf][beyond]
     assert float(np.max(np.abs(block))) <= 1e-9 * scale
+
+    # Bit for bit, the uncached formula: Toeplitz and Hankel blocks
+    # gathered from the extended spectrum on every call.
+    ext = np.concatenate([np.conj(u[:0:-1]), u, np.zeros(K)])
+    toeplitz = K + modes[:, None] - modes[None, :]
+    hankel = K + modes[:, None] + modes[None, :]
+    a_re, a_im = ext.real[toeplitz], ext.imag[toeplitz]
+    b_re, b_im = ext.real[hankel], ext.imag[hankel]
+    b_re[:, 0] = b_im[:, 0] = 0.0
+    s = (2.0 * ell[modes])[:, None]
+    formula = np.empty((2 * nf - 1, 2 * nf - 1))
+    formula[:nf, :nf] = -s * (a_re + b_re)
+    formula[nf:, :nf] = -s[1:] * (a_im + b_im)[1:]
+    formula[:nf, nf:] = s * (a_im - b_im)[:, 1:]
+    formula[nf:, nf:] = -s[1:] * (a_re - b_re)[1:, 1:]
+    formula[np.diag_indices_from(formula)] += 1.0
+    assert jac.tobytes() == formula.tobytes()
 
 
 # Symmetric (2,5) waves whose remainder solve takes the Newton fallback,
@@ -618,7 +665,7 @@ def _singular_solve(*args):
 
 
 def test_newton_w_step_reports_a_singular_jacobian(monkeypatch):
-    from capwhitham.waves import _free_modes, _newton_w_step
+    from capwhitham.waves import _index_map, _newton_w_step
 
     v = synthesize_v(PAIR_2_5, ModalParameters(0.008, 0.008, 0.05, 0.2), K=32)
     point = _point()
@@ -627,7 +674,7 @@ def test_newton_w_step_reports_a_singular_jacobian(monkeypatch):
     w0 = np.zeros(33, dtype=complex)
     monkeypatch.setattr(np.linalg, "solve", _singular_solve)
     with pytest.raises(ConvergenceError, match="singular w-Jacobian"):
-        _newton_w_step(v.modes, ell, 32, _free_modes(PAIR_2_5, 32), w0, SolverSettings())
+        _newton_w_step(v.modes, ell, _index_map(PAIR_2_5, 32), w0, SolverSettings())
 
 
 def test_parameter_newton_reports_a_singular_jacobian(monkeypatch):
