@@ -380,7 +380,8 @@ def _index_map(pair: WaveNumberPair, K: int) -> _IndexMap:
 def _pack(w: np.ndarray, index: _IndexMap) -> np.ndarray:
     """Real unknown vector [Re w_k (k free), Im w_k (k free, k != 0)].
 
-    Packs along the last axis, so a stack of profiles packs at once.
+    Packs along the last axis, so a stack of profiles packs at once;
+    that axis must be contiguous, as in every freshly computed spectrum.
     """
     return w.view(float)[..., index.pack]
 
