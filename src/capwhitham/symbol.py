@@ -12,7 +12,7 @@ m_T(kappa0*k1) = m_T(kappa0*k2) =: c0.  At that double bifurcation point
 the linearisation of the steady equation has a two-dimensional kernel
 spanned by the modes k1 and k2.
 
-This module evaluates the symbol and its derivative in closed form,
+This module evaluates the symbol and its partials in closed form,
 locates the turning point, and solves for bifurcation points, together
 with the two asymptotic predictions for kappa0 used as cross-checks.
 The symbol functions take floats or arrays, and every root solve runs
@@ -136,13 +136,16 @@ def _symbol(T, xi: np.ndarray) -> np.ndarray:
     return np.sqrt((1.0 + T * xi * xi) * _tanhc(x, _libm(math.tanh, x)))
 
 
-def _symbol_and_deriv(T, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """m_T(xi) and m_T'(xi) for xi > 0, from one tanh evaluation."""
+def _symbol_partials(T, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m_T(xi), d/dxi m_T(xi) and d/dT m_T(xi) for xi >= 0, from one tanh evaluation.
+
+    Each partial is that of f = m_T**2 = (1 + T*xi**2) * tanhc(xi) over 2*m_T.
+    """
     th = _libm(math.tanh, xi)
     tc = _tanhc(xi, th)
     a = 1.0 + T * xi * xi
     m = np.sqrt(a * tc)
-    return m, (2.0 * T * xi * tc + a * _dtanhc(xi, th)) / (2.0 * m)
+    return m, (2.0 * T * xi * tc + a * _dtanhc(xi, th)) / (2.0 * m), xi * xi * tc / (2.0 * m)
 
 
 def _validated(T, xi, xi_ok, message: str) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +193,7 @@ def eval_symbol_deriv(T, xi):
     T, xi = _validated(
         T, xi, lambda xi: np.isfinite(xi) & (xi > 0.0), "xi must be finite and positive"
     )
-    return _result(_symbol_and_deriv(T, xi)[1])
+    return _result(_symbol_partials(T, xi)[1])
 
 
 def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
@@ -296,7 +299,7 @@ def _turning_points(T: np.ndarray) -> np.ndarray:
     """
     T = np.asarray(T, dtype=float)
     _check_tensions(T, "turning point exists")
-    d = _symbol_and_deriv(T[:, None], _TURNING_LADDER)[1]
+    d = _symbol_partials(T[:, None], _TURNING_LADDER)[1]
     prev, nxt = d[:, :-1], d[:, 1:]
     change = ((prev < 0.0) & (0.0 <= nxt)) | ((prev <= 0.0) & (0.0 < nxt))
     found = change.any(axis=1)
@@ -306,7 +309,7 @@ def _turning_points(T: np.ndarray) -> np.ndarray:
         )
     j = change.argmax(axis=1)
     return _brentq(
-        lambda x, T: _symbol_and_deriv(T, x)[1], _TURNING_LADDER[j], _TURNING_LADDER[j + 1],
+        lambda x, T: _symbol_partials(T, x)[1], _TURNING_LADDER[j], _TURNING_LADDER[j + 1],
         _BRACKET_XTOL, args=(T,),
     )
 
@@ -416,7 +419,7 @@ def _solve_bifurcations(pairs, T, xi_t=None):
         Ts = T[idx]
         kappa0[idx] = _brentq(gap, lo[idx], hi[idx], _BRACKET_XTOL, args=(Ts, modes[idx]))
         # Both modes' symbol and slope at kappa0 from one tanh each.
-        m, dm = _symbol_and_deriv(Ts[:, None], kappa0[idx, None] * modes[idx])
+        m, dm, _ = _symbol_partials(Ts[:, None], kappa0[idx, None] * modes[idx])
         c0[idx] = m[:, 0]
         residual[idx] = np.abs(m[:, 0] - m[:, 1])
         d1[idx], d2[idx] = dm.T

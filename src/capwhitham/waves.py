@@ -26,7 +26,7 @@ import numpy as np
 
 from .coefficients import MultiplierContext, multiplier
 from .errors import ConvergenceError, DomainError, TruncationError
-from .symbol import WaveNumberPair, _dtanhc, _libm, _tanhc, double_bifurcation, eval_symbol
+from .symbol import WaveNumberPair, _symbol_partials, double_bifurcation, eval_symbol
 
 __all__ = [
     "ModalParameters",
@@ -139,9 +139,12 @@ class SolverSettings:
             raise DomainError("truncation needs K >= 1", K=self.K)
 
 
-# Iteration budgets of the w fixed point and the parameter Newton.
+# Iteration budgets of the w fixed point, of one w-Newton stage, and of
+# the parameter Newton with its trial steps (each half the last) per step.
 _MAX_ITER_W = 200
+_MAX_ITER_W_NEWTON = 60
 _MAX_ITER_NEWTON = 50
+_MAX_TRIALS = 11
 # Bound on ||v||_inf before the w fixed point is attempted.
 _AMPLITUDE_CAP = 0.3
 # A report is converged when all three residuals are below these.
@@ -437,7 +440,7 @@ def _newton_w_step(
 
     f = residual(x)
     norm = float(np.abs(f).max())
-    for iteration in range(1, 61):
+    for iteration in range(1, _MAX_ITER_W_NEWTON + 1):
         if norm <= settings.tol_w:
             return _unpack(x, index), iteration
         jac = _w_jacobian(v_modes + _unpack(x, index), ell, index)
@@ -588,8 +591,8 @@ def _parameter_jacobian(
     Column p is the derivative along the p-th of the first
     ``len(equations)`` parameters at a profile whose remainder solves
     F(w; p) = w - ell P_W u^2 = 0.  With ell = (c - m)^-1 and
-    dm_p = d(m - c)/dp, i.e. -1 for c, k m_T'(kappa k) for kappa and
-    (kappa k)^2 tanhc(kappa k) / (2 m_T(kappa k)) for T, the implicit
+    dm_p = d(m - c)/dp, i.e. -1 for c, k d_xi m_T(kappa k) for kappa and
+    d_T m_T(kappa k) for T (both from ``_symbol_partials``), the implicit
     function theorem gives dw/dp = F_w^-1 (ell^2 dm_p u^2), one linear
     solve for all columns.  At a kernel mode k, where w is zero,
     dJ_k/dp = dm_p(k) v_k + 2 (u dw/dp)_k, projected and scaled like
@@ -597,21 +600,13 @@ def _parameter_jacobian(
     ``WSolveResult.ell`` of the profile's remainder solve.
     """
     K, pair, u = profile.K, profile.pair, profile.modes
-    kappa, T = profile.kappa, profile.T
-    k = np.arange(K + 1)
-    xi = kappa * k
-    square, m = profile.j_terms
-    dm = np.zeros((len(equations), K + 1))
-    dm[0] = -1.0
+    square = profile.j_terms[0]
+    rows = [np.full(K + 1, -1.0)]
     if len(equations) > 1:
-        # One tanh per mode serves both symbol rows: m_T' is the formula
-        # of eval_symbol_deriv, with m from the J terms.
-        th = _libm(math.tanh, xi)
-        tc = _tanhc(xi, th)
-        x, dtc = xi[1:], _dtanhc(xi[1:], th[1:])
-        dm[1, 1:] = k[1:] * ((2.0 * T * x * tc[1:] + (1.0 + T * x * x) * dtc) / (2.0 * m[1:]))
-        if len(equations) > 2:
-            dm[2] = xi * xi * tc / (2.0 * m)
+        k = np.arange(K + 1)
+        _, dxi, dT = _symbol_partials(profile.T, profile.kappa * k)
+        rows += [k * dxi, dT]
+    dm = np.array(rows[: len(equations)])
     index = _index_map(pair, K)
     rhs = ell * ell * dm * square[: K + 1]
     dx = np.linalg.solve(_w_jacobian(u, ell, index), _pack(rhs, index).T)
@@ -687,7 +682,7 @@ def _solve_kernel(
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular parameter Jacobian", step=steps) from exc
         scale = 1.0
-        for _ in range(11):
+        for _ in range(_MAX_TRIALS):
             try:
                 trial = evaluate(x + scale * delta)
             except (DomainError, ConvergenceError):

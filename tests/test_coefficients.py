@@ -310,6 +310,8 @@ def test_expansion_rows_api(pair):
     assert expansion != doubled
     other = WaveNumberPair(1, 2) if pair != WaveNumberPair(1, 2) else PAIR_2_5
     assert expansion != expand_symbolic(other)
+    assert expansion.__eq__(5) is NotImplemented
+    assert expansion != 5 and not expansion == 5
 
 
 def test_expansion_1_2_has_no_factors():

@@ -1,6 +1,8 @@
-"""Tests for the dispersion symbol, its derivative, and bifurcation solves."""
+"""Tests for the dispersion symbol, its partials, and bifurcation solves."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from capwhitham import (
     kappa_asymptote_low_T,
     turning_point,
 )
+from capwhitham import symbol
+from capwhitham.symbol import _symbol_partials
 
 
 def test_symbol_reference_values():
@@ -97,6 +101,51 @@ def test_deriv_invalid_inputs():
         eval_symbol_deriv(0.2, 0.0)
     with pytest.raises(DomainError):
         eval_symbol_deriv(0.2, -1.0)
+
+
+def test_symbol_partials_pin_the_symbol_and_both_partials():
+    # m and d/dxi m are the public evaluations bit for bit; d/dT m is
+    # checked against central differences in T of the independent oracle
+    # symbol, within the rounding of the difference (at most 0.75
+    # eps m / h measured) plus a relative 1e-9 for its truncation.
+    rng = np.random.default_rng(28)
+    T = rng.uniform(0.01, 0.33, 400)
+    xi = np.concatenate([[0.0], rng.uniform(0.0, 1e-2, 40), rng.uniform(1e-2, 60.0, 359)])
+    m, dxi, dT = _symbol_partials(T, xi)
+    assert m.tobytes() == eval_symbol(T, xi).tobytes()
+    assert dxi[1:].tobytes() == eval_symbol_deriv(T[1:], xi[1:]).tobytes()
+    assert (dxi[0], dT[0]) == (0.0, 0.0)
+    h = 1e-6 * T
+    fd = np.array([
+        (oracles.symbol(t + s, x) - oracles.symbol(t - s, x)) / (2.0 * s)
+        for t, x, s in zip(T.tolist(), xi.tolist(), h.tolist())
+    ])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(dT - fd) <= 1e-9 * np.abs(dT) + 2.0 * eps * m / h)
+
+
+def _names(tree):
+    """Every identifier a module names: variables, attributes and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+
+
+def test_only_symbol_names_the_tanh_helpers():
+    # The symbol and its partials have one owner: no other module of the
+    # package names the libm map or the tanhc pair, so none can grow its
+    # own copy of a symbol formula.
+    helpers = {"_libm", "_tanhc", "_dtanhc"}
+    for path in sorted(Path(symbol.__file__).parent.glob("*.py")):
+        named = set(_names(ast.parse(path.read_text())))
+        if path.name == "symbol.py":
+            assert helpers <= named
+        else:
+            assert not helpers & named, path.name
 
 
 def test_turning_point_reference():

@@ -56,6 +56,17 @@ def test_phi_eval_warns_and_stays_positive_for_k1_one():
         assert sample.value > 0.0
 
 
+def test_phi_eval_enforces_positivity_for_k1_one(monkeypatch):
+    # phi of a k1 = 1 pair is positive; a non-positive value breaks an
+    # invariant of the program, not of the request.
+    real = symmetry_breaking._phi_stacks
+    monkeypatch.setattr(
+        symmetry_breaking, "_phi_stacks", lambda *args: {p: -v for p, v in real(*args).items()}
+    )
+    with pytest.warns(UserWarning), pytest.raises(AssertionError, match="positivity invariant"):
+        phi_eval(WaveNumberPair(1, 3), 0.2)
+
+
 def test_phi_eval_constant_for_1_2():
     # For (1, 2) the expansion has no multiplier factors at all, so phi
     # is identically N/2^2 = 1/2.

@@ -572,6 +572,54 @@ def test_parameter_jacobian_reuses_the_iterate_terms_bitwise(monkeypatch):
         assert reused.tobytes() == recomputed.tobytes()
 
 
+def _former_symbol_rows(kappa, T, K):
+    """The kappa and T rows of d(m - c)/dp as the parameter Jacobian once
+    wrote them: m_T from eval_symbol, one tanh per mode for both rows."""
+    from capwhitham.symbol import _dtanhc, _libm, _tanhc
+
+    k = np.arange(K + 1)
+    xi = kappa * k
+    m = eval_symbol(T, xi)
+    dm = np.zeros((2, K + 1))
+    th = _libm(math.tanh, xi)
+    tc = _tanhc(xi, th)
+    x, dtc = xi[1:], _dtanhc(xi[1:], th[1:])
+    dm[0, 1:] = k[1:] * ((2.0 * T * x * tc[1:] + (1.0 + T * x * x) * dtc) / (2.0 * m[1:]))
+    dm[1] = xi * xi * tc / (2.0 * m)
+    return dm
+
+
+def test_parameter_jacobian_symbol_rows_keep_their_bits(monkeypatch):
+    # The Jacobian takes its kappa and T rows from symbol._symbol_partials;
+    # the right-hand side it packs, ell^2 dm u^2, must equal bit for bit
+    # the one built from the former hand-written rows, from the series
+    # branch of tanhc (kappa below 1e-2) to large kappa k.
+    from capwhitham import waves
+    from capwhitham.waves import _parameter_jacobian
+
+    packed = []
+    real_pack = waves._pack
+
+    def recording_pack(w, index):
+        packed.append(w)
+        return real_pack(w, index)
+
+    monkeypatch.setattr(waves, "_pack", recording_pack)
+    rng = np.random.default_rng(28)
+    equations = ((0, 1.0), (1, 1.0), (2, 1.0))
+    for K in (12, 33, 64, 150):
+        for _ in range(8):
+            profile = replace(_random_profile(rng, K), kappa=float(10.0 ** rng.uniform(-3.0, 0.5)))
+            ell = 0.1 * rng.standard_normal(K + 1)
+            ell[[2, 5]] = 0.0
+            packed.clear()
+            _parameter_jacobian(profile, equations, ell)
+            [rhs] = packed
+            dm = np.vstack([np.full(K + 1, -1.0), _former_symbol_rows(profile.kappa, profile.T, K)])
+            square = profile.j_terms[0][: K + 1]
+            assert rhs.tobytes() == (ell * ell * dm * square).tobytes()
+
+
 def test_solve_wave_raises_at_a_non_solution():
     # A Newton tolerance above the starting g (about 8e3 here) stops the
     # parameter Newton at the bifurcation point, which is no wave.
@@ -664,17 +712,40 @@ def _singular_solve(*args):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def test_newton_w_step_reports_a_singular_jacobian(monkeypatch):
-    from capwhitham.waves import _index_map, _newton_w_step
+def _w_newton_start():
+    """Arguments of a w-Newton stage from w = 0 at r = 0.008, K = 32."""
+    from capwhitham.waves import _index_map
 
     v = synthesize_v(PAIR_2_5, ModalParameters(0.008, 0.008, 0.05, 0.2), K=32)
     point = _point()
     ctx = MultiplierContext(pair=PAIR_2_5, c=point.c0, kappa=point.kappa0, T=0.1215)
     ell = multiplier(ctx, np.arange(33))
-    w0 = np.zeros(33, dtype=complex)
+    return v.modes, ell, _index_map(PAIR_2_5, 32), np.zeros(33, dtype=complex), SolverSettings()
+
+
+def test_newton_w_step_reports_a_singular_jacobian(monkeypatch):
+    from capwhitham.waves import _newton_w_step
+
     monkeypatch.setattr(np.linalg, "solve", _singular_solve)
     with pytest.raises(ConvergenceError, match="singular w-Jacobian"):
-        _newton_w_step(v.modes, ell, _index_map(PAIR_2_5, 32), w0, SolverSettings())
+        _newton_w_step(*_w_newton_start())
+
+
+def test_newton_w_step_reports_its_iteration_budget(monkeypatch):
+    # The stage converges in a few steps; with a budget of one, its first
+    # step is taken whole (the line search accepts it, so the residual
+    # falls below 3/4 of the start) and the stage ends above tol_w.
+    from capwhitham import waves
+    from capwhitham.waves import _fixed_point_image, _newton_w_step, _pack
+
+    v_modes, ell, index, w0, settings = start = _w_newton_start()
+    _, iterations = _newton_w_step(*start)
+    assert iterations > 2
+    initial = float(np.abs(_pack(_fixed_point_image(w0, v_modes, ell, index.K), index)).max())
+    monkeypatch.setattr(waves, "_MAX_ITER_W_NEWTON", 1)
+    with pytest.raises(ConvergenceError, match="w-Newton did not converge") as info:
+        _newton_w_step(*start)
+    assert settings.tol_w < info.value.context["residual"] <= 0.75 * initial
 
 
 def test_parameter_newton_reports_a_singular_jacobian(monkeypatch):
@@ -685,6 +756,12 @@ def test_parameter_newton_reports_a_singular_jacobian(monkeypatch):
     with pytest.raises(ConvergenceError, match="singular parameter Jacobian") as info:
         solve_wave(*request)
     assert info.value.context["step"] == 1
+
+
+def test_inner_products_need_modal_parameters():
+    profile = replace(_random_profile(np.random.default_rng(3)), params=None)
+    with pytest.raises(DomainError, match="no modal parameters"):
+        inner_products(profile)
 
 
 def test_variational_identity_random_profiles():
