@@ -453,17 +453,6 @@ def _solve_bifurcations(pairs, T, xi_t=None):
     return c0.reshape(P, G), kappa0.reshape(P, G), residual.reshape(P, G), errors
 
 
-def _bifurcation_arrays(pair: WaveNumberPair, T, xi_t=None):
-    """Arrays (c0, kappa0, residual) of one pair on a tension grid.
-
-    Raises the error of the first failing tension.
-    """
-    (c0,), (kappa0,), (residual,), (error,) = _solve_bifurcations([pair.astuple()], T, xi_t)
-    if error is not None:
-        raise error
-    return c0, kappa0, residual
-
-
 def _points(pair: WaveNumberPair, T, c0, kappa0, residual) -> list[BifurcationPoint]:
     return [
         BifurcationPoint(pair=pair, T=t, c0=c, kappa0=k, residual=r)
@@ -482,7 +471,10 @@ def bifurcation_grid(pair: WaveNumberPair, tensions) -> list[BifurcationPoint]:
     """
     pair = WaveNumberPair.coerce(pair)
     T = np.asarray(tensions, dtype=float)
-    return _points(pair, T, *_bifurcation_arrays(pair, T))
+    (c0,), (kappa0,), (residual,), (error,) = _solve_bifurcations([pair.astuple()], T)
+    if error is not None:
+        raise error
+    return _points(pair, T, c0, kappa0, residual)
 
 
 def double_bifurcation(pair: WaveNumberPair, T: float) -> BifurcationPoint:

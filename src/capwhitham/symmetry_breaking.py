@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +26,6 @@ from .symbol import (
     WEAK_TENSION_LIMIT,
     BifurcationPoint,
     WaveNumberPair,
-    _bifurcation_arrays,
     _brentq,
     _points,
     _solve_bifurcations,
@@ -322,26 +320,24 @@ def _reraise(pair, exc):
 def _phi_on(pairs: list[WaveNumberPair], T: np.ndarray, xi_t=None, fail=_reraise) -> dict:
     """{pair: (phi, (c0, kappa0, residual))} at the tensions T, for every pair that gets there.
 
-    One bifurcation solve for all pairs, bitwise equal to each pair's own
-    (which each of several pairs makes if that solve raises), then one
-    stacked table per k1.  A failing pair goes to ``fail(pair, error)``,
-    by default a raise of that error.
+    One bifurcation solve for all pairs, then one stacked table per k1;
+    no pair's values depend on another's.  If the solve of several pairs
+    raises, each pair takes this path alone.  A failing pair goes to
+    ``fail(pair, error)``, by default a raise of that error.
     """
     try:
         c0, kappa0, residual, errors = _solve_bifurcations([p.astuple() for p in pairs], T, xi_t)
     except _PAIR_ERRORS as exc:
-        if len(pairs) == 1:  # the batch was that pair's own solve
-            points = {}
-            fail(pairs[0], exc)
+        if len(pairs) > 1:
+            return {p: v for pair in pairs for p, v in _phi_on([pair], T, xi_t, fail).items()}
+        fail(pairs[0], exc)  # the batch was that pair's own solve
+        return {}
+    points = {}
+    for row, (pair, error) in enumerate(zip(pairs, errors)):
+        if error is None:
+            points[pair] = c0[row], kappa0[row], residual[row]
         else:
-            points = _stage(pairs, lambda pair: _bifurcation_arrays(pair, T, xi_t), fail)
-    else:
-        points = {}
-        for row, (pair, error) in enumerate(zip(pairs, errors)):
-            if error is None:
-                points[pair] = c0[row], kappa0[row], residual[row]
-            else:
-                fail(pair, error)
+            fail(pair, error)
     # Overflow surfaces as inf or nan, which _check_values reports.
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _phi_stacks(list(points), lambda pair: _path_ell(pair, T, points[pair]), fail)
@@ -356,35 +352,32 @@ def _classify_pairs(chunk: tuple) -> list[PairVerdict]:
     from one stacked table per k1; when refining, the grid phi of the
     pairs whose limits do not admit, from :func:`_phi_on`; their roots.
     A pair leaves at its first failing stage: its verdict records that
-    error and keeps what the earlier stages found.
+    error and keeps what the earlier stages found.  Each stage adds to
+    the pair's fields, from which its verdict is built at the end.
     """
     pairs, refine, grid_size = chunk
     pairs = [WaveNumberPair(*pair) for pair in pairs]
-    verdicts = {
-        pair: PairVerdict(k1=pair.k1, k2=pair.k2, reduced=pair, status=STATUS_UNDECIDED)
-        for pair in pairs
-    }
+    fields = {pair: {"status": STATUS_UNDECIDED} for pair in pairs}
 
     def fail(pair, exc):
-        verdicts[pair] = replace(verdicts[pair], error=f"{type(exc).__name__}: {exc}")
+        fields[pair]["error"] = f"{type(exc).__name__}: {exc}"
 
     scan = []
     for pair, limits in _phi_stacks(pairs, _limit_ell, fail).items():
         low, high = limits.tolist()
-        verdicts[pair] = replace(verdicts[pair], limit_low=low, limit_high=high)
+        fields[pair].update(limit_low=low, limit_high=high)
         if low * high < 0.0:
-            verdicts[pair] = replace(verdicts[pair], status=STATUS_ADMITS)
+            fields[pair]["status"] = STATUS_ADMITS
         elif refine:
             scan.append(pair)
-    if not scan:
-        return [verdicts[pair] for pair in pairs]
-    T, xi_t = _tension_grid(grid_size)
-    on = _phi_on(scan, T, xi_t, fail)
-    found = _stage(on, lambda pair: _phi_roots(pair, T, on[pair][0], _ROOT_XTOL), fail)
-    for pair, roots in found.items():
-        if roots:
-            verdicts[pair] = replace(verdicts[pair], status=STATUS_ADMITS, roots=tuple(roots))
-    return [verdicts[pair] for pair in pairs]
+    if scan:
+        T, xi_t = _tension_grid(grid_size)
+        on = _phi_on(scan, T, xi_t, fail)
+        found = _stage(on, lambda pair: _phi_roots(pair, T, on[pair][0], _ROOT_XTOL), fail)
+        for pair, roots in found.items():
+            if roots:
+                fields[pair].update(status=STATUS_ADMITS, roots=tuple(roots))
+    return [PairVerdict(k1=pair.k1, k2=pair.k2, reduced=pair, **fields[pair]) for pair in pairs]
 
 
 def pair_scan(
@@ -432,6 +425,8 @@ def pair_scan(
     if jobs > 1 and len(reduced) > 1:
         n = min(jobs, len(reduced))
         chunks = [(reduced[i::n], refine, grid_size) for i in range(n)]
+        # Imported here: the pool's modules load only on this path.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n) as pool:
             classified = [v for chunk in pool.map(_classify_pairs, chunks) for v in chunk]
     else:

@@ -31,7 +31,6 @@ from capwhitham import (
 )
 from capwhitham.coefficients import _phi_path, _scaled_u2
 from capwhitham.symbol import (
-    _bifurcation_arrays,
     _brentq,
     _solve_bifurcations,
     bifurcation_grid,
@@ -294,8 +293,11 @@ def test_one_call_phi_values_equal_per_k_fill(pair):
     pair = WaveNumberPair(*pair)
     grid, xi_t = _tension_grid(200)
     for T in (grid, np.array([0.1215]), np.array([0.1215 + 1e-5, 0.1215 - 1e-5])):
-        points = _bifurcation_arrays(pair, T, xi_t if T is grid else None)
-        ctx = MultiplierContext(pair=pair, c=points[0], kappa=points[1], T=T)
+        c0, kappa0, _, errors = _solve_bifurcations(
+            [pair.astuple()], T, xi_t if T is grid else None
+        )
+        assert errors == [None]
+        ctx = MultiplierContext(pair=pair, c=c0[0], kappa=kappa0[0], T=T)
         want = _per_k_phi(pair, ctx.ell, np.ones(T.shape))
         assert _phi_on([pair], T, xi_t if T is grid else None)[pair][0].tobytes() == want.tobytes()
 

@@ -178,6 +178,14 @@ TABLE_SHA256 = {
             "pairs.svg": _PAIRS_SVG,
         },
     ),
+    # Two worker processes write the serial scan's bytes.
+    "pairs-json-jobs2": (
+        ("pairs", "--kmax", "12", "--refine", "--jobs", "2", "--format", "json"), 0,
+        {
+            "pairs.json": "2413b04507e9316262168436dd0755dffe0479ef25db76dffceeb7954c99bf9b",
+            "pairs.svg": _PAIRS_SVG,
+        },
+    ),
     "wave-solved": (
         _WAVE_SOLVED, 0,
         {
@@ -816,6 +824,25 @@ def test_cli_import_loads_no_scipy():
     probe = (
         "import sys, capwhitham.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only pair scans with jobs > 1 use worker processes; every other run
+    # must not pay for loading the pool's modules.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, capwhitham.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'multiprocessing' or m == 'concurrent.futures'))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],

@@ -124,6 +124,27 @@ def test_second_order_closed_forms():
     assert sess.u2((1, 0), (1, 0)) == pytest.approx(0.5, rel=1e-15)
 
 
+@pytest.mark.parametrize("pair", [(2, 5), (3, 7), (3, 8), (4, 9), (2, 7), (3, 10), (5, 8)])
+@pytest.mark.parametrize("T", [0.05, 0.1215, 0.2, 0.3])
+def test_order_three_kernel_sums_equal_the_closed_forms(pair, T):
+    # The table's order-3 kernel sums are four times the r^2 terms of the
+    # closed-form oracles: c2 of each unimodal wave, and the bimodal
+    # cross sum ell(0) + ell(k2-k1) + ell(k1+k2).
+    k1, k2 = pair
+    point = double_bifurcation(pair, T)
+    sess = numeric_session(MultiplierContext.from_bifurcation(point))
+    ell = oracles._ell(T, point.c0, point.kappa0)
+    cross = 4.0 * (ell(0) + ell(k2 - k1) + ell(k1 + k2))
+    expected = {
+        ((2, 0), (1, 0)): 4.0 * oracles.unimodal_c2(T, point.c0, point.kappa0, k1),
+        ((0, 2), (0, 1)): 4.0 * oracles.unimodal_c2(T, point.c0, point.kappa0, k2),
+        ((1, 1), (0, 1)): cross,
+        ((1, 1), (1, 0)): cross,
+    }
+    for (alpha, beta), want in expected.items():
+        assert sess.scaled_u2(alpha, beta) == pytest.approx(want, rel=1e-11), (alpha, beta)
+
+
 def test_index_swap_symmetry():
     # Swapping alpha and beta conjugates the wavenumber, and the
     # multiplier is even, so the coefficients agree exactly.

@@ -251,6 +251,61 @@ def test_double_bifurcation_rejects_bad_tension():
         double_bifurcation(WaveNumberPair(2, 5), -0.1)
 
 
+# --- Invariants that real tensions never break, forced ------------------------
+
+_INVARIANT_T = np.array([0.1, 0.2])
+_INVARIANT_PAIRS = [(2, 5), (3, 8)]
+
+
+def test_turning_points_raise_without_a_sign_change(monkeypatch):
+    real = symbol._symbol_partials
+
+    def rising(T, xi):
+        m, dm, dT = real(T, xi)
+        return m, np.abs(dm) + 1.0, dT
+
+    monkeypatch.setattr(symbol, "_symbol_partials", rising)
+    with pytest.raises(ConvergenceError) as info:
+        symbol._turning_points(_INVARIANT_T)
+    assert info.value.message == "no sign change of m_T' on the geometric scan"
+    assert info.value.context == {"T": 0.1}
+
+
+def test_each_pair_reports_an_unbracketed_bifurcation(monkeypatch):
+    xi_t = symbol._turning_points(_INVARIANT_T)
+    # A flat symbol makes m_T(k1 kappa) - m_T(k2 kappa) vanish on every bracket.
+    monkeypatch.setattr(symbol, "_symbol", lambda T, xi: np.ones(np.broadcast(T, xi).shape))
+    *_, errors = symbol._solve_bifurcations(_INVARIANT_PAIRS, _INVARIANT_T, xi_t)
+    for (k1, k2), error in zip(_INVARIANT_PAIRS, errors):
+        assert isinstance(error, ConvergenceError)
+        assert error.message == "bracket endpoints do not straddle a sign change"
+        assert error.context == {
+            "T": 0.1,
+            "bracket": (float(xi_t[0]) / k2, float(xi_t[0]) / k1),
+            "gap_values": (0.0, 0.0),
+        }
+
+
+def test_each_pair_reports_its_derivative_signs(monkeypatch):
+    xi_t = symbol._turning_points(_INVARIANT_T)
+    _, kappa0, _, _ = symbol._solve_bifurcations(_INVARIANT_PAIRS, _INVARIANT_T, xi_t)
+    real = symbol._symbol_partials
+
+    def mirrored(T, xi):
+        m, dm, dT = real(T, xi)
+        return m, -dm, dT
+
+    monkeypatch.setattr(symbol, "_symbol_partials", mirrored)
+    *_, errors = symbol._solve_bifurcations(_INVARIANT_PAIRS, _INVARIANT_T, xi_t)
+    for row, error in enumerate(errors):
+        assert isinstance(error, ConvergenceError)
+        assert error.message == "derivative signs violate the double-bifurcation invariant"
+        assert set(error.context) == {"T", "kappa0", "derivs"}
+        assert (error.context["T"], error.context["kappa0"]) == (0.1, float(kappa0[row, 0]))
+        d1, d2 = error.context["derivs"]
+        assert d1 > 0.0 > d2
+
+
 def test_kappa_asymptotes_near_endpoints():
     pair = WaveNumberPair(2, 5)
     low = double_bifurcation(pair, 1e-4)

@@ -350,7 +350,11 @@ def _one_pair_fill(pair, ell, one):
 def test_stacked_grid_phi_equals_one_pair_fills(grid_size):
     pairs = _surviving(20)
     T, xi_t = symmetry_breaking._tension_grid(grid_size)
-    points = {pair: symbol._bifurcation_arrays(pair, T, xi_t) for pair in pairs}
+    points = {}
+    for pair in pairs:
+        c0, kappa0, residual, errors = symbol._solve_bifurcations([pair.astuple()], T, xi_t)
+        assert errors == [None]
+        points[pair] = c0[0], kappa0[0], residual[0]
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = symmetry_breaking._phi_stacks(
             pairs, lambda pair: symmetry_breaking._path_ell(pair, T, points[pair]), _never_fails
@@ -519,8 +523,24 @@ def test_pair_scan_solves_each_pair_alone_when_the_batch_brent_fails(monkeypatch
         return real(f, a, b, xtol, fa, fb, args)
 
     base = {(v.k1, v.k2): v for v in pair_scan(12, refine=True, grid_size=64)}
+    grid = symmetry_breaking._tension_grid(64)[0]
+    real_solve = symbol._solve_bifurcations
+    grid_solves = []
+
+    def counting(pairs, T, xi_t=None):
+        if T is grid:
+            grid_solves.append(len(pairs))
+        return real_solve(pairs, T, xi_t)
+
     monkeypatch.setattr(symbol, "_brentq", failing_for_5_9)
-    for v, alone in _scanned_alone(pair_scan(12, refine=True, grid_size=64)):
+    monkeypatch.setattr(symbol, "_solve_bifurcations", counting)
+    monkeypatch.setattr(symmetry_breaking, "_solve_bifurcations", counting)
+    scanned = pair_scan(12, refine=True, grid_size=64)
+    # The failed batch of P pairs, then one solve of each pair alone.
+    P = grid_solves[0]
+    assert P > 1 and grid_solves == [P] + [1] * P
+    assert [(v.k1, v.k2) for v in scanned if v.error] == [(5, 9)]
+    for v, alone in _scanned_alone(scanned):
         assert v == alone
         if (v.k1, v.k2) == (5, 9):
             assert (v.status, v.error) == (STATUS_UNDECIDED, "ConvergenceError: forced failure")
