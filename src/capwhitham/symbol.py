@@ -89,6 +89,14 @@ def _first(mask: np.ndarray) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
+def _quot(p: float, q: float) -> float:
+    """p / q in Python floats, with numpy's +-inf or nan for q = +-0."""
+    if q:
+        return p / q
+    with np.errstate(all="ignore"):
+        return float(np.float64(p) / q)
+
+
 def _cosh_squared(x: float) -> float:
     return math.cosh(x) ** 2
 
@@ -200,12 +208,16 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
     """Roots of f in the brackets [a, b] by Brent's method, elementwise.
 
     A port of scipy's C ``brentq`` (rtol = 4*eps, at most 100
-    iterations), run in lockstep over arrays of brackets: ``f(x, *args)``
-    maps abscissae and per-element parameter arrays to values, and each
-    element takes exactly the iterates of a scalar solve.  After the
-    endpoints, ``f`` sees only the unfinished elements; finished ones
-    keep their abscissa and value.  ``fa`` and ``fb`` may pass f(a) and
-    f(b) when they are known.  Scalar brackets give a float root.
+    iterations): ``f(x, *args)`` maps abscissae and per-element
+    parameter arrays to values, and each element takes exactly the
+    iterates of a scalar solve.  Two or more brackets run in lockstep
+    over arrays; after the endpoints, ``f`` sees only the unfinished
+    elements, and finished ones keep their abscissa and value.  Exactly
+    one bracket (``a`` and ``b`` of size 1) runs the same state update
+    in Python floats, which spares numpy's per-call overhead on every
+    iterate, while ``f`` still sees a one-element array.  ``fa`` and
+    ``fb`` may pass f(a) and f(b) when they are known.  Scalar brackets
+    give a float root.
 
     Raises
     ------
@@ -230,6 +242,48 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
     active = (fpre != 0.0) & (fcur != 0.0)
     if (active & (np.signbit(fpre) == np.signbit(fcur))).any():
         raise ValueError("f(a) and f(b) must have different signs")
+
+    def unconverged(x: float) -> ConvergenceError:
+        message = f"Brent's method did not converge in {_BRENT_MAXITER} iterations"
+        return ConvergenceError(message, x=x)
+
+    if xcur.size == 1:
+        if not active.any():
+            return _result(root)
+        args = tuple(p[active] for p in args)
+        xpre, xcur, fpre, fcur = (v.item() for v in (xpre, xcur, fpre, fcur))
+        rtol = float(_BRENT_RTOL)
+        xblk = fblk = spre = scur = 0.0
+        for _ in range(_BRENT_MAXITER):
+            # The lockstep update below, one branch at a time.  A zero
+            # fcur converges whatever its sign bit.
+            if (fpre < 0.0) != (fcur < 0.0):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (xtol + rtol * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0.0 or abs(sbis) < delta:
+                return _result(np.full(root.shape, xcur))
+            short = False
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:
+                    stry = _quot(-fcur * (xcur - xpre), fcur - fpre)
+                else:
+                    dpre = _quot(fpre - fcur, xpre - xcur)
+                    dblk = _quot(fblk - fcur, xblk - xcur)
+                    stry = _quot(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+                # Two comparisons, so that a NaN bound rejects the step
+                # as np.minimum does.
+                short = 2 * abs(stry) < abs(spre) and 2 * abs(stry) < 3 * abs(sbis) - delta
+            spre, scur = (scur, stry) if short else (sbis, sbis)
+            xpre, fpre = xcur, fcur
+            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+            fcur = call(np.array([xcur]), *args).item()
+        raise unconverged(xcur)
+
     xblk = fblk = spre = scur = np.zeros_like(xcur)
     # Finished elements keep xcur and root; the rest of their state is
     # never read again.
@@ -276,10 +330,7 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
             fcur = fcur.copy()  # fpre is the same array
             fcur[active] = call(xcur[active], *(a[active] for a in args))
     if active.any():
-        raise ConvergenceError(
-            f"Brent's method did not converge in {_BRENT_MAXITER} iterations",
-            x=float(xcur.flat[_first(active)]),
-        )
+        raise unconverged(float(xcur.flat[_first(active)]))
     return _result(root)
 
 

@@ -33,6 +33,7 @@ from capwhitham.coefficients import _phi_path, _scaled_u2
 from capwhitham.symbol import (
     _brentq,
     _solve_bifurcations,
+    _turning_points,
     bifurcation_grid,
     dtanhc,
     tanhc,
@@ -64,14 +65,78 @@ def test_brentq_matches_scipy_bitwise():
     assert checked == 180
 
 
-def test_brentq_returns_an_endpoint_root():
+# One bracket as a scalar and as a one-element array take the Python-float
+# loop of _brentq; the same bracket twice takes the lockstep one.
+_BRACKET_FORMS = {
+    "scalar": lambda a, b: (a, b),
+    "one-element": lambda a, b: (np.array([a]), np.array([b])),
+    "lockstep": lambda a, b: (np.array([a, a]), np.array([b, b])),
+}
+
+
+@pytest.mark.parametrize("form", list(_BRACKET_FORMS))
+def test_brentq_returns_an_endpoint_root(form):
     f = lambda x: x - 1.0  # noqa: E731
     for a, b in ((1.0, 2.5), (-0.5, 1.0)):
-        got = _brentq(f, a, b, 1e-12)
-        assert type(got) is float
-        assert got.hex() == brentq(f, a, b, xtol=1e-12).hex() == (1.0).hex()
+        bracket = _BRACKET_FORMS[form](a, b)
+        got = _brentq(f, *bracket, 1e-12)
+        if form == "scalar":
+            assert type(got) is float
+        assert np.shape(got) == np.shape(bracket[0])
+        assert brentq(f, a, b, xtol=1e-12).hex() == (1.0).hex()
+        assert [x.hex() for x in np.ravel(got).tolist()] == [(1.0).hex()] * np.size(got)
     got = _brentq(f, np.array([1.0, 0.0]), np.array([2.0, 1.0]), 1e-12)
     assert got.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("form", list(_BRACKET_FORMS))
+def test_brentq_zero_divisor_rejects_the_step(form):
+    # Values near 1e-300 make the slopes' product underflow, so an
+    # extrapolation divides 0 by 0: the NaN step fails the step test, as
+    # in scipy, and neither loop raises or warns.
+    f = lambda x: 1e-300 * (x * x * x - 2.0)  # noqa: E731
+    got = _brentq(f, *_BRACKET_FORMS[form](0.0, 2.0), 1e-12)
+    want = brentq(f, 0.0, 2.0, xtol=1e-12)
+    assert [x.hex() for x in np.ravel(got).tolist()] == [want.hex()] * np.size(got)
+
+
+def test_one_bracket_takes_scipy_iterates():
+    # The brackets of test_brentq_matches_scipy_bitwise, counting f calls.
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        p = (rng.uniform(-2.0, 2.0), rng.uniform(0.0, 3.0), rng.uniform(-1.0, 1.0))
+        f = _smooth(p)
+        a, b = float(rng.uniform(-3.0, p[0] - 0.01)), float(rng.uniform(p[0] + 0.01, 3.0))
+        for xtol in (1e-14, 1e-10, 1e-4):
+            want, info = brentq(f, a, b, xtol=xtol, full_output=True)
+            shapes = []
+
+            def counted(x):
+                shapes.append(np.shape(x))
+                return f(x)
+
+            assert _brentq(counted, a, b, xtol).hex() == want.hex()
+            assert len(shapes) == info.function_calls
+            # Iterates reach f as one-element arrays.
+            assert shapes[2:] == [(1,)] * (len(shapes) - 2)
+            shapes.clear()
+            assert _brentq(counted, a, b, xtol, fa=f(a), fb=f(b)).hex() == want.hex()
+            assert len(shapes) == info.function_calls - 2
+
+
+def test_one_bracket_roots_equal_lockstep_roots():
+    # The batch of test_brentq_lockstep_elements_take_scipy_iterates, each
+    # bracket also solved alone with its own parameters.
+    rng = np.random.default_rng(5)
+    params = rng.uniform([-1.0, 0.0, -1.0], [1.0, 30.0, 1.0], size=(40, 3))
+    a = params[:, 0] - rng.uniform(0.01, 2.0, 40)
+    b = params[:, 0] + rng.uniform(0.01, 2.0, 40)
+    f = lambda x, *p: _smooth(p)(x)  # noqa: E731
+    batch = _brentq(f, a, b, 1e-13, args=tuple(params.T))
+    for i in range(40):
+        one = _brentq(f, a[i:i + 1], b[i:i + 1], 1e-13, args=tuple(params[i:i + 1].T))
+        assert one.shape == (1,)
+        assert one[0].hex() == batch[i].hex()
 
 
 def test_brentq_lockstep_elements_take_scipy_iterates():
@@ -89,18 +154,32 @@ def test_brentq_lockstep_elements_take_scipy_iterates():
     assert len(iterations) > 3
 
 
-def test_brentq_errors():
-    with pytest.raises(ValueError, match="NaN"):
-        _brentq(lambda x: np.where(x > 0.25, np.nan, x - 0.5), 0.0, 1.0, 1e-12)
-    with pytest.raises(ValueError, match="different signs"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+@pytest.mark.parametrize("form", list(_BRACKET_FORMS))
+def test_brentq_errors(form):
+    bracket = _BRACKET_FORMS[form]
+    # NaN at an endpoint, then at the first iterate, the bisection point.
+    with pytest.raises(ValueError) as err:
+        _brentq(lambda x: np.where(x > 0.25, np.nan, x - 0.5), *bracket(0.0, 1.0), 1e-12)
+    assert str(err.value) == "The function value at x=1.0 is NaN; solver cannot continue."
+    with pytest.raises(ValueError) as err:
+        _brentq(lambda x: np.where(abs(x - 0.5) < 0.1, np.nan, x - 0.5), *bracket(0.0, 1.0), 1e-12)
+    assert str(err.value) == "The function value at x=0.5 is NaN; solver cannot continue."
+    with pytest.raises(ValueError) as err:
+        _brentq(lambda x: x * x + 1.0, *bracket(-1.0, 1.0), 1e-12)
+    assert str(err.value) == "f(a) and f(b) must have different signs"
     # A jump with f = +-1 admits no short steps, so 100 iterations cannot
     # shrink a bracket of 1e300 to the tolerance.
     step = lambda x: np.where(x < 0.1, -1.0, 1.0)  # noqa: E731
     with pytest.raises(RuntimeError):
         brentq(lambda x: float(step(x)), -1e300, 1e300, xtol=1e-12)
-    with pytest.raises(ConvergenceError):
-        _brentq(step, -1e300, 1e300, 1e-12)
+    last, info = brentq(
+        lambda x: float(step(x)), -1e300, 1e300, xtol=1e-12, full_output=True, disp=False
+    )
+    assert not info.converged
+    with pytest.raises(ConvergenceError) as err:
+        _brentq(step, *bracket(-1e300, 1e300), 1e-12)
+    assert str(err.value) == "Brent's method did not converge in 100 iterations"
+    assert err.value.context == {"x": last}
 
 
 # float.hex values printed at commit f5f7174 by scipy's brentq.
@@ -127,6 +206,9 @@ def test_double_bifurcation_equals_grid_solve(pair):
     assert len(points) == 200
     for T, point in zip(grid.tolist(), points):
         assert double_bifurcation(pair, T) == point
+    # Each tension alone (one bracket) against the grid (lockstep).
+    xi_t = [x.hex() for x in _turning_points(grid).tolist()]
+    assert [turning_point(T).hex() for T in grid.tolist()] == xi_t
 
 
 @pytest.mark.parametrize("grid_size", [64, 200])
