@@ -63,7 +63,7 @@ _RESIDUAL_TOL = 1e-13
 _BRACKET_XTOL = 1e-14
 
 # Relative tolerance and iteration cap of Brent's method.
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 _BRENT_MAXITER = 100
 
 # Geometric scan xi = 2**j, j = -20..40, that brackets the turning point.
@@ -252,7 +252,6 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
             return _result(root)
         args = tuple(p[active] for p in args)
         xpre, xcur, fpre, fcur = (v.item() for v in (xpre, xcur, fpre, fcur))
-        rtol = float(_BRENT_RTOL)
         xblk = fblk = spre = scur = 0.0
         for _ in range(_BRENT_MAXITER):
             # The lockstep update below, one branch at a time.  A zero
@@ -263,7 +262,7 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
             if abs(fblk) < abs(fcur):
                 xpre, xcur, xblk = xcur, xblk, xcur
                 fpre, fcur, fblk = fcur, fblk, fcur
-            delta = (xtol + rtol * abs(xcur)) / 2
+            delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
             if fcur == 0.0 or abs(sbis) < delta:
                 return _result(np.full(root.shape, xcur))
