@@ -27,10 +27,10 @@ The table is one array over the box below the target.  A cell's
 splittings pair the box slice below it with the same slice reversed.
 Floats and arrays take the slice product in one array operation and add
 its rows one after the other, as a loop from 0.0 would, so every numeric
-mode rounds alike.  Exact monomials are numpy rows of exponents, one
-column per distinct |k|, so a product of monomials is an addition of
-rows; their cell sum multiplies each mirror pair of splittings once,
-with weight 2, and merges equal rows once per cell.
+mode rounds alike.  Exact monomials are int64 keys with one bit field
+of exponents per distinct |k|, so a product of monomials is an addition
+of keys; their cell sum multiplies each mirror pair of splittings once,
+with weight 2, and merges equal keys once per cell.
 """
 
 from __future__ import annotations
@@ -143,35 +143,29 @@ def multiplier(ctx: MultiplierContext, k):
 
 @dataclass(frozen=True)
 class _Monomials:
-    """Exact integer-weighted monomials as numpy rows.
+    """Exact integer-weighted monomials as int64 keys.
 
-    ``E`` holds one uint8 row of exponents per monomial, with one column
-    per distinct |k| on the phi path in ascending order, and ``c`` the
-    int64 coefficients.  Rows are distinct and sorted in the canonical
-    order of the expansion: at the first column where two rows differ,
-    the larger exponent comes first, which is the ascending order of the
-    factor tuples of M factors each.  Every weight is a sum of products
-    of positive integers, so no coefficient ever cancels to zero.
+    ``key`` packs a monomial's exponents into one bit field per distinct
+    |k| on the phi path, the smallest |k| in the highest bits; ``c`` holds
+    the coefficients.  Keys are distinct and descending, the canonical
+    order: at the first column where two monomials differ, the larger
+    exponent comes first, as in ascending factor tuples.  Every weight is
+    a sum of products of positive integers, so none cancels to zero.
 
-    Neither dtype can wrap.  No exponent exceeds M = k1 + k2 - 3, and no
-    |k| exceeds k1 * k2; under the size guard these are at most 13 and
-    42, so uint8 holds both.  A cell's coefficients add up to its term
-    count, which is at most N, because the corner splits into every cell
-    and its complement and every term count is at least 1; so every
-    coefficient and every weighted pairwise product is at most
-    2 * N <= 2 * SIZE_GUARD, far below 2**63.
+    Nothing overflows.  Each field is as wide as its column's largest
+    exponent in the phi expansion (_key_widths), which every cell's
+    monomials divide, so no field carries.  A cell's coefficients add up
+    to its term count, at most N, because the corner splits into every
+    cell and its complement; so every coefficient and every weighted
+    pairwise product is at most 2 * N <= 2 * SIZE_GUARD, far below 2**63.
     """
 
-    E: np.ndarray
+    key: np.ndarray
     c: np.ndarray
 
     def __mul__(self, other):
-        """ell(k) * other, where self is ell(k): one row, exponent 1 in column k.
-
-        Adding one row to every row of other keeps its rows distinct and
-        in order, so nothing merges.
-        """
-        return _Monomials(self.E + other.E, self.c * other.c)
+        """ell(k) * other, where self is ell(k), the unit key of column k; nothing merges."""
+        return _Monomials(self.key + other.key, self.c * other.c)
 
     @staticmethod
     def cell_sum(left, right):
@@ -180,35 +174,27 @@ class _Monomials:
         The raveled slices pair up into the splittings (see _scaled_u2),
         so halves[n-1-i] swaps the two halves of halves[i]: the first half
         is taken with weight 2 and a middle splitting with weight 1.  Each
-        product is one broadcast over the rows of a and b, written into its
-        slice of one array of product rows; one sort of that array brings
-        equal rows together, and their coefficients are added.
+        product is one outer sum of the keys of a and b, written into its
+        slice of one array of product keys; one sort, which need not be
+        stable, brings equal keys together, and their coefficients add.
         """
         halves = list(zip(left.ravel()[1:-1], right.ravel()[1:-1]))
         n = len(halves)
         taken = halves[: (n + 1) // 2]
         sizes = [len(a.c) * len(b.c) for a, b in taken]
-        m = taken[0][0].E.shape[1]
-        E = np.empty((sum(sizes), m), dtype=np.uint8)
-        c = np.empty(sum(sizes), dtype=np.int64)
+        key = np.empty(sum(sizes), dtype=np.int64)
+        c = np.empty_like(key)
         stop = 0
         for i, ((a, b), size) in enumerate(zip(taken, sizes)):
             start, stop = stop, stop + size
             weight = 1 if 2 * i == n - 1 else 2
             shape = (len(a.c), len(b.c))
-            np.add(a.E[:, None], b.E[None], out=E[start:stop].reshape(*shape, m))
+            np.add.outer(a.key, b.key, out=key[start:stop].reshape(shape))
             np.multiply.outer(weight * a.c, b.c, out=c[start:stop].reshape(shape))
-        if not m:  # M = 0, only for (1, 2): every row is the empty monomial
-            return _Monomials(E[:1], c.sum(keepdims=True))
-        # As one void item, a row compares bytewise in column order, so the
-        # ascending order, reversed, is the canonical one.
-        keys = E.view(np.dtype((np.void, m))).ravel()
-        order = np.argsort(keys, kind="stable")[::-1]
-        keys, c = keys[order], c[order]
-        first = np.ones(len(c), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(first)
-        return _Monomials(E[order[starts]], np.add.reduceat(c, starts))
+        order = np.argsort(key)[::-1]
+        key, c = key[order], c[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        return _Monomials(key[starts], np.add.reduceat(c, starts))
 
 
 def _sequential_sum(left, right):
@@ -499,14 +485,30 @@ def expansion_size(pair: WaveNumberPair) -> tuple[int, int]:
     return n, k1 + k2 - 3
 
 
+def _key_widths(pair: WaveNumberPair) -> list[int]:
+    """The bit length of each column's largest exponent in the phi expansion.
+
+    Fills the phi table with one float 2**e per column: ell(k) is 2 in its
+    column and 1 elsewhere, and a cell takes the largest product over its
+    splittings (the order-zero ones are 0).  All weights are positive, so
+    the corner holds 2**(largest exponent) per column, exactly.
+    """
+    corner = _phi_corner(pair)
+    ks, rows = _cell_map(pair, corner)
+    values = [*(1.0 + np.eye(len(ks))), np.ones(len(ks))]
+    largest = lambda left, right: (left * right).max(axis=(0, 1, 2, 3))  # noqa: E731
+    top = _scaled_u2(corner, lambda cell: values[rows[cell]], values[-1], largest)[corner]
+    return [int(e).bit_length() for e in np.log2(top)]
+
+
 def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
     """Exact symbolic expansion of 2**(k1+k2-1) * phi in monomials of ell.
 
-    Fills the scaled table with integer-weighted monomial rows, in which
-    ell(k) is the single row with exponent 1 in the column of |k|.  The
-    corner's rows arrive merged and in canonical order, and the expansion
-    keeps them, read-only.  The expansion is refused up front if its
-    exact term count N exceeds the size guard.
+    Fills the scaled table with integer-weighted monomial keys, in which
+    ell(k) is the unit key of the column of |k|.  The corner's keys
+    arrive merged and in canonical order, and the expansion decodes them
+    into read-only exponent rows.  The expansion is refused up front if
+    its exact term count N exceeds the size guard.
 
     Raises
     ------
@@ -525,20 +527,25 @@ def expand_symbolic(pair: WaveNumberPair) -> PhiExpansion:
     # count, so it raises.
     for k in sorted(set(ks) & {0, pair.k1, pair.k2}):
         raise AssertionError(f"phi-path purity violated: ell({k}) arose in a symbolic expansion")
-    one = _Monomials(np.zeros((1, len(ks)), dtype=np.uint8), np.ones(1, dtype=np.int64))
-    values = [_Monomials(unit[None], one.c) for unit in np.eye(len(ks), dtype=np.uint8)] + [one]
+    widths = np.array(_key_widths(pair), dtype=np.int64)
+    if widths.sum() > 63:
+        raise AssertionError(f"monomial keys need {widths.sum()} bits, more than 63")
+    shifts = np.cumsum(widths[::-1])[::-1] - widths
+    one = _Monomials(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+    values = [_Monomials(unit[None], one.c) for unit in 1 << shifts] + [one]
     raw = _scaled_u2(corner, lambda cell: values[rows[cell]], one, _Monomials.cell_sum)[corner]
     total = int(raw.c.sum())
     if total != n_expected:
         raise AssertionError(f"expansion coefficient total {total} != exact count {n_expected}")
-    bad = np.flatnonzero(raw.E.sum(axis=1) != m_expected)
+    E = ((raw.key[:, None] >> shifts) & ((1 << widths) - 1)).astype(np.uint8)
+    bad = np.flatnonzero(E.sum(axis=1) != m_expected)
     if bad.size:
         raise AssertionError(
-            f"monomial {dict(zip(ks, raw.E[bad[0]].tolist()))} violates the "
+            f"monomial {dict(zip(ks, E[bad[0]].tolist()))} violates the "
             f"factor-count invariant M={m_expected}"
         )
-    raw.E.flags.writeable = raw.c.flags.writeable = False
-    return PhiExpansion(pair, sum(corner), ks, raw.E, raw.c)
+    E.flags.writeable = raw.c.flags.writeable = False
+    return PhiExpansion(pair, sum(corner), ks, E, raw.c)
 
 
 def limit_ratio(pair: WaveNumberPair, endpoint: str, n):

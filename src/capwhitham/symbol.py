@@ -357,10 +357,10 @@ def _turning_points(T: np.ndarray) -> np.ndarray:
         raise ConvergenceError(
             "no sign change of m_T' on the geometric scan", T=float(T[_first(~found)])
         )
-    j = change.argmax(axis=1)
+    i, j = np.arange(T.size), change.argmax(axis=1)
     return _brentq(
         lambda x, T: _symbol_partials(T, x)[1], _TURNING_LADDER[j], _TURNING_LADDER[j + 1],
-        _BRACKET_XTOL, args=(T,),
+        _BRACKET_XTOL, fa=d[i, j], fb=d[i, j + 1], args=(T,),
     )
 
 
@@ -466,8 +466,8 @@ def _solve_bifurcations(pairs, T, xi_t=None):
     # The remaining checks run on the bracketed elements only.
     idx = np.flatnonzero(straddle)
     if idx.size:
-        Ts = T[idx]
-        kappa0[idx] = _brentq(gap, lo[idx], hi[idx], _BRACKET_XTOL, args=(Ts, modes[idx]))
+        Ts, fa, fb = T[idx], glo[idx], ghi[idx]
+        kappa0[idx] = _brentq(gap, lo[idx], hi[idx], _BRACKET_XTOL, fa, fb, args=(Ts, modes[idx]))
         # Both modes' symbol and slope at kappa0 from one tanh each.
         m, dm, _ = _symbol_partials(Ts[:, None], kappa0[idx, None] * modes[idx])
         c0[idx] = m[:, 0]

@@ -29,6 +29,7 @@ from capwhitham import (
     phi_target_indices,
     turning_point,
 )
+from capwhitham import symbol
 from capwhitham.coefficients import _phi_path, _scaled_u2
 from capwhitham.symbol import (
     _brentq,
@@ -122,6 +123,44 @@ def test_one_bracket_takes_scipy_iterates():
             shapes.clear()
             assert _brentq(counted, a, b, xtol, fa=f(a), fb=f(b)).hex() == want.hex()
             assert len(shapes) == info.function_calls - 2
+
+
+@pytest.mark.parametrize("pair, T", [((2, 5), 0.1215), ((3, 8), 0.15), ((4, 9), 0.3)])
+def test_one_tension_solves_reuse_their_bracket_values(monkeypatch, pair, T):
+    # The turning-point ladder and the straddle check have evaluated both
+    # bracket endpoints, so each Brent solve calls its symbol two times
+    # fewer than scipy's brentq, which evaluates them itself, calls f.
+    calls = {"_symbol": 0, "_symbol_partials": 0}
+    for name, fn in [(name, getattr(symbol, name)) for name in calls]:
+        def counted(*a, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*a)
+
+        monkeypatch.setattr(symbol, name, counted)
+    solves = []
+    brent = symbol._brentq
+
+    def recorded(f, a, b, xtol, fa=None, fb=None, args=()):
+        solves.append((f, a.item(), b.item(), xtol, args))
+        return brent(f, a, b, xtol, fa, fb, args)
+
+    monkeypatch.setattr(symbol, "_brentq", recorded)
+    xi_t = _turning_points(np.array([T]))
+    turning = dict(calls)
+    calls.update(_symbol=0, _symbol_partials=0)
+    kappa0 = _solve_bifurcations([pair], np.array([T]), xi_t)[1]
+    bifurcation = dict(calls)
+
+    scipy_calls = []
+    for (f, a, b, xtol, args), root in zip(solves, [xi_t[0], kappa0[0, 0]]):
+        g = lambda x: f(np.array([x]), *args)[0]  # noqa: E731
+        want, info = brentq(g, a, b, xtol=xtol, full_output=True)
+        assert root.hex() == want.hex()
+        scipy_calls.append(info.function_calls)
+    # One ladder call and the iterates; two straddle calls and the
+    # iterates, then one call for the symbol and slope at kappa0.
+    assert turning == {"_symbol": 0, "_symbol_partials": 1 + scipy_calls[0] - 2}
+    assert bifurcation == {"_symbol": 2 + scipy_calls[1] - 2, "_symbol_partials": 1}
 
 
 def test_one_bracket_roots_equal_lockstep_roots():

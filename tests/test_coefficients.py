@@ -359,8 +359,9 @@ def test_expansion_refuses_kernel_and_zero_factors(monkeypatch, k):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda E, c: (E, 2 * c), "coefficient total 1260 != exact count 630"),
-        (lambda E, c: (E + np.eye(1, E.shape[1], dtype=E.dtype), c), "factor-count invariant M=4"),
+        (lambda key, c: (key, 2 * c), "coefficient total 1260 != exact count 630"),
+        # One more factor of the largest |k|: its unit key is 1.
+        (lambda key, c: (key + 1, c), "factor-count invariant M=4"),
     ],
     ids=["N", "M"],
 )
@@ -370,11 +371,57 @@ def test_expansion_invariants_fail_loudly(monkeypatch, corrupt, message):
     def corrupted(corner, *args):
         S = fill(corner, *args)
         table = S[corner]
-        S[corner] = coefficients._Monomials(*corrupt(table.E, table.c))
+        if isinstance(table, coefficients._Monomials):  # not the width pass
+            S[corner] = coefficients._Monomials(*corrupt(table.key, table.c))
         return S
 
     monkeypatch.setattr(coefficients, "_scaled_u2", corrupted)
     with pytest.raises(AssertionError, match=message):
+        expand_symbolic(PAIR_2_5)
+
+
+def _coprime_pairs_under_the_guard():
+    pairs = []
+    for k2 in itertools.count(2):
+        row = [
+            WaveNumberPair(k1, k2)
+            for k1 in range(1, k2)
+            if math.gcd(k1, k2) == 1
+            and expansion_size(WaveNumberPair(k1, k2))[0] <= coefficients.SIZE_GUARD
+        ]
+        if not row:
+            return pairs
+        pairs += row
+
+
+def test_key_widths_fit_one_word():
+    # N grows with both wavenumbers, so the first k2 without a pair under
+    # the guard ends the list.
+    pairs = _coprime_pairs_under_the_guard()
+    assert len(pairs) == 33
+    totals = []
+    for pair in pairs:
+        widths = coefficients._key_widths(pair)
+        assert len(widths) == len(coefficients._phi_path(pair))
+        totals.append(sum(widths))
+    assert max(totals) == 39
+
+
+@pytest.mark.parametrize("pair", [(2, 5), (5, 8), (4, 9), (6, 7)], ids=str)
+def test_key_widths_are_the_exponent_bit_lengths(pair):
+    pair = WaveNumberPair(*pair)
+    largest = expand_symbolic(pair).exponents.max(axis=0).tolist()
+    assert coefficients._key_widths(pair) == [int(e).bit_length() for e in largest]
+
+
+def test_key_widths_over_one_word_fail_loudly(monkeypatch):
+    widths = coefficients._key_widths
+    def one_bit_too_wide(pair):
+        w = widths(pair)
+        return [w[0] + 64 - sum(w), *w[1:]]
+
+    monkeypatch.setattr(coefficients, "_key_widths", one_bit_too_wide)
+    with pytest.raises(AssertionError, match="monomial keys need 64 bits, more than 63"):
         expand_symbolic(PAIR_2_5)
 
 
