@@ -488,15 +488,16 @@ def expansion_size(pair: WaveNumberPair) -> tuple[int, int]:
 def _key_widths(pair: WaveNumberPair) -> list[int]:
     """The bit length of each column's largest exponent in the phi expansion.
 
-    Fills the phi table with one float 2**e per column: ell(k) is 2 in its
-    column and 1 elsewhere, and a cell takes the largest product over its
-    splittings (the order-zero ones are 0).  All weights are positive, so
-    the corner holds 2**(largest exponent) per column, exactly.
+    Fills the phi table with one float 2**e per column (ell(k) is 2 in its
+    column, 1 elsewhere), a cell taking its largest splitting product; all
+    weights are positive, so the corner holds 2**(largest exponent), exactly.
     """
     corner = _phi_corner(pair)
     ks, rows = _cell_map(pair, corner)
     values = [*(1.0 + np.eye(len(ks))), np.ones(len(ks))]
-    largest = lambda left, right: (left * right).max(axis=(0, 1, 2, 3))  # noqa: E731
+
+    def largest(left, right):  # the order-zero products are 0
+        return (left * right).max(axis=(0, 1, 2, 3))
     top = _scaled_u2(corner, lambda cell: values[rows[cell]], values[-1], largest)[corner]
     return [int(e).bit_length() for e in np.log2(top)]
 
