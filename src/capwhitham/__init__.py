@@ -32,8 +32,6 @@ from .symbol import (
     double_bifurcation,
     eval_symbol,
     eval_symbol_deriv,
-    kappa_asymptote_high_T,
-    kappa_asymptote_low_T,
     turning_point,
 )
 from .symmetry_breaking import (
@@ -93,8 +91,6 @@ __all__ = [
     "expand_symbolic",
     "expansion_size",
     "inner_products",
-    "kappa_asymptote_high_T",
-    "kappa_asymptote_low_T",
     "limit_ratio",
     "linear_dependence_residual",
     "multiplier",

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import warnings
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import emitters, svg
 from .coefficients import expand_symbolic
-from .config import resolve_config
 from .errors import (
     CapWhithamError,
     ConvergenceError,
@@ -27,6 +28,8 @@ from .errors import (
 )
 from .symbol import WaveNumberPair, bifurcation_grid
 from .symmetry_breaking import (
+    _ROOT_XTOL,
+    DEFAULT_GRID_SIZE,
     STATUS_ADMITS,
     pair_scan,
     phi_curve,
@@ -42,6 +45,38 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_RESOURCE = 4
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Tolerances, sizes, parallelism and output destination of a run.
+
+    ``tol_root`` applies to ``phi root`` only; ``pairs --refine`` always
+    refines roots to the fixed ``_ROOT_XTOL``.
+    """
+
+    tol_root: float = _ROOT_XTOL
+    tol_w: float = SolverSettings.tol_w
+    tol_newton: float = SolverSettings.tol_newton
+    grid: int = DEFAULT_GRID_SIZE
+    K: int = SolverSettings.K
+    jobs: int = 1
+    out: str = "."
+    format: str = ""
+
+    def __post_init__(self):
+        if not all(0.0 < tol < math.inf for tol in (self.tol_root, self.tol_w, self.tol_newton)):
+            raise DomainError(
+                "tolerances must be positive and finite",
+                tol_root=self.tol_root,
+                tol_w=self.tol_w,
+                tol_newton=self.tol_newton,
+            )
+        if self.grid < 2 or self.K < 1 or self.jobs < 1:
+            raise DomainError(
+                "sizes need grid >= 2, K >= 1 and jobs >= 1",
+                grid=self.grid, K=self.K, jobs=self.jobs,
+            )
 
 
 def _add_pair_flags(parser: argparse.ArgumentParser) -> None:
@@ -70,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "Whitham equation"
         ),
     )
-    parser.add_argument("--config", default=None, help="path to a key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bifurcate", help="solve double bifurcation points")
@@ -151,9 +185,9 @@ def _records(columns, rows) -> list[dict]:
 
 
 def _cmd_bifurcate(args, cfg) -> tuple[list[Path], int]:
+    if (args.T is None) == (args.T_grid is None):
+        raise DomainError("bifurcate needs exactly one of --T and --T-grid")
     pair = _make_pair(args.k1, args.k2)
-    if args.T is None and args.T_grid is None:
-        raise DomainError("bifurcate needs --T or --T-grid")
     tensions = [args.T] if args.T is not None else _parse_t_grid(args.T_grid)
     columns = ("T", "c0", "kappa0", "residual")
     rows = [(p.T, p.c0, p.kappa0, p.residual) for p in bifurcation_grid(pair, tensions)]
@@ -293,7 +327,11 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warning_envelope
-            cfg = resolve_config(vars(args), config_path=args.config)
+            cfg = RunConfig(**{
+                f.name: getattr(args, f.name)
+                for f in fields(RunConfig)
+                if getattr(args, f.name, None) is not None
+            })
             paths, code = handler(args, cfg)
     except CapWhithamError as exc:
         code = _exit_code(exc)

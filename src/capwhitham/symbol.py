@@ -13,9 +13,8 @@ the linearisation of the steady equation has a two-dimensional kernel
 spanned by the modes k1 and k2.
 
 This module evaluates the symbol and its partials in closed form,
-locates the turning point, and solves for bifurcation points, together
-with the two asymptotic predictions for kappa0 used as cross-checks.
-The symbol functions take floats or arrays, and every root solve runs
+locates the turning point, and solves for bifurcation points.  The
+symbol functions take floats or arrays, and every root solve runs
 through one array-valued Brent solver, so a whole tension grid is
 solved at once.
 """
@@ -40,8 +39,6 @@ __all__ = [
     "turning_point",
     "double_bifurcation",
     "bifurcation_grid",
-    "kappa_asymptote_low_T",
-    "kappa_asymptote_high_T",
     "WEAK_TENSION_LIMIT",
 ]
 
@@ -543,14 +540,3 @@ def double_bifurcation(pair: WaveNumberPair, T: float) -> BifurcationPoint:
 @functools.lru_cache(maxsize=4096)
 def _bifurcation_point(pair: WaveNumberPair, T: float) -> BifurcationPoint:
     return bifurcation_grid(pair, [T])[0]
-
-
-def kappa_asymptote_low_T(pair: WaveNumberPair, T: float) -> float:
-    """Asymptotic kappa0 ~ 1/sqrt(k1*k2*T) as T -> 0."""
-    return 1.0 / math.sqrt(pair.k1 * pair.k2 * T)
-
-
-def kappa_asymptote_high_T(pair: WaveNumberPair, T: float) -> float:
-    """Asymptotic kappa0 ~ sqrt((1/3 - T) * 45/(k1^2 + k2^2)) as T -> 1/3."""
-    k1, k2 = pair.k1, pair.k2
-    return math.sqrt((WEAK_TENSION_LIMIT - T) * 45.0 / (k1 * k1 + k2 * k2))

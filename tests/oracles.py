@@ -24,6 +24,11 @@ of one call on every |k| at once.
 parameter shifts of small symmetric waves, from the r^3 cosine
 equations with the remainder w = L P_W v^2, evaluated with this file's
 own ``symbol``.
+
+``kappa_asymptote_low_T`` and ``kappa_asymptote_high_T`` are the
+leading-order closed forms of the bifurcation scaling kappa0 as the
+tension nears 0 and 1/3, an independent check of the bifurcation solve
+at the ends of the weak-tension range.
 """
 
 import functools
@@ -224,6 +229,16 @@ def symbol_deriv(T, xi):
     t = math.tanh(xi)
     square = 2.0 * T * t + (1.0 + T * xi * xi) * (xi * (1.0 - t * t) - t) / (xi * xi)
     return square / (2.0 * symbol(T, xi))
+
+
+def kappa_asymptote_low_T(k1, k2, T):
+    """kappa0 ~ 1 / sqrt(k1 k2 T) as T -> 0."""
+    return 1.0 / math.sqrt(k1 * k2 * T)
+
+
+def kappa_asymptote_high_T(k1, k2, T):
+    """kappa0 ~ sqrt((1/3 - T) 45 / (k1^2 + k2^2)) as T -> 1/3."""
+    return math.sqrt((1.0 / 3.0 - T) * 45.0 / (k1 * k1 + k2 * k2))
 
 
 def _ell(T, c0, kappa0):

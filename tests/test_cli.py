@@ -1,5 +1,6 @@
 """Tests for the command-line interface: files, formats, exit codes."""
 
+import ast
 import hashlib
 import json
 import math
@@ -14,8 +15,7 @@ import pytest
 import oracles
 from capwhitham import DomainError, WaveNumberPair, cli, coefficients, emitters, errors
 from capwhitham import symmetry_breaking
-from capwhitham.cli import main
-from capwhitham.config import RunConfig, resolve_config
+from capwhitham.cli import RunConfig, main
 
 GOLDEN = Path(__file__).parent / "golden" / "expansion_2_5.json"
 
@@ -692,107 +692,45 @@ def test_wave_rejects_non_finite_parameters(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_config_file_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
-    env_cfg = tmp_path / "env.cfg"
-    env_cfg.write_text("grid = 10\n")
-    file_cfg = tmp_path / "file.cfg"
-    file_cfg.write_text("grid = 14\n")
-
-    # Environment variable alone.
-    monkeypatch.setenv("CAPWHITHAM_CONFIG", str(env_cfg))
-    out_a = tmp_path / "a"
-    _run(capsys, "phi", "curve", "--k1", "2", "--k2", "5", "--out", str(out_a))
-    assert len((out_a / "phi_curve.csv").read_text().strip().splitlines()) == 11
-
-    # --config beats the environment.
-    out_b = tmp_path / "b"
-    _run(
-        capsys,
-        "--config", str(file_cfg),
-        "phi", "curve", "--k1", "2", "--k2", "5", "--out", str(out_b),
-    )
-    assert len((out_b / "phi_curve.csv").read_text().strip().splitlines()) == 15
-
-    # An explicit flag beats both.
-    out_c = tmp_path / "c"
-    _run(
-        capsys,
-        "--config", str(file_cfg),
-        "phi", "curve", "--k1", "2", "--k2", "5", "--grid", "18",
-        "--out", str(out_c),
-    )
-    assert len((out_c / "phi_curve.csv").read_text().strip().splitlines()) == 19
-
-
-def test_config_file_values_take_their_default_types(tmp_path):
+def test_no_config_file_layer(tmp_path, capsys, monkeypatch):
+    # Every setting is a flag: CAPWHITHAM_CONFIG is not read, and the
+    # parser refuses --config.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# solver\n\ntol_w = 1e-13  # tighter\nK = 64\nout = results\n")
-    config = resolve_config({}, config_path=str(cfg))
-    assert (config.tol_w, config.K, config.out) == (1e-13, 64, "results")
-    assert type(config.tol_w) is float and type(config.K) is int
-
-
-def test_config_rejects_unknown_key(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("mystery = 3\n")
-    code, _, err = _run(
-        capsys,
-        "--config", str(bad),
-        "phi", "limits", "--k1", "2", "--k2", "5", "--out", str(tmp_path),
-    )
-    assert code == 2
+    cfg.write_text("grid = 10\n")
+    monkeypatch.setenv("CAPWHITHAM_CONFIG", str(cfg))
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "phi", "curve", *_PAIR, "--out", str(out))
+    assert (code, err) == (0, "")
+    lines = (out / "phi_curve.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + symmetry_breaking.DEFAULT_GRID_SIZE
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "phi", "limits", *_PAIR, "--out", str(out)])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
-    "content, message, context",
-    [
-        (None, "cannot read config file", {}),
-        ("grid = abc\n", "config value has the wrong type", {"line": 1, "key": "grid"}),
-        ("# sizes\n\ngrid 12\n", "config lines must be key = value", {"line": 3}),
-    ],
-    ids=["missing-file", "bad-value", "no-equals"],
+    "tensions", [(), ("--T", "0.1", "--T-grid", "0.1:0.2:3")], ids=["neither", "both"]
 )
-def test_config_file_errors_leave_through_the_envelope(
-    tmp_path, capsys, monkeypatch, content, message, context
-):
-    cfg = tmp_path / "run.cfg"
-    if content is not None:
-        cfg.write_text(content)
+def test_bifurcate_needs_exactly_one_tension_flag(tmp_path, capsys, tensions):
     out = tmp_path / "out"
-    argv = ("phi", "limits", "--k1", "2", "--k2", "5", "--out", str(out))
-    # Through --config, then through the environment variable.
-    for config_flag in (("--config", str(cfg)), ()):
-        if not config_flag:
-            monkeypatch.setenv("CAPWHITHAM_CONFIG", str(cfg))
-        code, stdout, err = _run(capsys, *config_flag, *argv)
-        assert code == 2
-        assert stdout == ""
-        envelope = _stderr_envelope(err)
-        assert envelope["code"] == 2
-        assert envelope["message"] == message
-        assert envelope["context"]["path"] == str(cfg)
-        assert context.items() <= envelope["context"].items()
-        assert not out.exists()
-
-
-def test_config_rejects_svg_format(tmp_path, capsys):
-    # No command writes its table as SVG, so the config file may not ask
-    # for it (the --format flag already refuses it).
-    cfg = tmp_path / "svg.cfg"
-    cfg.write_text("format = svg\n")
-    out = tmp_path / "out"
-    for argv in (
-        ("phi", "eval", "--k1", "2", "--k2", "5", "--T", "0.1"),
-        ("phi", "curve", "--k1", "2", "--k2", "5", "--grid", "10"),
-        ("bifurcate", "--k1", "2", "--k2", "5", "--T", "0.1"),
-    ):
-        code, stdout, err = _run(
-            capsys, "--config", str(cfg), *argv, "--out", str(out)
-        )
-        assert code == 2
-        assert stdout == ""
-        assert _stderr_envelope(err)["message"] == "unknown output format"
+    code, stdout, err = _run(capsys, "bifurcate", *_PAIR, *tensions, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert _stderr_envelope(err) == {
+        "code": 2, "message": "bifurcate needs exactly one of --T and --T-grid", "context": {}
+    }
     assert not out.exists()
+
+
+def test_package_reads_no_environment_variable():
+    # Every setting is a flag, so no module of the package may consult
+    # os.environ or os.getenv.
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert not (node.value.id == "os" and node.attr in banned), path.name
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                assert not banned & {alias.name for alias in node.names}, path.name
 
 
 def test_stdout_lists_every_written_file(tmp_path, capsys):
