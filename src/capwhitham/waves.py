@@ -260,6 +260,8 @@ def solve_w(
     kappa: float,
     T: float,
     settings: SolverSettings | None = None,
+    *,
+    picard: bool = True,
 ) -> WSolveResult:
     """Solve the remainder equation w = L P_W (v+w)^2 on the truncation.
 
@@ -269,8 +271,11 @@ def solve_w(
     bifurcation points the observed radius is about 0.013 per mode
     amplitude); when it diverges or misses its budget, a damped Newton
     iteration with amplitude continuation takes over, tracking the
-    small-solution branch from small amplitude.  The returned w is zero
-    exactly on the kernel modes.
+    small-solution branch from small amplitude.  With ``picard=False``
+    the fixed point is skipped and that Newton fallback runs at once,
+    as the parameter Newton asks once the fixed point has failed in
+    the same wave solve.  The returned w is zero exactly on the kernel
+    modes.
 
     Raises
     ------
@@ -290,12 +295,15 @@ def solve_w(
         )
     ctx = MultiplierContext(pair=pair, c=c, kappa=kappa, T=T)
     ell = multiplier(ctx, np.arange(K + 1))
-    try:
-        w_modes, iterations = _solve_w_picard(v.modes, ell, K, settings)
-        method = "picard"
-    except ConvergenceError:
+    method = "newton"
+    if picard:
+        try:
+            w_modes, iterations = _solve_w_picard(v.modes, ell, K, settings)
+            method = "picard"
+        except ConvergenceError:
+            pass
+    if method == "newton":
         w_modes, iterations = _solve_w_newton(v.modes, ell, K, pair, settings)
-        method = "newton"
     w = WaveProfile(
         modes=w_modes, K=K, pair=pair, params=v.params, c=c, kappa=kappa, T=T
     )
@@ -638,7 +646,10 @@ def _solve_kernel(
     first ``len(equations)`` entries of (c, kappa, T) from the
     bifurcation point at T; the other entries stay fixed there.  Every
     iterate or halved trial re-solves the remainder equation, and every
-    step takes the exact Jacobian of :func:`_parameter_jacobian`.  It
+    step takes the exact Jacobian of :func:`_parameter_jacobian`.  The
+    remainder solves try the fixed point until one of them returns by
+    the Newton fallback; the later ones of this call go to that fallback
+    directly, and a trial that raises changes nothing.  It
     stops at |g|_inf <= tol_newton, or after an accepted step with
     |step_i| <= sqrt(eps) |x_i|: g bottoms out at a rounding floor set by
     the amplitude monomials, often above tol_newton, while the error
@@ -651,15 +662,18 @@ def _solve_kernel(
     point = double_bifurcation(pair, T)
     start = (point.c0, point.kappa0, float(T))
     free = len(equations)
+    picard = True
 
     def evaluate(x: np.ndarray) -> tuple[WaveProfile, WSolveResult, np.ndarray]:
         """The iterate at x: its profile, remainder solve and g."""
+        nonlocal picard
         c, kappa, t = (*x, *start[free:])
         if v is None:
             modes = np.zeros(settings.K + 1, dtype=complex)
             zero = WaveProfile(modes, settings.K, pair, ModalParameters(0.0, 0.0), c, kappa, t)
             return zero, WSolveResult(w=zero, iterations=0, method="none"), np.zeros(0)
-        result = solve_w(v, c, kappa, t, settings)
+        result = solve_w(v, c, kappa, t, settings, picard=picard)
+        picard = result.method == "picard"
         profile = assemble_profile(v, result.w, c, kappa, t)
         projections = inner_products(profile)
         return profile, result, np.array([projections[i] / d for i, d in equations])

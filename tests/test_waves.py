@@ -274,6 +274,21 @@ def test_solve_w_newton_agrees_with_picard_when_both_work():
     )
     assert picard.method == "picard"
     assert np.allclose(picard.w.modes, newton_modes, atol=1e-12)
+    direct = solve_w(v, point.c0, point.kappa0, 0.1215, picard=False)
+    assert direct.method == "newton"
+    assert direct.w.modes.tobytes() == newton_modes.tobytes()
+
+
+def test_solve_w_without_picard_equals_the_fallback_bitwise():
+    # Where the fixed point fails, skipping it leaves the fallback's
+    # iterate, count and method as they were.
+    v = synthesize_v(PAIR_2_5, ModalParameters(0.024, 0.024, math.pi / 5.0, 0.0), K=64)
+    point = _point(T0)
+    fallback = solve_w(v, point.c0, point.kappa0, T0)
+    direct = solve_w(v, point.c0, point.kappa0, T0, picard=False)
+    assert fallback.method == direct.method == "newton"
+    assert fallback.iterations == direct.iterations
+    assert fallback.w.modes.tobytes() == direct.w.modes.tobytes()
 
 
 def _conv_square(u, K):
@@ -390,10 +405,15 @@ NEWTON_PINS = [
 ]
 
 
+def _newton_pin_solve(r, K):
+    """``symmetric_solve`` of the ``NEWTON_PINS`` request at (r, K)."""
+    params = ModalParameters(r, r, theta1=math.pi / 5.0, theta2=0.0)
+    return symmetric_solve(PAIR_2_5, params, T0, SolverSettings(K=K))
+
+
 @pytest.mark.parametrize("r, K, iterations_w, iterations_newton, c, kappa", NEWTON_PINS)
 def test_symmetric_newton_fallback_pinned(r, K, iterations_w, iterations_newton, c, kappa):
-    params = ModalParameters(r, r, theta1=math.pi / 5.0, theta2=0.0)
-    _, report = symmetric_solve(PAIR_2_5, params, T0, SolverSettings(K=K))
+    _, report = _newton_pin_solve(r, K)
     assert report.converged
     assert report.w_method == "newton"
     assert (report.iterations_w, report.iterations_newton) == (
@@ -402,6 +422,80 @@ def test_symmetric_newton_fallback_pinned(r, K, iterations_w, iterations_newton,
     )
     assert abs(report.c - c) <= 1e-12
     assert abs(report.kappa - kappa) <= 1e-12
+
+
+def _counting_picard(monkeypatch):
+    """Record each fixed-point run as "P" (converged) or "F" (failed)."""
+    from capwhitham import waves
+
+    real, runs = waves._solve_w_picard, []
+
+    def counting(*args):
+        try:
+            result = real(*args)
+        except ConvergenceError:
+            runs.append("F")
+            raise
+        runs.append("P")
+        return result
+
+    monkeypatch.setattr(waves, "_solve_w_picard", counting)
+    return runs
+
+
+def _recording_solve_w(monkeypatch):
+    """Record the method of each remainder solve that returns."""
+    from capwhitham import waves
+
+    real, methods = waves.solve_w, []
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        methods.append(result.method)
+        return result
+
+    monkeypatch.setattr(waves, "solve_w", recording)
+    return methods
+
+
+def test_unimodal_picard_then_fallback_pinned(monkeypatch):
+    # The benchmark's uni-newton request: the fixed point converges at
+    # the first iterate (191 images) and fails at the second, whose
+    # fallback then serves the later ones.  c and kappa are the bits of
+    # the solver that tried the fixed point at every iterate.  A fallback
+    # from the first iterate ends on the same bits, so the recorded runs
+    # are what shows that no fixed point is skipped before one failed.
+    runs = _counting_picard(monkeypatch)
+    params = ModalParameters(0.029, 0.0, 0.0, 0.0)
+    _, report = symmetric_solve(PAIR_2_5, params, T0)
+    assert report.mode == "unimodal"
+    assert (report.w_method, report.iterations_w, report.iterations_newton) == ("newton", 6, 3)
+    assert report.c.hex() == "0x1.b8f810042e4d8p-1"
+    assert report.kappa.hex() == "0x1.abf3fe9ef07b9p-1"
+    assert runs == ["P", "F"]
+
+
+@pytest.mark.parametrize("r, K", [pin[:2] for pin in NEWTON_PINS])
+def test_fallback_solve_runs_the_fixed_point_once(monkeypatch, r, K):
+    # Once a remainder solve has fallen back, the later iterates and
+    # trials of the same wave solve go to the fallback directly.
+    runs = _counting_picard(monkeypatch)
+    methods = _recording_solve_w(monkeypatch)
+    _, report = _newton_pin_solve(r, K)
+    assert report.iterations_newton >= 3
+    assert runs == ["F"]
+    assert len(methods) == report.iterations_newton + 1
+    assert set(methods) == {"newton"}
+
+
+def test_picard_solve_runs_the_fixed_point_per_remainder_solve(monkeypatch):
+    runs = _counting_picard(monkeypatch)
+    methods = _recording_solve_w(monkeypatch)
+    r1, r2, theta1, theta2, *_ = FD_NEWTON_SOLUTIONS[0]
+    _, report = solve_wave(PAIR_2_5, ModalParameters(r1, r2, theta1, theta2), T0)
+    assert report.w_method == "picard"
+    assert len(runs) == len(methods) == report.iterations_newton + 1
+    assert set(runs) == {"P"} and set(methods) == {"picard"}
 
 
 # (r1, r2, theta1, theta2, c, kappa, T) of (2,5) waves at T0 from the
@@ -439,6 +533,9 @@ def test_asymmetric_solve_makes_one_w_solve_per_newton_iterate(monkeypatch):
     # One remainder solve for the start and one per step; a line-search
     # halving, which follows a trial that raised, adds one more.  A
     # finite-difference Jacobian would add one per parameter and step.
+    # The symmetric Newton-fallback requests count the same: the choice
+    # to skip the fixed point is made inside solve_w, where the
+    # benchmark's tracer sees every remainder solve.
     from capwhitham import waves
 
     calls = {"all": 0, "raised": 0}
@@ -453,10 +550,15 @@ def test_asymmetric_solve_makes_one_w_solve_per_newton_iterate(monkeypatch):
             raise
 
     monkeypatch.setattr(waves, "solve_w", counting_solve_w)
-    for r1, r2, theta1, theta2, *_ in FD_NEWTON_SOLUTIONS[:5]:
+    solves = [
+        (lambda p=ModalParameters(r1, r2, theta1, theta2): solve_wave(PAIR_2_5, p, T0), "asymmetric")
+        for r1, r2, theta1, theta2, *_ in FD_NEWTON_SOLUTIONS[:5]
+    ]
+    solves += [(lambda r=r, K=K: _newton_pin_solve(r, K), "symmetric") for r, K, *_ in NEWTON_PINS]
+    for solve, mode in solves:
         calls.update(all=0, raised=0)
-        _, report = solve_wave(PAIR_2_5, ModalParameters(r1, r2, theta1, theta2), T0)
-        assert report.mode == "asymmetric"
+        _, report = solve()
+        assert report.mode == mode
         assert calls["all"] <= report.iterations_newton + 1 + calls["raised"]
 
 
@@ -666,11 +768,11 @@ def _failing_solve_w(monkeypatch, fails):
 
     real, calls = waves.solve_w, []
 
-    def solve(*args):
+    def solve(*args, **kwargs):
         calls.append(args)
         if fails(len(calls)):
             raise ConvergenceError("forced failure")
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(waves, "solve_w", solve)
     return calls
