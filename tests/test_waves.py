@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -551,10 +551,10 @@ def test_asymmetric_solve_makes_one_w_solve_per_newton_iterate(monkeypatch):
 
     monkeypatch.setattr(waves, "solve_w", counting_solve_w)
     solves = [
-        (lambda p=ModalParameters(r1, r2, theta1, theta2): solve_wave(PAIR_2_5, p, T0), "asymmetric")
-        for r1, r2, theta1, theta2, *_ in FD_NEWTON_SOLUTIONS[:5]
+        (partial(solve_wave, PAIR_2_5, ModalParameters(*solution[:4]), T0), "asymmetric")
+        for solution in FD_NEWTON_SOLUTIONS[:5]
     ]
-    solves += [(lambda r=r, K=K: _newton_pin_solve(r, K), "symmetric") for r, K, *_ in NEWTON_PINS]
+    solves += [(partial(_newton_pin_solve, r, K), "symmetric") for r, K, *_ in NEWTON_PINS]
     for solve, mode in solves:
         calls.update(all=0, raised=0)
         _, report = solve()
