@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
+import inspect
 import sys
 import warnings
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,48 +46,15 @@ EXIT_CONVERGENCE = 3
 EXIT_RESOURCE = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Tolerances, sizes, parallelism and output destination of a run.
-
-    ``tol_root`` applies to ``phi root`` only; ``pairs --refine`` always
-    refines roots to the fixed ``_ROOT_XTOL``.
-    """
-
-    tol_root: float = _ROOT_XTOL
-    tol_w: float = SolverSettings.tol_w
-    tol_newton: float = SolverSettings.tol_newton
-    grid: int = DEFAULT_GRID_SIZE
-    K: int = SolverSettings.K
-    jobs: int = 1
-    out: str = "."
-    format: str = ""
-
-    def __post_init__(self):
-        if not all(0.0 < tol < math.inf for tol in (self.tol_root, self.tol_w, self.tol_newton)):
-            raise DomainError(
-                "tolerances must be positive and finite",
-                tol_root=self.tol_root,
-                tol_w=self.tol_w,
-                tol_newton=self.tol_newton,
-            )
-        if self.grid < 2 or self.K < 1 or self.jobs < 1:
-            raise DomainError(
-                "sizes need grid >= 2, K >= 1 and jobs >= 1",
-                grid=self.grid, K=self.K, jobs=self.jobs,
-            )
-
-
 def _add_pair_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k1", type=int, required=True, help="lower wavenumber")
     parser.add_argument("--k2", type=int, required=True, help="upper wavenumber")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument(
-        "--format", default=None, choices=["csv", "json"], help="tabular output format"
-    )
+def _add_output_flags(parser: argparse.ArgumentParser, tabular: bool = True) -> None:
+    parser.add_argument("--out", type=Path, default=".", help="output directory")
+    if tabular:
+        parser.add_argument("--format", choices=["csv", "json"], help="tabular output format")
 
 
 @functools.cache
@@ -121,8 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_pair_flags(p)
     p.add_argument("--T", type=float, default=None, help="surface tension (eval)")
-    p.add_argument("--grid", type=int, default=None, help="sample points")
-    p.add_argument("--tol-root", type=float, default=None, help="root refinement tolerance")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="sample points")
+    p.add_argument(
+        "--tol-root", type=float, default=_ROOT_XTOL,
+        help="root refinement tolerance (phi root only; pairs --refine uses %(default)g)",
+    )
     _add_output_flags(p)
 
     p = sub.add_parser("pairs", help="classify wavenumber pairs up to kmax")
@@ -130,25 +99,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--refine", action="store_true", help="scan undecided pairs for roots"
     )
-    p.add_argument("--grid", type=int, default=None, help="sample points per pair")
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="sample points per pair")
+    jobs = inspect.signature(pair_scan).parameters["jobs"].default
+    p.add_argument("--jobs", type=int, default=jobs, help="parallel workers")
     _add_output_flags(p)
 
     p = sub.add_parser("wave", help="solve a small-amplitude travelling wave")
     _add_pair_flags(p)
     p.add_argument("--r1", type=float, required=True, help="first modal amplitude")
     p.add_argument("--r2", type=float, required=True, help="second modal amplitude")
-    p.add_argument("--theta1", type=float, default=0.0, help="first modal phase")
-    p.add_argument("--theta2", type=float, default=0.0, help="second modal phase")
+    p.add_argument("--theta1", type=float, default=ModalParameters.theta1, help="first modal phase")
+    p.add_argument("--theta2", type=float, default=ModalParameters.theta2, help="second modal phase")
     p.add_argument("--T", type=float, required=True, help="initial surface tension")
-    p.add_argument("--K", type=int, default=None, help="Fourier truncation order")
-    p.add_argument("--tol-w", type=float, default=None, help="remainder tolerance")
-    p.add_argument("--tol-newton", type=float, default=None, help="Newton tolerance")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--K", type=int, default=SolverSettings.K, help="Fourier truncation order")
+    p.add_argument("--tol-w", type=float, default=SolverSettings.tol_w, help="remainder tolerance")
+    p.add_argument(
+        "--tol-newton", type=float, default=SolverSettings.tol_newton, help="Newton tolerance"
+    )
+    _add_output_flags(p, tabular=False)
 
     p = sub.add_parser("expand", help="exact symbolic expansion of phi")
     _add_pair_flags(p)
-    p.add_argument("--out", default=None, help="output directory")
+    _add_output_flags(p, tabular=False)
 
     return parser
 
@@ -184,7 +156,7 @@ def _records(columns, rows) -> list[dict]:
     return [dict(zip(columns, row)) for row in rows]
 
 
-def _cmd_bifurcate(args, cfg) -> tuple[list[Path], int]:
+def _cmd_bifurcate(args) -> tuple[list[Path], int]:
     if (args.T is None) == (args.T_grid is None):
         raise DomainError("bifurcate needs exactly one of --T and --T-grid")
     pair = _make_pair(args.k1, args.k2)
@@ -192,12 +164,12 @@ def _cmd_bifurcate(args, cfg) -> tuple[list[Path], int]:
     columns = ("T", "c0", "kappa0", "residual")
     rows = [(p.T, p.c0, p.kappa0, p.residual) for p in bifurcation_grid(pair, tensions)]
     body = {"pair": [pair.k1, pair.k2], "points": _records(columns, rows)}
-    fmt = cfg.format or "csv"
-    path = emitters.write_table(cfg.out, "bifurcate", fmt, columns, rows, body)
+    fmt = args.format or "csv"
+    path = emitters.write_table(args.out, "bifurcate", fmt, columns, rows, body)
     return [path], EXIT_OK
 
 
-def _cmd_phi(args, cfg) -> tuple[list[Path], int]:
+def _cmd_phi(args) -> tuple[list[Path], int]:
     pair = _make_pair(args.k1, args.k2)
     body = {"pair": [pair.k1, pair.k2]}
     if args.action == "eval":
@@ -209,7 +181,7 @@ def _cmd_phi(args, cfg) -> tuple[list[Path], int]:
         rows = [(sample.T, sample.value, point.c0, point.kappa0)]
         body.update(zip(columns, rows[0]))
     elif args.action == "root":
-        roots = phi_root(pair, cfg.grid, xtol=cfg.tol_root)
+        roots = phi_root(pair, args.grid, xtol=args.tol_root)
         stem, columns = "phi_roots", ("T0", "bracket_lo", "bracket_hi", "slope")
         rows = [(r.T0, r.bracket[0], r.bracket[1], r.slope) for r in roots]
         body["roots"] = [emitters.field_dict(r) for r in roots]
@@ -219,22 +191,20 @@ def _cmd_phi(args, cfg) -> tuple[list[Path], int]:
         body.update(zip(columns, rows[0]))
     else:
         stem, columns = "phi_curve", ("T", "phi")
-        rows = [(s.T, s.value) for s in phi_curve(pair, cfg.grid)]
+        rows = [(s.T, s.value) for s in phi_curve(pair, args.grid)]
         body["samples"] = _records(columns, rows)
-    fmt = cfg.format or ("csv" if args.action == "curve" else "json")
-    paths = [emitters.write_table(cfg.out, stem, fmt, columns, rows, body)]
+    fmt = args.format or ("csv" if args.action == "curve" else "json")
+    paths = [emitters.write_table(args.out, stem, fmt, columns, rows, body)]
     if args.action == "curve":
         plot = svg.line_plot(
             rows, xlabel="T", ylabel=f"phi(T; {pair.k1}, {pair.k2})", hline=0.0
         )
-        paths.append(emitters.write_text(Path(cfg.out) / "phi_curve.svg", plot))
+        paths.append(emitters.write_text(args.out / "phi_curve.svg", plot))
     return paths, EXIT_OK
 
 
-def _cmd_pairs(args, cfg) -> tuple[list[Path], int]:
-    verdicts = pair_scan(
-        args.kmax, refine=args.refine, grid_size=cfg.grid, jobs=cfg.jobs
-    )
+def _cmd_pairs(args) -> tuple[list[Path], int]:
+    verdicts = pair_scan(args.kmax, refine=args.refine, grid_size=args.grid, jobs=args.jobs)
     columns = ("k1", "k2", "status", "limit_low", "limit_high", "n_roots", "T0_first")
     rows = [
         (
@@ -256,8 +226,8 @@ def _cmd_pairs(args, cfg) -> tuple[list[Path], int]:
         }
         for v in verdicts
     ]
-    fmt = cfg.format or "csv"
-    paths = [emitters.write_table(cfg.out, "pairs", fmt, columns, rows, body)]
+    fmt = args.format or "csv"
+    paths = [emitters.write_table(args.out, "pairs", fmt, columns, rows, body)]
     dots = [(v.k1, v.k2) for v in verdicts if v.status == STATUS_ADMITS]
     plot = svg.scatter_plot(
         dots,
@@ -265,7 +235,7 @@ def _cmd_pairs(args, cfg) -> tuple[list[Path], int]:
         ylabel="k2",
         extent=(1.0, float(args.kmax), 1.0, float(args.kmax)),
     )
-    paths.append(emitters.write_text(Path(cfg.out) / "pairs.svg", plot))
+    paths.append(emitters.write_text(args.out / "pairs.svg", plot))
     # The files have no error column: name the pairs an error left undecided.
     errored = [{"pair": [v.k1, v.k2], "error": v.error} for v in verdicts if v.error]
     if errored:
@@ -275,35 +245,33 @@ def _cmd_pairs(args, cfg) -> tuple[list[Path], int]:
     return paths, (EXIT_CONVERGENCE if all_errored else EXIT_OK)
 
 
-def _cmd_wave(args, cfg) -> tuple[list[Path], int]:
+def _cmd_wave(args) -> tuple[list[Path], int]:
     pair = _make_pair(args.k1, args.k2)
     params = ModalParameters(
         r1=args.r1, r2=args.r2, theta1=args.theta1, theta2=args.theta2
     )
-    settings = SolverSettings(K=cfg.K, tol_w=cfg.tol_w, tol_newton=cfg.tol_newton)
+    settings = SolverSettings(K=args.K, tol_w=args.tol_w, tol_newton=args.tol_newton)
     asymmetric = asymmetry_test(pair, params)
-    out = Path(cfg.out)
     try:
         profile, report = solve_wave(pair, params, args.T, settings)
     except ConvergenceError as exc:
         error = {"message": exc.message, "context": repr(exc.context)}
         body = emitters.wave_report_dict(None, pair, params, settings.K, asymmetric, error)
-        path = emitters.write_text(out / "wave_report.json", emitters.json_text(body))
+        path = emitters.write_text(args.out / "wave_report.json", emitters.json_text(body))
         print(path)
         raise
     body = emitters.wave_report_dict(report, pair, params, settings.K, asymmetric)
     paths = [
-        emitters.write_text(out / "wave_profile.csv", emitters.wave_profile_csv(profile)),
-        emitters.write_text(out / "wave_report.json", emitters.json_text(body)),
+        emitters.write_text(args.out / "wave_profile.csv", emitters.wave_profile_csv(profile)),
+        emitters.write_text(args.out / "wave_report.json", emitters.json_text(body)),
     ]
     return paths, EXIT_OK
 
 
-def _cmd_expand(args, cfg) -> tuple[list[Path], int]:
+def _cmd_expand(args) -> tuple[list[Path], int]:
     pair = _make_pair(args.k1, args.k2)
     expansion = expand_symbolic(pair)
-    out = Path(cfg.out)
-    path = emitters.write_text(out / "expansion.json", emitters.expansion_json(expansion))
+    path = emitters.write_text(args.out / "expansion.json", emitters.expansion_json(expansion))
     return [path], EXIT_OK
 
 
@@ -327,12 +295,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warning_envelope
-            cfg = RunConfig(**{
-                f.name: getattr(args, f.name)
-                for f in fields(RunConfig)
-                if getattr(args, f.name, None) is not None
-            })
-            paths, code = handler(args, cfg)
+            paths, code = handler(args)
     except CapWhithamError as exc:
         code = _exit_code(exc)
         print(emitters.error_envelope(code, exc.message, exc.context), file=sys.stderr)

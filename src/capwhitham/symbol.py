@@ -330,12 +330,15 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
     return _result(root)
 
 
-def _check_tensions(T: np.ndarray, what: str) -> None:
-    inside = (0.0 < T) & (T < WEAK_TENSION_LIMIT)
-    if not inside.all():
-        raise DomainError(
-            f"{what} only for 0 < T < 1/3", T=float(T.flat[_first(~inside)])
-        )
+def _ladder_tensions(xi: np.ndarray) -> np.ndarray:
+    """The tensions whose turning point is xi: m_T'(xi) = 0 solved for T."""
+    tc, dtc = tanhc(xi), dtanhc(xi)
+    return -dtc / (2.0 * xi * tc + xi * xi * dtc)
+
+
+# The ladder brackets xi_T from T = 2**-80 at its top to 1/3 - 4.04e-14 at
+# its bottom, both inclusive.
+_TURNING_REACH = tuple(_ladder_tensions(_TURNING_LADDER[[-1, 0]]).tolist())
 
 
 def _turning_points(T: np.ndarray) -> np.ndarray:
@@ -345,7 +348,10 @@ def _turning_points(T: np.ndarray) -> np.ndarray:
     xi = 2**j, j = -20..40, refined by Brent's method.
     """
     T = np.asarray(T, dtype=float)
-    _check_tensions(T, "turning point exists")
+    inside = (_TURNING_REACH[0] <= T) & (T <= _TURNING_REACH[1])
+    if not inside.all():
+        message = "tension beyond the reach of the turning-point scan"
+        raise DomainError(message, T=float(T.flat[_first(~inside)]), reach=_TURNING_REACH)
     d = _symbol_partials(T[:, None], _TURNING_LADDER)[1]
     prev, nxt = d[:, :-1], d[:, 1:]
     change = ((prev < 0.0) & (0.0 <= nxt)) | ((prev <= 0.0) & (0.0 < nxt))
@@ -365,7 +371,8 @@ def turning_point(T: float) -> float:
     """Locate the unique interior minimum xi_T of m_T for 0 < T < 1/3.
 
     The bracket is found by scanning xi = 2**j, j = -20..40, for a sign
-    change of the derivative, then refined by Brent's method.
+    change of the derivative, then refined by Brent's method; the scan
+    reaches 2**-80 <= T <= 1/3 - 4.04e-14, and other T raise DomainError.
     """
     return float(_turning_points(np.array([float(T)]))[0])
 
@@ -443,7 +450,10 @@ def _solve_bifurcations(pairs, T, xi_t=None):
     Brent failure of any element, raises for the whole call.
     """
     T = np.asarray(T, dtype=float)
-    _check_tensions(T, "double bifurcation points exist")
+    inside = (0.0 < T) & (T < WEAK_TENSION_LIMIT)
+    if not inside.all():
+        message = "double bifurcation points exist only for 0 < T < 1/3"
+        raise DomainError(message, T=float(T.flat[_first(~inside)]))
     if xi_t is None:
         xi_t = _turning_points(T)
     P, G = len(pairs), T.size

@@ -60,8 +60,9 @@ STATUS_PASSES = "passes"
 # Margin delta of the sampling interval (delta, 1/3 - delta).
 T_MARGIN = 1e-4
 
-# Default number of sample points for root scans.
+# Default and least number of sample points for root scans.
 DEFAULT_GRID_SIZE = 200
+_MIN_ROOT_GRID_SIZE = 16
 
 # Bracketing refinement tolerance on T0 and the slope-estimate step.
 _ROOT_XTOL = 1e-10
@@ -223,8 +224,8 @@ def phi_root(
     zero is a root with a degenerate bracket.  An empty list is valid.
     """
     pair = WaveNumberPair.coerce(pair)
-    if grid_size < 16:
-        raise DomainError("root scan needs at least 16 points", grid_size=grid_size)
+    if grid_size < _MIN_ROOT_GRID_SIZE:
+        raise DomainError(f"root scan needs at least {_MIN_ROOT_GRID_SIZE} points", grid_size=grid_size)
     if not 0.0 < xtol < np.inf:
         raise DomainError("root tolerance must be positive and finite", xtol=xtol)
     _warn_k1_one(pair)
@@ -404,8 +405,8 @@ def pair_scan(
         raise DomainError("scan needs k_max >= 3", k_max=k_max)
     if jobs < 1:
         raise DomainError("scan needs jobs >= 1", jobs=jobs)
-    if refine and grid_size < 16:
-        raise DomainError("root scan needs at least 16 points", grid_size=grid_size)
+    if refine and grid_size < _MIN_ROOT_GRID_SIZE:
+        raise DomainError(f"root scan needs at least {_MIN_ROOT_GRID_SIZE} points", grid_size=grid_size)
     verdicts: list[PairVerdict] = []
     work: list[tuple[int, int]] = []
     for k1 in range(1, k_max):

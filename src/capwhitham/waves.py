@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .coefficients import MultiplierContext, multiplier
-from .errors import ConvergenceError, DomainError, TruncationError
+from .errors import ConvergenceError, DomainError, SizeGuardError, TruncationError
 from .symbol import WaveNumberPair, _symbol_partials, double_bifurcation, eval_symbol
 
 __all__ = [
@@ -122,7 +122,7 @@ class WaveProfile:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Truncation order K >= 1 and positive, finite tolerances of the wave solvers."""
+    """Truncation order 1 <= K <= 4096 and positive, finite tolerances of the wave solvers."""
 
     K: int = 64
     tol_w: float = 1e-14
@@ -137,8 +137,12 @@ class SolverSettings:
             )
         if self.K < 1:
             raise DomainError("truncation needs K >= 1", K=self.K)
+        if self.K > _K_GUARD:
+            raise SizeGuardError("truncation order exceeds the size guard", size=self.K, guard=_K_GUARD)
 
 
+# Largest K: a solve builds dense (K-1)**2 arrays, 1.8 GB at K = 4096.
+_K_GUARD = 4096
 # Iteration budgets of the w fixed point, of one w-Newton stage, and of
 # the parameter Newton with its trial steps (each half the last) per step.
 _MAX_ITER_W = 200

@@ -15,7 +15,7 @@ import pytest
 import oracles
 from capwhitham import DomainError, WaveNumberPair, cli, coefficients, emitters, errors
 from capwhitham import symmetry_breaking
-from capwhitham.cli import RunConfig, main
+from capwhitham.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "expansion_2_5.json"
 
@@ -250,7 +250,7 @@ def test_exit_code_follows_error_class(tmp_path, capsys, monkeypatch, name):
     assert set(EXIT_CODES) == set(errors.__all__)
     error_type = getattr(errors, name)
 
-    def fail(args, cfg):
+    def fail(args):
         raise error_type("injected failure", where="handler", bounds=(0.5, (math.nan, -math.inf)))
 
     monkeypatch.setattr(cli, "_cmd_expand", fail)
@@ -520,20 +520,21 @@ def test_pairs_refine_rejects_small_grid(tmp_path, capsys):
     assert envelope["code"] == 2
     assert envelope["context"] == {"grid_size": 8}
     assert list(tmp_path.iterdir()) == []
-    # Below any command's minimum, the run configuration names the bounds.
-    for argv in (("pairs", "--kmax", "6"), ("phi", "curve", *_PAIR)):
-        code, out, err = _run(capsys, *argv, "--grid", "1", "--out", str(tmp_path))
-        assert code == 2
-        assert out == ""
-        assert _stderr_envelope(err) == {
-            "code": 2,
-            "message": "sizes need grid >= 2, K >= 1 and jobs >= 1",
-            "context": {"grid": 1, "K": 64, "jobs": 1},
-        }
-        assert list(tmp_path.iterdir()) == []
+    # Below a command's minimum, the library function that reads the grid names it.
+    code, out, err = _run(capsys, "phi", "curve", *_PAIR, "--grid", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert _stderr_envelope(err) == {
+        "code": 2,
+        "message": "curve needs at least two points",
+        "context": {"grid_size": 1},
+    }
+    assert list(tmp_path.iterdir()) == []
 
 
 _SMALL_WAVE = ("wave", *_PAIR, "--r1", "0.001", "--r2", "0.001", "--T", "0.1215")
+_ROOT_TOLERANCE = "root tolerance must be positive and finite"
+_WAVE_TOLERANCES = "tolerances must be positive and finite"
 
 
 @pytest.mark.parametrize(
@@ -553,19 +554,62 @@ def test_non_finite_tolerances_are_rejected(tmp_path, capsys, argv, flag, value)
     code, stdout, err = _run(capsys, *argv, flag, value, "--out", str(out))
     assert code == 2
     assert stdout == ""
-    context = {"tol_root": 1e-10, "tol_w": 1e-14, "tol_newton": 1e-12}
-    context[flag[2:].replace("-", "_")] = value
-    assert _stderr_envelope(err) == {
-        "code": 2, "message": "tolerances must be positive and finite", "context": context
-    }
+    message, context = {
+        "--tol-root": (_ROOT_TOLERANCE, {"xtol": value}),
+        "--tol-w": (_WAVE_TOLERANCES, {"tol_w": value, "tol_newton": 1e-12}),
+        "--tol-newton": (_WAVE_TOLERANCES, {"tol_w": 1e-14, "tol_newton": value}),
+    }[flag]
+    assert _stderr_envelope(err) == {"code": 2, "message": message, "context": context}
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
-@pytest.mark.parametrize("field", ["tol_root", "tol_w", "tol_newton"])
-def test_run_config_needs_positive_finite_tolerances(field, value):
-    with pytest.raises(errors.DomainError, match="positive and finite"):
-        RunConfig(**{field: value})
+def _refusals():
+    """Every out-of-range value of a flag that a command reads, with the library's envelope."""
+    phi_root, phi_curve, wave = ("phi", "root", *_PAIR), ("phi", "curve", *_PAIR), _SMALL_WAVE
+    pairs, root_grid = ("pairs", "--kmax", "6"), "root scan needs at least 16 points"
+    cases = [
+        ("phi-root", phi_root, "--grid", "8", root_grid, {"grid_size": 8}),
+        ("phi-curve", phi_curve, "--grid", "1", "curve needs at least two points", {"grid_size": 1}),
+        ("pairs-refine", (*pairs, "--refine"), "--grid", "8", root_grid, {"grid_size": 8}),
+        ("pairs", pairs, "--jobs", "0", "scan needs jobs >= 1", {"jobs": 0}),
+        ("wave", wave, "--K", "0", "truncation needs K >= 1", {"K": 0}),
+    ]
+    for text, shown in [("0", 0.0), ("-1", -1.0), ("inf", "inf"), ("nan", "nan")]:
+        cases += [
+            ("phi-root", phi_root, "--tol-root", text, _ROOT_TOLERANCE, {"xtol": shown}),
+            ("wave", wave, "--tol-w", text, _WAVE_TOLERANCES, {"tol_w": shown, "tol_newton": 1e-12}),
+            ("wave", wave, "--tol-newton", text, _WAVE_TOLERANCES, {"tol_w": 1e-14, "tol_newton": shown}),
+        ]
+    for name, argv, flag, text, message, context in cases:
+        yield pytest.param((*argv, flag, text), message, context, id=f"{name}-{flag[2:]}-{text}")
+
+
+@pytest.mark.parametrize("argv, message, context", _refusals())
+def test_library_refuses_every_out_of_range_flag(tmp_path, capsys, argv, message, context):
+    # Each value is checked once, by the library function that reads it,
+    # before any file is written.
+    code, stdout, err = _run(capsys, *argv, "--out", str(tmp_path))
+    assert (code, stdout) == (2, "")
+    assert _stderr_envelope(err) == {"code": 2, "message": message, "context": context}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (("phi", "limits", *_PAIR), ("--grid", "1", "--tol-root", "nan")),
+        (("pairs", "--kmax", "6"), ("--grid", "1")),
+    ],
+)
+def test_flags_an_action_does_not_read_are_ignored(tmp_path, capsys, argv, unread):
+    written = []
+    for name, extra in (("plain", ()), ("unread", unread)):
+        out = tmp_path / name
+        code, _, err = _run(capsys, *argv, *extra, "--out", str(out))
+        assert (code, err) == (0, "")
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert written[0] == written[1]
+    assert written[0]
 
 
 def test_pairs_rejects_small_kmax(tmp_path, capsys):
@@ -721,6 +765,37 @@ def test_bifurcate_needs_exactly_one_tension_flag(tmp_path, capsys, tensions):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bifurcate", *_PAIR, "--T", "1e-25"),
+        ("wave", *_PAIR, "--r1", "0.001", "--r2", "0.001", "--T", "1e-25"),
+    ],
+    ids=["bifurcate", "wave"],
+)
+def test_tension_beyond_the_turning_point_reach_is_a_domain_error(tmp_path, capsys, argv):
+    # Inside (0, 1/3) but below the ladder's 2**-80: exit 2, and no wave report.
+    code, stdout, err = _run(capsys, *argv, "--out", str(tmp_path))
+    assert (code, stdout) == (2, "")
+    assert _stderr_envelope(err) == {
+        "code": 2,
+        "message": "tension beyond the reach of the turning-point scan",
+        "context": {"T": 1e-25, "reach": [2.0**-80, 0.3333333333332929]},
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_wave_truncation_size_guard_exit_code(tmp_path, capsys):
+    code, stdout, err = _run(capsys, *_SMALL_WAVE, "--K", "4097", "--out", str(tmp_path))
+    assert (code, stdout) == (4, "")
+    assert _stderr_envelope(err) == {
+        "code": 4,
+        "message": "truncation order exceeds the size guard",
+        "context": {"size": 4097, "guard": 4096},
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_package_reads_no_environment_variable():
     # Every setting is a flag, so no module of the package may consult
     # os.environ or os.getenv.
@@ -731,6 +806,24 @@ def test_package_reads_no_environment_variable():
                 assert not (node.value.id == "os" and node.attr in banned), path.name
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 assert not banned & {alias.name for alias in node.names}, path.name
+
+
+# ROADMAP "Line budget": src/capwhitham/*.py holds at most this many lines.
+# A direction that states a larger delta raises it and logs that in CHANGES.md.
+LINE_BUDGET = 3300
+
+
+def test_package_stays_within_the_line_budget():
+    # The newline count, as `cat src/capwhitham/*.py | wc -l` gives it.
+    sources = sorted(Path(cli.__file__).parent.glob("*.py"))
+    text = b"".join(path.read_bytes() for path in sources)
+    lines = text.count(b"\n")
+    wc = subprocess.run(["wc", "-l"], input=text, capture_output=True, check=True)
+    assert lines == int(wc.stdout)
+    assert lines <= LINE_BUDGET, (
+        f"src/capwhitham/*.py has {lines} lines, over the {LINE_BUDGET}-line budget: "
+        'see the ROADMAP constraint "Line budget"'
+    )
 
 
 def test_stdout_lists_every_written_file(tmp_path, capsys):

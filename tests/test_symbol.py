@@ -170,6 +170,19 @@ def test_turning_point_rejects_strong_tension():
         turning_point(0.4)
 
 
+def test_turning_point_reach_ends_at_the_ladder():
+    # m_T'(xi) = 0 solved for T at the ladder's top 2**40 and bottom 2**-20.
+    lo, hi = symbol._TURNING_REACH
+    assert (lo, hi) == (2.0**-80, 0.3333333333332929)
+    assert turning_point(lo) == 2.0**40
+    assert turning_point(hi) == 2.0**-20
+    for T in (math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)):
+        with pytest.raises(DomainError) as info:
+            turning_point(T)
+        assert info.value.message == "tension beyond the reach of the turning-point scan"
+        assert info.value.context == {"T": T, "reach": (lo, hi)}
+
+
 def test_pair_validation_and_reduction():
     pair = WaveNumberPair(2, 5)
     assert pair.astuple() == (2, 5)

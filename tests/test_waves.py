@@ -13,6 +13,7 @@ from capwhitham import (
     DomainError,
     ModalParameters,
     MultiplierContext,
+    SizeGuardError,
     SolverSettings,
     TruncationError,
     WaveNumberPair,
@@ -100,6 +101,16 @@ def test_solver_settings_need_positive_finite_tolerances(field, value):
 def test_solver_settings_need_a_positive_truncation(K):
     with pytest.raises(DomainError, match="K >= 1"):
         SolverSettings(K=K)
+
+
+def test_solver_settings_guard_the_truncation_size():
+    # The dense remainder arrays grow as K**2: K = 4096 is the largest
+    # order allowed, and the next is refused before any work.
+    assert SolverSettings(K=4096).K == 4096
+    with pytest.raises(SizeGuardError) as info:
+        SolverSettings(K=4097)
+    assert info.value.message == "truncation order exceeds the size guard"
+    assert info.value.context == {"size": 4097, "guard": 4096}
 
 
 def test_synthesize_places_half_amplitudes():
