@@ -27,9 +27,10 @@ from .errors import (
 )
 from .symbol import WaveNumberPair, bifurcation_grid
 from .symmetry_breaking import (
-    _ROOT_XTOL,
     DEFAULT_GRID_SIZE,
     STATUS_ADMITS,
+    STATUS_EXCLUDED_DIFFERENCE,
+    STATUS_EXCLUDED_DIVISOR,
     pair_scan,
     phi_curve,
     phi_eval,
@@ -88,10 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_pair_flags(p)
     p.add_argument("--T", type=float, default=None, help="surface tension (eval)")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="sample points")
-    p.add_argument(
-        "--tol-root", type=float, default=_ROOT_XTOL,
-        help="root refinement tolerance (phi root only; pairs --refine uses %(default)g)",
-    )
     _add_output_flags(p)
 
     p = sub.add_parser("pairs", help="classify wavenumber pairs up to kmax")
@@ -113,9 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, required=True, help="initial surface tension")
     p.add_argument("--K", type=int, default=SolverSettings.K, help="Fourier truncation order")
     p.add_argument("--tol-w", type=float, default=SolverSettings.tol_w, help="remainder tolerance")
-    p.add_argument(
-        "--tol-newton", type=float, default=SolverSettings.tol_newton, help="Newton tolerance"
-    )
     _add_output_flags(p, tabular=False)
 
     p = sub.add_parser("expand", help="exact symbolic expansion of phi")
@@ -181,7 +175,7 @@ def _cmd_phi(args) -> tuple[list[Path], int]:
         rows = [(sample.T, sample.value, point.c0, point.kappa0)]
         body.update(zip(columns, rows[0]))
     elif args.action == "root":
-        roots = phi_root(pair, args.grid, xtol=args.tol_root)
+        roots = phi_root(pair, args.grid)
         stem, columns = "phi_roots", ("T0", "bracket_lo", "bracket_hi", "slope")
         rows = [(r.T0, r.bracket[0], r.bracket[1], r.slope) for r in roots]
         body["roots"] = [emitters.field_dict(r) for r in roots]
@@ -241,7 +235,10 @@ def _cmd_pairs(args) -> tuple[list[Path], int]:
     if errored:
         envelope = emitters.error_envelope(0, "pairs left undecided by an error", {"errors": errored})
         print(envelope, file=sys.stderr)
-    all_errored = bool(verdicts) and len(errored) == len(verdicts)
+    # Excluded verdicts never carry an error, so only the classified ones count.
+    excluded = (STATUS_EXCLUDED_DIVISOR, STATUS_EXCLUDED_DIFFERENCE)
+    classified = [v for v in verdicts if v.status not in excluded]
+    all_errored = bool(classified) and all(v.error for v in classified)
     return paths, (EXIT_CONVERGENCE if all_errored else EXIT_OK)
 
 
@@ -250,7 +247,7 @@ def _cmd_wave(args) -> tuple[list[Path], int]:
     params = ModalParameters(
         r1=args.r1, r2=args.r2, theta1=args.theta1, theta2=args.theta2
     )
-    settings = SolverSettings(K=args.K, tol_w=args.tol_w, tol_newton=args.tol_newton)
+    settings = SolverSettings(K=args.K, tol_w=args.tol_w)
     asymmetric = asymmetry_test(pair, params)
     try:
         profile, report = solve_wave(pair, params, args.T, settings)

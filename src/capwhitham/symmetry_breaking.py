@@ -209,33 +209,25 @@ def phi_limits(pair: WaveNumberPair) -> tuple[float, float]:
     return tuple(limits.tolist())
 
 
-def phi_root(
-    pair: WaveNumberPair,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    xtol: float = _ROOT_XTOL,
-) -> list[PhiRoot]:
+def phi_root(pair: WaveNumberPair, grid_size: int = DEFAULT_GRID_SIZE) -> list[PhiRoot]:
     """Locate all sign-change roots of phi on the sampling interval.
 
     Samples phi at ``grid_size`` endpoint-clustered points, whose
     bifurcation points come from one array solve (a refined pair scan
     solves those of all its pairs at once), refines every sign change in
-    one Brent solve over all brackets to |dT| <= ``xtol``, and reports a
+    one Brent solve over all brackets to |dT| <= 1e-10, and reports a
     central-difference slope estimate per root.  A sample that is exactly
     zero is a root with a degenerate bracket.  An empty list is valid.
     """
     pair = WaveNumberPair.coerce(pair)
     if grid_size < _MIN_ROOT_GRID_SIZE:
         raise DomainError(f"root scan needs at least {_MIN_ROOT_GRID_SIZE} points", grid_size=grid_size)
-    if not 0.0 < xtol < np.inf:
-        raise DomainError("root tolerance must be positive and finite", xtol=xtol)
     _warn_k1_one(pair)
     T, xi_t = _tension_grid(grid_size)
-    return _phi_roots(pair, T, _phi_on([pair], T, xi_t)[pair][0], xtol)
+    return _phi_roots(pair, T, _phi_on([pair], T, xi_t)[pair][0])
 
 
-def _phi_roots(
-    pair: WaveNumberPair, T: np.ndarray, values: np.ndarray, xtol: float
-) -> list[PhiRoot]:
+def _phi_roots(pair: WaveNumberPair, T: np.ndarray, values: np.ndarray) -> list[PhiRoot]:
     """The body of :func:`phi_root`, given phi on the grid T."""
 
     def phi(T):
@@ -249,7 +241,7 @@ def _phi_roots(
     found = [(i, grid[i], grid[i]) for i in np.flatnonzero(values == 0.0).tolist()]
     if change.size:
         lo, hi = change, change + 1
-        refined = _brentq(phi, T[lo], T[hi], xtol, fa=values[lo], fb=values[hi])
+        refined = _brentq(phi, T[lo], T[hi], _ROOT_XTOL, fa=values[lo], fb=values[hi])
         found += [(i, t0, grid[i + 1]) for i, t0 in zip(change.tolist(), refined.tolist())]
     if not found:
         return []
@@ -374,7 +366,7 @@ def _classify_pairs(chunk: tuple) -> list[PairVerdict]:
     if scan:
         T, xi_t = _tension_grid(grid_size)
         on = _phi_on(scan, T, xi_t, fail)
-        found = _stage(on, lambda pair: _phi_roots(pair, T, on[pair][0], _ROOT_XTOL), fail)
+        found = _stage(on, lambda pair: _phi_roots(pair, T, on[pair][0]), fail)
         for pair, roots in found.items():
             if roots:
                 fields[pair].update(status=STATUS_ADMITS, roots=tuple(roots))

@@ -122,19 +122,14 @@ class WaveProfile:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Truncation order 1 <= K <= 4096 and positive, finite tolerances of the wave solvers."""
+    """Truncation order 1 <= K <= 4096 and positive, finite w tolerance (Newton's: ``_TOL_NEWTON``)."""
 
     K: int = 64
     tol_w: float = 1e-14
-    tol_newton: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 < self.tol_w < math.inf and 0.0 < self.tol_newton < math.inf):
-            raise DomainError(
-                "tolerances must be positive and finite",
-                tol_w=self.tol_w,
-                tol_newton=self.tol_newton,
-            )
+        if not 0.0 < self.tol_w < math.inf:
+            raise DomainError("tolerances must be positive and finite", tol_w=self.tol_w)
         if self.K < 1:
             raise DomainError("truncation needs K >= 1", K=self.K)
         if self.K > _K_GUARD:
@@ -151,6 +146,8 @@ _MAX_ITER_NEWTON = 50
 _MAX_TRIALS = 11
 # Bound on ||v||_inf before the w fixed point is attempted.
 _AMPLITUDE_CAP = 0.3
+# The parameter Newton stops once |g|_inf is at most this.
+_TOL_NEWTON = 1e-12
 # A report is converged when all three residuals are below these.
 _TOL_RESIDUAL_J = 1e-10
 _TOL_ORTHOGONALITY = 1e-12
@@ -172,7 +169,7 @@ class SolveReport:
     solve that misses them raises); ``g_inf`` records the final
     scaled kernel equations, whose attainable floor is limited by the
     division by amplitude monomials rather than by the solution quality,
-    so it may stay above ``tol_newton`` when the Newton ends on a
+    so it may stay above ``_TOL_NEWTON`` when the Newton ends on a
     rounding-size step.
     """
 
@@ -654,9 +651,9 @@ def _solve_kernel(
     remainder solves try the fixed point until one of them returns by
     the Newton fallback; the later ones of this call go to that fallback
     directly, and a trial that raises changes nothing.  It
-    stops at |g|_inf <= tol_newton, or after an accepted step with
+    stops at |g|_inf <= ``_TOL_NEWTON``, or after an accepted step with
     |step_i| <= sqrt(eps) |x_i|: g bottoms out at a rounding floor set by
-    the amplitude monomials, often above tol_newton, while the error
+    the amplitude monomials, often above ``_TOL_NEWTON``, while the error
     after such a step is of the order of its square.  With no equations
     the zero wave at the bifurcation point is reported after no steps.
     The last iterate is returned only if it meets the residual tolerances.
@@ -686,7 +683,7 @@ def _solve_kernel(
     profile, wres, g = evaluate(x)
     g_inf = float(np.max(np.abs(g), initial=0.0))
     steps = 0
-    while g_inf > settings.tol_newton:
+    while g_inf > _TOL_NEWTON:
         if steps == _MAX_ITER_NEWTON:
             raise ConvergenceError(
                 "Newton did not converge within the step budget",
@@ -730,7 +727,7 @@ def _solve_kernel(
     if not converged:
         raise ConvergenceError(
             "parameter Newton ended at a non-solution",
-            reason="stalled" if g_inf > settings.tol_newton else "residuals above tolerance",
+            reason="stalled" if g_inf > _TOL_NEWTON else "residuals above tolerance",
             g_inf=g_inf,
             residual_J_inf=rj,
         )
@@ -770,7 +767,7 @@ def solve_wave(
 
     A returned report is always converged.  The parameter Newton, the
     loop of ``_solve_kernel`` that every wave mode shares, stops when g
-    is within ``tol_newton`` or after a step at the rounding of
+    is within ``_TOL_NEWTON`` (1e-12) or after a step at the rounding of
     (c, kappa, T); its last iterate is returned only if it meets the
     residual tolerances.
 

@@ -508,6 +508,52 @@ def test_pairs_names_errored_pairs_on_stderr(tmp_path, capsys, monkeypatch):
         assert f == b
 
 
+def test_pairs_exits_3_when_every_classified_pair_errored(tmp_path, capsys, monkeypatch):
+    # Excluded pairs carry no error, so they do not keep the run at exit 0;
+    # the files and the envelope are written as for one failing pair.
+    def failing(pair, *args):
+        raise DomainError("forced failure")
+
+    monkeypatch.setattr(symmetry_breaking, "_limit_ell", failing)
+    code, out, err = _run(
+        capsys, "pairs", "--kmax", "8", "--refine", "--grid", "64", "--format", "json",
+        "--out", str(tmp_path),
+    )
+    assert code == 3
+    assert out.split() == [str(tmp_path / "pairs.json"), str(tmp_path / "pairs.svg")]
+    data = json.loads((tmp_path / "pairs.json").read_text())
+    classified = [item for item in data if not item["status"].startswith("excluded")]
+    assert len(classified) == 8
+    assert all(item["error"] == "DomainError: forced failure" for item in classified)
+    envelope = _stderr_envelope(err)
+    assert envelope["code"] == 0
+    assert [e["pair"] for e in envelope["context"]["errors"]] == [
+        [item["k1"], item["k2"]] for item in classified
+    ]
+
+
+def test_phi_root_and_pairs_refine_refine_roots_alike(tmp_path, capsys):
+    # Up to kmax 12 only (4, 11) gets its roots from the refined scan;
+    # both commands report them bit for bit alike.
+    argv = ("pairs", "--kmax", "12", "--refine", "--format", "json")
+    code, _, _ = _run(capsys, *argv, "--out", str(tmp_path / "pairs"))
+    assert code == 0
+    scanned = [
+        item for item in json.loads((tmp_path / "pairs" / "pairs.json").read_text())
+        if item["roots"]
+    ]
+    assert [(item["k1"], item["k2"]) for item in scanned] == [(4, 11)]
+    argv = ("phi", "root", "--k1", "4", "--k2", "11", "--format", "json")
+    code, _, _ = _run(capsys, *argv, "--out", str(tmp_path / "root"))
+    assert code == 0
+    roots = json.loads((tmp_path / "root" / "phi_roots.json").read_text())["roots"]
+
+    def bits(items):
+        return [(r["T0"].hex(), [b.hex() for b in r["bracket"]], r["slope"].hex()) for r in items]
+
+    assert roots and bits(scanned[0]["roots"]) == bits(roots)
+
+
 def test_pairs_refine_rejects_small_grid(tmp_path, capsys):
     # A refined scan needs the 16-point root grid; it fails up front
     # instead of marking every refined pair undecided.
@@ -533,7 +579,6 @@ def test_pairs_refine_rejects_small_grid(tmp_path, capsys):
 
 
 _SMALL_WAVE = ("wave", *_PAIR, "--r1", "0.001", "--r2", "0.001", "--T", "0.1215")
-_ROOT_TOLERANCE = "root tolerance must be positive and finite"
 _WAVE_TOLERANCES = "tolerances must be positive and finite"
 
 
@@ -547,19 +592,21 @@ _WAVE_TOLERANCES = "tolerances must be positive and finite"
     ],
 )
 def test_non_finite_tolerances_are_rejected(tmp_path, capsys, argv, flag, value):
-    # With xtol = inf, Brent would stop at once and report a bracket end
-    # as the root; an infinite w or Newton tolerance would fail only
-    # after a whole solve.
+    # An infinite w tolerance would fail only after a whole solve.  The
+    # root and Newton tolerances are constants: the parser refuses their
+    # former flags.
     out = tmp_path / "out"
-    code, stdout, err = _run(capsys, *argv, flag, value, "--out", str(out))
+    if flag == "--tol-w":
+        code, stdout, err = _run(capsys, *argv, flag, value, "--out", str(out))
+        context = {"tol_w": value}
+        assert _stderr_envelope(err) == {"code": 2, "message": _WAVE_TOLERANCES, "context": context}
+    else:
+        with pytest.raises(SystemExit) as info:
+            main([*argv, flag, value, "--out", str(out)])
+        code, (stdout, err) = info.value.code, capsys.readouterr()
+        assert f"unrecognized arguments: {flag} {value}" in err
     assert code == 2
     assert stdout == ""
-    message, context = {
-        "--tol-root": (_ROOT_TOLERANCE, {"xtol": value}),
-        "--tol-w": (_WAVE_TOLERANCES, {"tol_w": value, "tol_newton": 1e-12}),
-        "--tol-newton": (_WAVE_TOLERANCES, {"tol_w": 1e-14, "tol_newton": value}),
-    }[flag]
-    assert _stderr_envelope(err) == {"code": 2, "message": message, "context": context}
     assert not out.exists()
 
 
@@ -576,9 +623,7 @@ def _refusals():
     ]
     for text, shown in [("0", 0.0), ("-1", -1.0), ("inf", "inf"), ("nan", "nan")]:
         cases += [
-            ("phi-root", phi_root, "--tol-root", text, _ROOT_TOLERANCE, {"xtol": shown}),
-            ("wave", wave, "--tol-w", text, _WAVE_TOLERANCES, {"tol_w": shown, "tol_newton": 1e-12}),
-            ("wave", wave, "--tol-newton", text, _WAVE_TOLERANCES, {"tol_w": 1e-14, "tol_newton": shown}),
+            ("wave", wave, "--tol-w", text, _WAVE_TOLERANCES, {"tol_w": shown}),
         ]
     for name, argv, flag, text, message, context in cases:
         yield pytest.param((*argv, flag, text), message, context, id=f"{name}-{flag[2:]}-{text}")
@@ -597,7 +642,7 @@ def test_library_refuses_every_out_of_range_flag(tmp_path, capsys, argv, message
 @pytest.mark.parametrize(
     "argv, unread",
     [
-        (("phi", "limits", *_PAIR), ("--grid", "1", "--tol-root", "nan")),
+        (("phi", "limits", *_PAIR), ("--grid", "1")),
         (("pairs", "--kmax", "6"), ("--grid", "1")),
     ],
 )
@@ -806,6 +851,17 @@ def test_package_reads_no_environment_variable():
                 assert not (node.value.id == "os" and node.attr in banned), path.name
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 assert not banned & {alias.name for alias in node.names}, path.name
+
+
+def test_cli_imports_no_private_name_of_the_package():
+    # The CLI is built on the public library surface only.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level > 0 or (node.module or "").split(".")[0] == "capwhitham":
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, f"cli.py imports {private} from {node.module}"
 
 
 # ROADMAP "Line budget": src/capwhitham/*.py holds at most this many lines.

@@ -86,9 +86,9 @@ def test_phi_root_unique_and_matches_oracle():
 def test_phi_root_respects_grid_and_tol_validation():
     with pytest.raises(DomainError):
         phi_root(PAIR_2_5, grid_size=8)
-    for xtol in (0.0, math.inf, math.nan):
-        with pytest.raises(DomainError, match="positive and finite"):
-            phi_root(PAIR_2_5, xtol=xtol)
+    # Every root is refined to the one fixed tolerance; there is no knob.
+    with pytest.raises(TypeError):
+        phi_root(PAIR_2_5, xtol=1e-10)
 
 
 def test_phi_root_empty_for_constant_sign_pairs():

@@ -1,7 +1,7 @@
 """Tests for kernel synthesis, the remainder solve, and the wave solvers."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -91,10 +91,20 @@ def test_modal_parameters_reject_non_finite(values):
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
-@pytest.mark.parametrize("field", ["tol_w", "tol_newton"])
+@pytest.mark.parametrize("field", ["tol_w"])
 def test_solver_settings_need_positive_finite_tolerances(field, value):
     with pytest.raises(DomainError, match="tolerances must be positive and finite"):
         SolverSettings(**{field: value})
+
+
+def test_solver_settings_hold_only_the_truncation_and_w_tolerance():
+    # The parameter Newton's tolerance is a constant, not a setting.
+    from capwhitham import waves
+
+    assert [f.name for f in fields(SolverSettings)] == ["K", "tol_w"]
+    assert waves._TOL_NEWTON == 1e-12
+    with pytest.raises(TypeError):
+        SolverSettings(tol_newton=1e-12)
 
 
 @pytest.mark.parametrize("K", [0, -3])
@@ -733,12 +743,15 @@ def test_parameter_jacobian_symbol_rows_keep_their_bits(monkeypatch):
             assert rhs.tobytes() == (ell * ell * dm * square).tobytes()
 
 
-def test_solve_wave_raises_at_a_non_solution():
+def test_solve_wave_raises_at_a_non_solution(monkeypatch):
     # A Newton tolerance above the starting g (about 8e3 here) stops the
     # parameter Newton at the bifurcation point, which is no wave.
+    from capwhitham import waves
+
+    monkeypatch.setattr(waves, "_TOL_NEWTON", 1e4)
     params = ModalParameters(0.00125, 0.00125, theta1=math.pi / 20.0, theta2=0.0)
     with pytest.raises(ConvergenceError) as info:
-        solve_wave(PAIR_2_5, params, T0, SolverSettings(tol_newton=1e4))
+        solve_wave(PAIR_2_5, params, T0)
     context = info.value.context
     assert context["reason"] == "residuals above tolerance"
     assert 1.0 < context["g_inf"] <= 1e4
@@ -747,7 +760,7 @@ def test_solve_wave_raises_at_a_non_solution():
 
 def test_solve_wave_converges_at_r_0_006():
     # Past r = 0.005 on the theta1 = pi/20 branch g bottoms out far above
-    # tol_newton (about 1e-8 here); the step-size stop still ends at the
+    # the Newton tolerance (about 1e-8 here); the step-size stop still ends at the
     # solution, near T = 0.0687.
     params = ModalParameters(0.006, 0.006, theta1=math.pi / 20.0, theta2=0.0)
     _, report = solve_wave(PAIR_2_5, params, 0.1215)
@@ -758,12 +771,14 @@ def test_solve_wave_converges_at_r_0_006():
 
 
 def test_solve_wave_stops_after_a_rounding_size_step():
+    from capwhitham import waves
+
     # The README request: g reaches its rounding floor (about 1e-6 here)
     # within four steps, the last of them at the rounding of (c, kappa, T).
     params = ModalParameters(0.00125, 0.00125, theta1=math.pi / 20.0, theta2=0.0)
     _, report = solve_wave(PAIR_2_5, params, T0)
     assert report.converged
-    assert report.g_inf > SolverSettings().tol_newton
+    assert report.g_inf > waves._TOL_NEWTON
     assert report.iterations_newton <= 6
 
 
