@@ -62,6 +62,7 @@ _BRACKET_XTOL = 1e-14
 # Relative tolerance and iteration cap of Brent's method.
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 _BRENT_MAXITER = 100
+_BRENT_FAILURE = f"Brent's method did not converge in {_BRENT_MAXITER} iterations"
 
 # Geometric scan xi = 2**j, j = -20..40, that brackets the turning point.
 _TURNING_LADDER = np.ldexp(1.0, np.arange(-20, 41))
@@ -214,14 +215,14 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
     in Python floats, which spares numpy's per-call overhead on every
     iterate, while ``f`` still sees a one-element array.  ``fa`` and
     ``fb`` may pass f(a) and f(b) when they are known.  Scalar brackets
-    give a float root.
+    give a float root.  An element that has not converged after 100
+    iterations is NaN, and the others keep their roots: each caller
+    raises ``_BRENT_FAILURE`` for its own unconverged elements.
 
     Raises
     ------
     ValueError
         If f is NaN at an iterate, or f(a) and f(b) have the same sign.
-    ConvergenceError
-        If an element has not converged after 100 iterations.
     """
     xpre, xcur = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
@@ -239,10 +240,6 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
     active = (fpre != 0.0) & (fcur != 0.0)
     if (active & (np.signbit(fpre) == np.signbit(fcur))).any():
         raise ValueError("f(a) and f(b) must have different signs")
-
-    def unconverged(x: float) -> ConvergenceError:
-        message = f"Brent's method did not converge in {_BRENT_MAXITER} iterations"
-        return ConvergenceError(message, x=x)
 
     if xcur.size == 1:
         if not active.any():
@@ -278,14 +275,14 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
             xpre, fpre = xcur, fcur
             xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
             fcur = call(np.array([xcur]), *args).item()
-        raise unconverged(xcur)
+        return _result(np.full(root.shape, np.nan))
 
     xblk = fblk = spre = scur = np.zeros_like(xcur)
     # Finished elements keep xcur and root; the rest of their state is
     # never read again.
     for _ in range(_BRENT_MAXITER):
         if not active.any():
-            return _result(root)
+            break
         # Keep the root bracketed by (xcur, xblk).  fpre is never zero on
         # an active element, and one whose fcur is zero converges below
         # whatever the bracket.
@@ -325,9 +322,7 @@ def _brentq(f, a, b, xtol: float, fa=None, fb=None, args=()):
         if active.any():
             fcur = fcur.copy()  # fpre is the same array
             fcur[active] = call(xcur[active], *(a[active] for a in args))
-    if active.any():
-        raise unconverged(float(xcur.flat[_first(active)]))
-    return _result(root)
+    return _result(np.where(active, np.nan, root))
 
 
 def _ladder_tensions(xi: np.ndarray) -> np.ndarray:
@@ -361,10 +356,13 @@ def _turning_points(T: np.ndarray) -> np.ndarray:
             "no sign change of m_T' on the geometric scan", T=float(T[_first(~found)])
         )
     i, j = np.arange(T.size), change.argmax(axis=1)
-    return _brentq(
+    xi = _brentq(
         lambda x, T: _symbol_partials(T, x)[1], _TURNING_LADDER[j], _TURNING_LADDER[j + 1],
         _BRACKET_XTOL, fa=d[i, j], fb=d[i, j + 1], args=(T,),
     )
+    if np.isnan(xi).any():
+        raise ConvergenceError(_BRENT_FAILURE, T=float(T[_first(np.isnan(xi))]))
+    return xi
 
 
 def turning_point(T: float) -> float:
@@ -446,8 +444,8 @@ def _solve_bifurcations(pairs, T, xi_t=None):
     Returns arrays (c0, kappa0, residual) of shape (P, G) and a list with
     one entry per pair: None, or the error of the pair's first failing
     tension, which a loop of scalar solves over the grid would raise.
-    The row of a failed pair holds no valid points.  A bad tension, or a
-    Brent failure of any element, raises for the whole call.
+    A failed pair's row holds no valid points.  An unconverged Brent
+    element fails its pair; a bad tension or a NaN gap fails the call.
     """
     T = np.asarray(T, dtype=float)
     inside = (0.0 < T) & (T < WEAK_TENSION_LIMIT)
@@ -487,6 +485,7 @@ def _solve_bifurcations(pairs, T, xi_t=None):
             bracket=(float(lo[i]), float(hi[i])),
             gap_values=(float(glo[i]), float(ghi[i])),
         )),
+        (straddle & np.isnan(kappa0), lambda i: ConvergenceError(_BRENT_FAILURE, T=float(T[i]))),
         (residual > _RESIDUAL_TOL, lambda i: ConvergenceError(
             "bifurcation residual above tolerance",
             T=float(T[i]), kappa0=float(kappa0[i]), residual=float(residual[i]),

@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import _limit_ell, _path_ell, _phi
-from .errors import CapWhithamError, DomainError
+from .errors import CapWhithamError, ConvergenceError, DomainError
 from .symbol import (
+    _BRENT_FAILURE,
     WEAK_TENSION_LIMIT,
     BifurcationPoint,
     WaveNumberPair,
@@ -242,6 +243,9 @@ def _phi_roots(pair: WaveNumberPair, T: np.ndarray, values: np.ndarray) -> list[
     if change.size:
         lo, hi = change, change + 1
         refined = _brentq(phi, T[lo], T[hi], _ROOT_XTOL, fa=values[lo], fb=values[hi])
+        if np.isnan(refined).any():
+            i = int(change[np.isnan(refined)][0])
+            raise ConvergenceError(_BRENT_FAILURE, pair=pair.astuple(), bracket=(grid[i], grid[i + 1]))
         found += [(i, t0, grid[i + 1]) for i, t0 in zip(change.tolist(), refined.tolist())]
     if not found:
         return []
@@ -314,17 +318,14 @@ def _phi_on(pairs: list[WaveNumberPair], T: np.ndarray, xi_t=None, fail=_reraise
     """{pair: (phi, (c0, kappa0, residual))} at the tensions T, for every pair that gets there.
 
     One bifurcation solve for all pairs, then one stacked table per k1;
-    no pair's values depend on another's.  If the solve of several pairs
-    raises, each pair takes this path alone.  A failing pair goes to
-    ``fail(pair, error)``, by default a raise of that error.
+    no pair's values depend on another's.  A failing pair goes to
+    ``fail(pair, error)``, by default a raise of that error; an error of
+    the whole solve (a bad tension, or a NaN gap) goes to every pair's.
     """
     try:
         c0, kappa0, residual, errors = _solve_bifurcations([p.astuple() for p in pairs], T, xi_t)
     except _PAIR_ERRORS as exc:
-        if len(pairs) > 1:
-            return {p: v for pair in pairs for p, v in _phi_on([pair], T, xi_t, fail).items()}
-        fail(pairs[0], exc)  # the batch was that pair's own solve
-        return {}
+        errors = [exc] * len(pairs)
     points = {}
     for row, (pair, error) in enumerate(zip(pairs, errors)):
         if error is None:

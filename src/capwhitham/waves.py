@@ -217,7 +217,7 @@ def _square_modes(modes: np.ndarray, K: int) -> np.ndarray:
     return _from_grid(g * g, 2 * K)
 
 
-def synthesize_v(pair: WaveNumberPair, params: ModalParameters, K: int = 64) -> WaveProfile:
+def synthesize_v(pair: WaveNumberPair, params: ModalParameters, K: int = SolverSettings.K) -> WaveProfile:
     """Build the kernel profile v = r1*cos(k1*(x+theta1)) + r2*cos(k2*(x+theta2)).
 
     Requires K >= 2*k2 so that the square of v is resolvable on the
@@ -637,7 +637,6 @@ def _solve_kernel(
     params: ModalParameters,
     T: float,
     settings: SolverSettings,
-    mode: str,
     equations: tuple[tuple[int, float], ...],
 ) -> tuple[WaveProfile, SolveReport]:
     """Newton on the scaled kernel equations of one wave mode.
@@ -654,8 +653,9 @@ def _solve_kernel(
     stops at |g|_inf <= ``_TOL_NEWTON``, or after an accepted step with
     |step_i| <= sqrt(eps) |x_i|: g bottoms out at a rounding floor set by
     the amplitude monomials, often above ``_TOL_NEWTON``, while the error
-    after such a step is of the order of its square.  With no equations
-    the zero wave at the bifurcation point is reported after no steps.
+    after such a step is of the order of its square.  With 0, 1, 2 or 3
+    equations the mode is trivial (the zero wave at the bifurcation point,
+    after no steps), unimodal, symmetric or asymmetric.
     The last iterate is returned only if it meets the residual tolerances.
     """
     # The zero wave needs no kernel profile, so no K >= 2*k2 either.
@@ -733,7 +733,7 @@ def _solve_kernel(
         )
     report = SolveReport(
         converged=converged,
-        mode=mode,
+        mode=("trivial", "unimodal", "symmetric", "asymmetric")[free],
         w_method=wres.method,
         iterations_w=wres.iterations,
         iterations_newton=steps,
@@ -787,7 +787,7 @@ def solve_wave(
         return symmetric_solve(pair, params, T_init, settings)
     monomial = params.r1 ** (pair.k2 - 1) * params.r2**pair.k1 * _phase_sine(pair, params)
     equations = ((0, params.r1), (1, params.r2), (2, monomial))
-    return _solve_kernel(pair, params, T_init, settings, "asymmetric", equations)
+    return _solve_kernel(pair, params, T_init, settings, equations)
 
 
 def symmetric_solve(
@@ -815,5 +815,4 @@ def symmetric_solve(
     equations = tuple(
         (index, r) for index, r in enumerate((params.r1, params.r2)) if r != 0.0
     )
-    mode = ("trivial", "unimodal", "symmetric")[len(equations)]
-    return _solve_kernel(pair, params, T, settings, mode, equations)
+    return _solve_kernel(pair, params, T, settings, equations)

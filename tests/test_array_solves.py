@@ -4,8 +4,10 @@ Brent's method is checked bitwise against scipy's ``brentq``, and every
 array evaluation against the scalar one.
 """
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +195,10 @@ def test_brentq_lockstep_elements_take_scipy_iterates():
     assert len(iterations) > 3
 
 
+def _step(x):
+    return np.where(x < 0.1, -1.0, 1.0)
+
+
 @pytest.mark.parametrize("form", list(_BRACKET_FORMS))
 def test_brentq_errors(form):
     bracket = _BRACKET_FORMS[form]
@@ -207,18 +213,93 @@ def test_brentq_errors(form):
         _brentq(lambda x: x * x + 1.0, *bracket(-1.0, 1.0), 1e-12)
     assert str(err.value) == "f(a) and f(b) must have different signs"
     # A jump with f = +-1 admits no short steps, so 100 iterations cannot
-    # shrink a bracket of 1e300 to the tolerance.
-    step = lambda x: np.where(x < 0.1, -1.0, 1.0)  # noqa: E731
+    # shrink a bracket of 1e300 to the tolerance: scipy raises, and
+    # _brentq returns NaN for the element.
     with pytest.raises(RuntimeError):
-        brentq(lambda x: float(step(x)), -1e300, 1e300, xtol=1e-12)
-    last, info = brentq(
-        lambda x: float(step(x)), -1e300, 1e300, xtol=1e-12, full_output=True, disp=False
-    )
-    assert not info.converged
+        brentq(lambda x: float(_step(x)), -1e300, 1e300, xtol=1e-12)
+    got = _brentq(_step, *bracket(-1e300, 1e300), 1e-12)
+    if form == "scalar":
+        assert type(got) is float
+    assert np.shape(got) == np.shape(bracket(0.0, 1.0)[0])
+    assert np.isnan(got).all()
+
+
+def test_brentq_marks_only_the_unconverged_element():
+    # The jump of test_brentq_errors in lockstep with an ordinary bracket:
+    # the jump's element is NaN, and the other takes scipy's iterates.
+    p = (0.3, 1.5, -0.4)
+
+    def f(x, jump):
+        fx = np.empty_like(x)
+        fx[jump] = _step(x[jump])
+        fx[~jump] = _smooth(p)(x[~jump])
+        return fx
+
+    got = _brentq(f, np.array([-1e300, -1.0]), np.array([1e300, 2.0]), 1e-12,
+                  args=(np.array([True, False]),))
+    assert math.isnan(got[0])
+    assert got[1].hex() == brentq(_smooth(p), -1.0, 2.0, xtol=1e-12).hex()
+
+
+def _unconverged_from(index, nargs):
+    """A wrapper of ``_brentq`` whose solves with ``nargs`` parameter
+    arrays return NaN from element ``index`` on, as unconverged elements."""
+    real = symbol._brentq
+
+    def brent(f, a, b, xtol, fa=None, fb=None, args=()):
+        root = real(f, a, b, xtol, fa, fb, args)
+        if len(args) == nargs:
+            root = np.where(np.arange(np.size(root)) >= index, np.nan, root)
+        return root
+
+    return brent
+
+
+def test_turning_point_raises_an_unconverged_brent_element(monkeypatch):
+    monkeypatch.setattr(symbol, "_brentq", _unconverged_from(1, 1))
+    assert math.isfinite(turning_point(0.1))
     with pytest.raises(ConvergenceError) as err:
-        _brentq(step, *bracket(-1e300, 1e300), 1e-12)
-    assert str(err.value) == "Brent's method did not converge in 100 iterations"
-    assert err.value.context == {"x": last}
+        _turning_points(np.array([0.05, 0.1, 0.2]))
+    assert err.value.message == "Brent's method did not converge in 100 iterations"
+    assert err.value.context == {"T": 0.1}
+    monkeypatch.setattr(symbol, "_brentq", _unconverged_from(0, 1))
+    with pytest.raises(ConvergenceError) as err:
+        turning_point(0.1215)
+    assert err.value.context == {"T": 0.1215}
+
+
+def test_bifurcation_grid_raises_an_unconverged_brent_element(monkeypatch):
+    # Only the bifurcation solve (two parameter arrays) fails, from its
+    # second tension on; the turning points converge.
+    monkeypatch.setattr(symbol, "_brentq", _unconverged_from(1, 2))
+    assert math.isfinite(bifurcation_grid((2, 5), [0.05])[0].kappa0)
+    with pytest.raises(ConvergenceError) as err:
+        bifurcation_grid((2, 5), [0.05, 0.1, 0.2])
+    assert err.value.message == "Brent's method did not converge in 100 iterations"
+    assert err.value.context == {"T": 0.1}
+
+
+
+def test_only_the_three_checked_solves_use_brentq():
+    # Each function that uses _brentq turns its NaN for an unconverged
+    # element into a ConvergenceError, which the turning-point and
+    # bifurcation tests above and the phi_root test of
+    # test_symmetry_breaking check; a new user has to join them before it
+    # can return a silent NaN.
+    users = set()
+    for path in sorted(Path(symbol.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            name = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if "_brentq" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    users.add((path.name, name))
+                elif isinstance(node, ast.alias) and node.name == "_brentq":
+                    assert node.asname is None, path.name
+    assert users == {
+        ("symbol.py", "_turning_points"),
+        ("symbol.py", "_solve_bifurcations"),
+        ("symmetry_breaking.py", "_phi_roots"),
+    }
 
 
 # float.hex values printed at commit f5f7174 by scipy's brentq.

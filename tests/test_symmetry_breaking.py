@@ -97,6 +97,16 @@ def test_phi_root_empty_for_constant_sign_pairs():
     assert phi_root(WaveNumberPair(4, 5), grid_size=32) == []
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect 2 (ROADMAP): a sign change of (7, 20) lies in the tension "
+    "margin above 1/3 - 1e-4; direction 4 closes the margins",
+)
+def test_phi_root_finds_the_four_roots_of_7_20():
+    # The sampled interval (1e-4, 1/3 - 1e-4) holds 3 of them.
+    assert len(phi_root(WaveNumberPair(7, 20))) == 4
+
+
 def test_phi_root_scan_does_not_overflow_on_huge_phi():
     # max |phi| of (12, 19) on the grid exceeds 1e154, so the product of
     # two neighbouring samples would overflow; the scan compares signs.
@@ -514,15 +524,18 @@ def test_pair_scan_maps_failed_grids_to_their_pairs(monkeypatch):
     assert failing < checked
 
 
-def test_pair_scan_solves_each_pair_alone_when_the_batch_brent_fails(monkeypatch):
+def test_pair_scan_keeps_its_batch_when_one_pair_brent_fails(monkeypatch):
+    # Every bifurcation element of (5, 9) comes back unconverged, as
+    # Brent's NaN.  At kmax 18, (10, 18) reduces to it.
     real = symbol._brentq
 
-    def failing_for_5_9(f, a, b, xtol, fa=None, fb=None, args=()):
-        if len(args) == 2 and (args[1] == (5.0, 9.0)).all(axis=1).any():
-            raise ConvergenceError("forced failure")
-        return real(f, a, b, xtol, fa, fb, args)
+    def unconverged_for_5_9(f, a, b, xtol, fa=None, fb=None, args=()):
+        root = real(f, a, b, xtol, fa, fb, args)
+        if len(args) == 2:
+            root = np.where((args[1] == (5.0, 9.0)).all(axis=1), np.nan, root)
+        return root
 
-    base = {(v.k1, v.k2): v for v in pair_scan(12, refine=True, grid_size=64)}
+    base = {(v.k1, v.k2): v for v in pair_scan(18, refine=True, grid_size=64)}
     grid = symmetry_breaking._tension_grid(64)[0]
     real_solve = symbol._solve_bifurcations
     grid_solves = []
@@ -532,20 +545,37 @@ def test_pair_scan_solves_each_pair_alone_when_the_batch_brent_fails(monkeypatch
             grid_solves.append(len(pairs))
         return real_solve(pairs, T, xi_t)
 
-    monkeypatch.setattr(symbol, "_brentq", failing_for_5_9)
+    monkeypatch.setattr(symbol, "_brentq", unconverged_for_5_9)
     monkeypatch.setattr(symbol, "_solve_bifurcations", counting)
     monkeypatch.setattr(symmetry_breaking, "_solve_bifurcations", counting)
-    scanned = pair_scan(12, refine=True, grid_size=64)
-    # The failed batch of P pairs, then one solve of each pair alone.
+    scanned = pair_scan(18, refine=True, grid_size=64)
+    # One grid solve of all P pairs, and no pair solved again alone.
     P = grid_solves[0]
-    assert P > 1 and grid_solves == [P] + [1] * P
-    assert [(v.k1, v.k2) for v in scanned if v.error] == [(5, 9)]
-    for v, alone in _scanned_alone(scanned):
-        assert v == alone
-        if (v.k1, v.k2) == (5, 9):
-            assert (v.status, v.error) == (STATUS_UNDECIDED, "ConvergenceError: forced failure")
+    assert P > 1 and grid_solves == [P]
+    assert [(v.k1, v.k2) for v in scanned if v.error] == [(5, 9), (10, 18)]
+    for v in scanned:
+        if v.reduced == WaveNumberPair(5, 9):
+            assert v.status == STATUS_UNDECIDED
+            assert v == replace(
+                base[(v.k1, v.k2)],
+                error="ConvergenceError: Brent's method did not converge in 100 iterations",
+            )
         else:
             assert v == base[(v.k1, v.k2)]
+
+
+def test_phi_root_raises_an_unconverged_brent_element(monkeypatch):
+    [root] = phi_root(PAIR_2_5, 64)
+    real = symmetry_breaking._brentq
+
+    def unconverged(f, a, b, xtol, fa=None, fb=None, args=()):
+        return np.full_like(real(f, a, b, xtol, fa, fb, args), np.nan)
+
+    monkeypatch.setattr(symmetry_breaking, "_brentq", unconverged)
+    with pytest.raises(ConvergenceError) as err:
+        phi_root(PAIR_2_5, 64)
+    assert err.value.message == "Brent's method did not converge in 100 iterations"
+    assert err.value.context == {"pair": (2, 5), "bracket": root.bracket}
 
 
 def test_one_pair_phi_raises_its_batch_error_once(monkeypatch):
@@ -568,23 +598,24 @@ def test_one_pair_phi_raises_its_batch_error_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_pair_scan_equals_itself_when_every_batched_solve_fails(monkeypatch):
-    # Each pair then solves its own grid points, which are the same.  At
-    # kmax 12 the grid finds a root of (4, 11), so a dropped pair shows.
-    base = pair_scan(12, refine=True, grid_size=64)
-    assert any(v.roots for v in base)
-    real = symmetry_breaking._solve_bifurcations
-    batches = []
+def test_a_whole_solve_error_goes_to_every_pair_once(monkeypatch):
+    # A bad tension fails the solve of every pair at once: each pair's
+    # sink gets that error, and no pair is solved again alone.
+    calls = []
+    real = symbol._solve_bifurcations
 
-    def failing(pairs, *args):
-        if len(pairs) > 1:
-            batches.append(len(pairs))
-            raise ConvergenceError("forced failure")
-        return real(pairs, *args)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(symmetry_breaking, "_solve_bifurcations", failing)
-    assert pair_scan(12, refine=True, grid_size=64) == base
-    assert batches
+    monkeypatch.setattr(symmetry_breaking, "_solve_bifurcations", counting)
+    failed = []
+    pairs = [PAIR_2_5, WaveNumberPair(3, 8), WaveNumberPair(4, 9)]
+    on = symmetry_breaking._phi_on(pairs, np.array([0.1, 0.5]), fail=lambda *pe: failed.append(pe))
+    assert on == {} and len(calls) == 1
+    assert [pair for pair, _ in failed] == pairs
+    assert len({id(exc) for _, exc in failed}) == 1
+    assert failed[0][1].context == {"T": 0.5}
 
 
 @pytest.mark.parametrize(

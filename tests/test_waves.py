@@ -770,6 +770,20 @@ def test_solve_wave_converges_at_r_0_006():
     assert 0.06 < report.T < 0.08
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect 1 (ROADMAP): the fixed point's absolute tol_w and the FFT "
+    "projection round the r^6-scaled sine equation; direction 14 mends both",
+)
+def test_small_asymmetric_wave_does_not_depend_on_the_w_tolerance():
+    # At the default tol_w this request returns T = 0.1213467, and at
+    # 1e-20 it returns 0.1213889.
+    params = ModalParameters(2e-4, 2e-4, theta1=math.pi / 20.0)
+    _, default = solve_wave(PAIR_2_5, params, 0.1215)
+    _, tight = solve_wave(PAIR_2_5, params, 0.1215, SolverSettings(tol_w=1e-20))
+    assert abs(default.T - tight.T) <= 1e-8
+
+
 def test_solve_wave_stops_after_a_rounding_size_step():
     from capwhitham import waves
 
