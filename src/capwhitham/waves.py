@@ -263,6 +263,7 @@ def solve_w(
     settings: SolverSettings | None = None,
     *,
     picard: bool = True,
+    start: np.ndarray | None = None,
 ) -> WSolveResult:
     """Solve the remainder equation w = L P_W (v+w)^2 on the truncation.
 
@@ -275,8 +276,10 @@ def solve_w(
     small-solution branch from small amplitude.  With ``picard=False``
     the fixed point is skipped and that Newton fallback runs at once,
     as the parameter Newton asks once the fixed point has failed in
-    the same wave solve.  The returned w is zero exactly on the kernel
-    modes.
+    the same wave solve.  ``start``, the modes of a nearby solution such
+    as the last accepted iterate's w, is where the Newton fallback
+    begins (see :func:`_solve_w_newton`); the fixed point always starts
+    at w = 0.  The returned w is zero exactly on the kernel modes.
 
     Raises
     ------
@@ -304,7 +307,7 @@ def solve_w(
         except ConvergenceError:
             pass
     if method == "newton":
-        w_modes, iterations = _solve_w_newton(v.modes, ell, K, pair, settings)
+        w_modes, iterations = _solve_w_newton(v.modes, ell, K, pair, settings, start)
     w = WaveProfile(
         modes=w_modes, K=K, pair=pair, params=v.params, c=c, kappa=kappa, T=T
     )
@@ -481,15 +484,20 @@ def _solve_w_newton(
     K: int,
     pair: WaveNumberPair,
     settings: SolverSettings,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Newton solve of the w equation with continuation in amplitude.
 
     Scales the kernel profile by s and climbs s -> 1, warm-starting each
     stage from the last solved w; raises with diagnostics when the
-    small-solution branch folds before full amplitude.
+    small-solution branch folds before full amplitude.  Given ``start``
+    (modes 0..K of a nearby solution), stage zero is one Newton stage at
+    full amplitude from it; only if that stage raises does the climb run,
+    from w = 0 and exactly as without a start.
     """
     index = _index_map(pair, K)
-    w = np.zeros(K + 1, dtype=complex)
+    zero = np.zeros(K + 1, dtype=complex)
+    w = zero if start is None else start
     total_iterations = 0
     s_done = 0.0
     ds = 1.0
@@ -498,6 +506,9 @@ def _solve_w_newton(
         try:
             w_new, iterations = _newton_w_step(s * v_modes, ell, index, w, settings)
         except ConvergenceError:
+            if w is start:
+                w = zero
+                continue
             ds *= 0.5
             if ds < 1.0 / 512.0:
                 raise ConvergenceError(
@@ -649,7 +660,9 @@ def _solve_kernel(
     step takes the exact Jacobian of :func:`_parameter_jacobian`.  The
     remainder solves try the fixed point until one of them returns by
     the Newton fallback; the later ones of this call go to that fallback
-    directly, and a trial that raises changes nothing.  It
+    directly, and a trial that raises changes nothing.  Each trial passes
+    the remainder modes of the last accepted iterate as the fallback's
+    ``start``, so only the first fallback climbs from w = 0.  It
     stops at |g|_inf <= ``_TOL_NEWTON``, or after an accepted step with
     |step_i| <= sqrt(eps) |x_i|: g bottoms out at a rounding floor set by
     the amplitude monomials, often above ``_TOL_NEWTON``, while the error
@@ -665,7 +678,9 @@ def _solve_kernel(
     free = len(equations)
     picard = True
 
-    def evaluate(x: np.ndarray) -> tuple[WaveProfile, WSolveResult, np.ndarray]:
+    def evaluate(
+        x: np.ndarray, w_start: np.ndarray | None
+    ) -> tuple[WaveProfile, WSolveResult, np.ndarray]:
         """The iterate at x: its profile, remainder solve and g."""
         nonlocal picard
         c, kappa, t = (*x, *start[free:])
@@ -673,14 +688,14 @@ def _solve_kernel(
             modes = np.zeros(settings.K + 1, dtype=complex)
             zero = WaveProfile(modes, settings.K, pair, ModalParameters(0.0, 0.0), c, kappa, t)
             return zero, WSolveResult(w=zero, iterations=0, method="none"), np.zeros(0)
-        result = solve_w(v, c, kappa, t, settings, picard=picard)
+        result = solve_w(v, c, kappa, t, settings, picard=picard, start=w_start)
         picard = result.method == "picard"
         profile = assemble_profile(v, result.w, c, kappa, t)
         projections = inner_products(profile)
         return profile, result, np.array([projections[i] / d for i, d in equations])
 
     x = np.array(start[:free])
-    profile, wres, g = evaluate(x)
+    profile, wres, g = evaluate(x, None)
     g_inf = float(np.max(np.abs(g), initial=0.0))
     steps = 0
     while g_inf > _TOL_NEWTON:
@@ -699,7 +714,7 @@ def _solve_kernel(
         scale = 1.0
         for _ in range(_MAX_TRIALS):
             try:
-                trial = evaluate(x + scale * delta)
+                trial = evaluate(x + scale * delta, wres.w.modes)
             except (DomainError, ConvergenceError):
                 pass
             else:

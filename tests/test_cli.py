@@ -203,8 +203,8 @@ TABLE_SHA256 = {
     "wave-symmetric": (
         _WAVE_SYMMETRIC, 0,
         {
-            "wave_profile.csv": "da488ea95b239391637ae22185d6a727758ab14268b487eb11d2c4fe1382932c",
-            "wave_report.json": "0cb93811010b2e026e087327a9d8de5ed2db99bf20275b1a8767c0b966fdc153",
+            "wave_profile.csv": "1596df583bd82314aa75b23e77c0bf10c448cfd5d1a84e12c9af7ef650bc706a",
+            "wave_report.json": "205f742a2a0e45f04a1e5d1e34252bf587ff67dbe7d969024537997e543b7076",
         },
     ),
     "wave-unimodal": (

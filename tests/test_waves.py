@@ -1,8 +1,10 @@
 """Tests for kernel synthesis, the remainder solve, and the wave solvers."""
 
+import ast
 import math
 from dataclasses import fields, replace
 from functools import cached_property, partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,8 +423,8 @@ def test_w_jacobian_matches_central_differences(pair, K):
 # with (iterations_w, iterations_newton, c, kappa) from the probed-Jacobian
 # solver that preceded the analytic one.
 NEWTON_PINS = [
-    (0.024, 64, 6, 4, 0.8564467496592129, 0.8442534174661641),
-    (0.02, 128, 6, 3, 0.8602531202372886, 0.844803605689403),
+    (0.024, 64, 2, 4, 0.8564467496592129, 0.8442534174661641),
+    (0.02, 128, 2, 3, 0.8602531202372886, 0.844803605689403),
 ]
 
 
@@ -482,15 +484,17 @@ def _recording_solve_w(monkeypatch):
 def test_unimodal_picard_then_fallback_pinned(monkeypatch):
     # The benchmark's uni-newton request: the fixed point converges at
     # the first iterate (191 images) and fails at the second, whose
-    # fallback then serves the later ones.  c and kappa are the bits of
-    # the solver that tried the fixed point at every iterate.  A fallback
-    # from the first iterate ends on the same bits, so the recorded runs
-    # are what shows that no fixed point is skipped before one failed.
+    # fallback starts from the first iterate's fixed-point w and then
+    # serves the later ones.  c and kappa are the bits of the solver that
+    # tried the fixed point at every iterate and climbed from w = 0 in
+    # every fallback.  A fallback from the first iterate ends on the same
+    # bits, so the recorded runs are what shows that no fixed point is
+    # skipped before one failed.
     runs = _counting_picard(monkeypatch)
     params = ModalParameters(0.029, 0.0, 0.0, 0.0)
     _, report = symmetric_solve(PAIR_2_5, params, T0)
     assert report.mode == "unimodal"
-    assert (report.w_method, report.iterations_w, report.iterations_newton) == ("newton", 6, 3)
+    assert (report.w_method, report.iterations_w, report.iterations_newton) == ("newton", 2, 3)
     assert report.c.hex() == "0x1.b8f810042e4d8p-1"
     assert report.kappa.hex() == "0x1.abf3fe9ef07b9p-1"
     assert runs == ["P", "F"]
@@ -507,6 +511,118 @@ def test_fallback_solve_runs_the_fixed_point_once(monkeypatch, r, K):
     assert runs == ["F"]
     assert len(methods) == report.iterations_newton + 1
     assert set(methods) == {"newton"}
+
+
+def _recording_w_starts(monkeypatch, fail_warm=False):
+    """Record each remainder solve's ``start``, w-Newton stage starts and w.
+
+    With ``fail_warm``, a w-Newton stage started from a solve's ``start``
+    raises, as a warm start off the small-solution branch would.
+    """
+    from capwhitham import waves
+
+    real_solve_w, real_step, solves = waves.solve_w, waves._newton_w_step, []
+
+    def solve(*args, **kwargs):
+        solves.append({"start": kwargs.get("start"), "w0": []})
+        result = real_solve_w(*args, **kwargs)
+        solves[-1]["w"] = result.w.modes
+        return result
+
+    def step(v_modes, ell, index, w0, settings):
+        solves[-1]["w0"].append(w0)
+        if fail_warm and w0 is solves[-1]["start"]:
+            raise ConvergenceError("forced failure")
+        return real_step(v_modes, ell, index, w0, settings)
+
+    monkeypatch.setattr(waves, "solve_w", solve)
+    monkeypatch.setattr(waves, "_newton_w_step", step)
+    return solves
+
+
+@pytest.mark.parametrize("r, K", [pin[:2] for pin in NEWTON_PINS])
+def test_fallback_solves_start_from_the_last_accepted_w(monkeypatch, r, K):
+    # Only the first remainder solve climbs from w = 0.  Every trial of
+    # these solves is accepted, and each later solve makes one
+    # full-amplitude stage from the w of the iterate before it.
+    solves = _recording_w_starts(monkeypatch)
+    _, report = _newton_pin_solve(r, K)
+    assert len(solves) == report.iterations_newton + 1
+    first, *later = solves
+    assert first["start"] is None and not np.any(first["w0"][0])
+    for previous, solve in zip(solves, later):
+        assert solve["start"].tobytes() == previous["w"].tobytes()
+        assert [w0.tobytes() for w0 in solve["w0"]] == [previous["w"].tobytes()]
+
+
+@pytest.mark.parametrize("r, K", [pin[:2] for pin in NEWTON_PINS])
+def test_failed_warm_starts_give_the_cold_solve_bitwise(monkeypatch, r, K):
+    # A warm stage that raises leaves the climb from w = 0 exactly as it
+    # runs without a start: the wave solve ends on the bits of one whose
+    # remainder solves are all given start=None.
+    from capwhitham import waves
+
+    real = waves.solve_w
+    with monkeypatch.context() as patch:
+        patch.setattr(waves, "solve_w", lambda *a, start=None, **kw: real(*a, **kw))
+        cold_profile, cold = _newton_pin_solve(r, K)
+    solves = _recording_w_starts(monkeypatch, fail_warm=True)
+    profile, report = _newton_pin_solve(r, K)
+    assert all(solve["start"] is not None for solve in solves[1:])
+    assert profile.modes.tobytes() == cold_profile.modes.tobytes()
+    assert report == cold
+    assert report.iterations_w == 6
+
+
+def test_solve_w_after_a_failed_warm_stage_equals_the_cold_solve_bitwise(monkeypatch):
+    from capwhitham import waves
+
+    v = synthesize_v(PAIR_2_5, ModalParameters(0.024, 0.024, math.pi / 5.0, 0.0), K=64)
+    point = _point(T0)
+    near = solve_w(v, point.c0 + 1e-4, point.kappa0, T0, picard=False)
+    cold = solve_w(v, point.c0, point.kappa0, T0, picard=False)
+    warm = solve_w(v, point.c0, point.kappa0, T0, picard=False, start=near.w.modes)
+    assert warm.iterations < cold.iterations
+    _recording_w_starts(monkeypatch, fail_warm=True)
+    failed = waves.solve_w(v, point.c0, point.kappa0, T0, picard=False, start=near.w.modes)
+    assert (failed.method, failed.iterations) == (cold.method, cold.iterations)
+    assert failed.w.modes.tobytes() == cold.w.modes.tobytes()
+
+
+def test_a_request_past_the_reachable_branch_fails_within_13_w_newton_solves(monkeypatch):
+    # The (2,5) request of ROADMAP defect 6 has no wave on its branch.
+    # With every trial's w-Newton climbing from w = 0 it took 87 solves
+    # and about 4 s before it raised at step 36; warm-started, 13.
+    from capwhitham import waves
+
+    real, calls = waves._solve_w_newton, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(waves, "_solve_w_newton", counting)
+    with pytest.raises(ConvergenceError) as info:
+        solve_wave(PAIR_2_5, ModalParameters(0.02, 0.02, math.pi / 20.0, 0.0), 0.1215)
+    assert info.value.message == "Newton step left the evaluable domain"
+    assert len(calls) <= 13
+
+
+def test_only_the_amplitude_climb_takes_w_newton_stages():
+    # The climb of _solve_w_newton is the one w-Newton driver, and a warm
+    # start is its stage zero; a second loop around _newton_w_step would
+    # need a second reference to it.
+    from capwhitham import waves
+
+    users = []
+    for path in sorted(Path(waves.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if "_newton_w_step" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    users.append((path.name, top.name))
+                elif isinstance(node, ast.alias) and node.name == "_newton_w_step":
+                    users.append((path.name, "import"))
+    assert users == [("waves.py", "_solve_w_newton")]
 
 
 def test_picard_solve_runs_the_fixed_point_per_remainder_solve(monkeypatch):
