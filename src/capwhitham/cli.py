@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     SizeGuardError,
 )
-from .symbol import WaveNumberPair, bifurcation_grid
+from .symbol import WaveNumberPair, bifurcation_grid, guard_grid_size
 from .symmetry_breaking import (
     DEFAULT_GRID_SIZE,
     STATUS_ADMITS,
@@ -141,6 +141,7 @@ def _parse_t_grid(spec: str) -> list[float]:
         raise DomainError("T grid must be A:B:N", spec=spec) from exc
     if count < 1:
         raise DomainError("T grid needs at least one point", spec=spec)
+    guard_grid_size(count)
     if count == 1:
         return [lo]
     return [float(t) for t in np.linspace(lo, hi, count)]

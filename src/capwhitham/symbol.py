@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, SizeGuardError
 
 __all__ = [
     "WaveNumberPair",
@@ -39,11 +39,17 @@ __all__ = [
     "turning_point",
     "double_bifurcation",
     "bifurcation_grid",
+    "guard_grid_size",
     "WEAK_TENSION_LIMIT",
+    "GRID_GUARD",
 ]
 
 # Weak surface tension regime is 0 < T < 1/3.
 WEAK_TENSION_LIMIT = 1.0 / 3.0
+
+# Most points of a tension grid: bifurcate and phi curve hold about
+# 2.4 kB per point, so 2.4 GB at the guard.
+GRID_GUARD = 10**6
 
 # Below this argument tanh(x)/x and its derivative switch to Maclaurin
 # series to avoid cancellation (the T -> 1/3 regime probes kappa -> 0).
@@ -516,6 +522,12 @@ def _points(pair: WaveNumberPair, T, c0, kappa0, residual) -> list[BifurcationPo
             np.asarray(T, dtype=float).tolist(), c0.tolist(), kappa0.tolist(), residual.tolist()
         )
     ]
+
+
+def guard_grid_size(size: int) -> None:
+    """Refuse a tension grid of more than ``GRID_GUARD`` points before it is built."""
+    if size > GRID_GUARD:
+        raise SizeGuardError("tension grid exceeds the size guard", size=size, guard=GRID_GUARD)
 
 
 def bifurcation_grid(pair: WaveNumberPair, tensions) -> list[BifurcationPoint]:

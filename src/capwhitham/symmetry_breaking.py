@@ -31,6 +31,7 @@ from .symbol import (
     _points,
     _solve_bifurcations,
     _turning_points,
+    guard_grid_size,
 )
 
 __all__ = [
@@ -189,6 +190,7 @@ def phi_curve(pair: WaveNumberPair, grid_size: int = DEFAULT_GRID_SIZE) -> list[
     pair = WaveNumberPair.coerce(pair)
     if grid_size < 2:
         raise DomainError("curve needs at least two points", grid_size=grid_size)
+    guard_grid_size(grid_size)
     _warn_k1_one(pair)
     grid, xi_t = _tension_grid(grid_size)
     values, point = _phi_on([pair], grid, xi_t)[pair]
@@ -223,6 +225,7 @@ def phi_root(pair: WaveNumberPair, grid_size: int = DEFAULT_GRID_SIZE) -> list[P
     pair = WaveNumberPair.coerce(pair)
     if grid_size < _MIN_ROOT_GRID_SIZE:
         raise DomainError(f"root scan needs at least {_MIN_ROOT_GRID_SIZE} points", grid_size=grid_size)
+    guard_grid_size(grid_size)
     _warn_k1_one(pair)
     T, xi_t = _tension_grid(grid_size)
     return _phi_roots(pair, T, _phi_on([pair], T, xi_t)[pair][0])
@@ -400,6 +403,8 @@ def pair_scan(
         raise DomainError("scan needs jobs >= 1", jobs=jobs)
     if refine and grid_size < _MIN_ROOT_GRID_SIZE:
         raise DomainError(f"root scan needs at least {_MIN_ROOT_GRID_SIZE} points", grid_size=grid_size)
+    if refine:
+        guard_grid_size(grid_size)
     verdicts: list[PairVerdict] = []
     work: list[tuple[int, int]] = []
     for k1 in range(1, k_max):

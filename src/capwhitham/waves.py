@@ -85,8 +85,9 @@ class WaveProfile:
     ``modes[k]`` for k = 0..K is the coefficient of exp(i*k*x); the
     coefficient of exp(-i*k*x) is its conjugate, so ``mode(-k)`` returns
     that.  ``c``, ``kappa`` and ``T`` are None for bare kernel profiles
-    that have not been through a solve.  ``j_terms`` is computed on first
-    use and kept; ``dataclasses.replace(profile)`` gives a copy without it.
+    that have not been through a solve.  ``j_terms`` and ``grid_max`` are
+    computed on first use and kept; ``dataclasses.replace(profile)`` gives
+    a copy without them.
     """
 
     modes: np.ndarray
@@ -119,6 +120,11 @@ class WaveProfile:
         m = eval_symbol(self.T, self.kappa * np.arange(self.K + 1))
         return _square_modes(self.modes, self.K), m
 
+    @cached_property
+    def grid_max(self) -> float:
+        """max |u| on the padded grid of 4K+4 points, which the amplitude cap bounds."""
+        return float(np.max(np.abs(_to_grid(self.modes, 4 * self.K + 4))))
+
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -144,6 +150,9 @@ _MAX_ITER_W = 200
 _MAX_ITER_W_NEWTON = 60
 _MAX_ITER_NEWTON = 50
 _MAX_TRIALS = 11
+# Line-search fractions of a w-Newton step after the full step fails:
+# the halvings 2^-1 .. 2^-19, tried as one stacked residual.
+_W_HALVINGS = 0.5 ** np.arange(1.0, 20.0)
 # Bound on ||v||_inf before the w fixed point is attempted.
 _AMPLITUDE_CAP = 0.3
 # The parameter Newton stops once |g|_inf is at most this.
@@ -290,11 +299,10 @@ def solve_w(
     settings = settings or SolverSettings()
     K = v.K
     pair = v.pair
-    vmax = float(np.max(np.abs(_to_grid(v.modes, 4 * K + 4))))
-    if vmax > _AMPLITUDE_CAP:
+    if v.grid_max > _AMPLITUDE_CAP:
         raise DomainError(
             "kernel amplitude exceeds the contraction cap",
-            amplitude=vmax,
+            amplitude=v.grid_max,
             cap=_AMPLITUDE_CAP,
         )
     ctx = MultiplierContext(pair=pair, c=c, kappa=kappa, T=T)
@@ -318,11 +326,13 @@ def _fixed_point_image(w_modes: np.ndarray, v_modes: np.ndarray, ell: np.ndarray
     """One application of w -> L P_W (v+w)^2.
 
     The operations of ``ell * _square_modes(v + w, K)[:K+1]``, with the
-    division by the grid size kept to the modes that are used.
+    division by the grid size kept to the modes that are used.  A stack
+    of remainders (one per row) maps at once; numpy's FFT gives each row
+    the bits of its one-row transform.
     """
     n = 4 * K + 4
     g = np.fft.irfft((v_modes + w_modes) * n, n)
-    return ell * (np.fft.rfft(g * g)[: K + 1] / n)
+    return ell * (np.fft.rfft(g * g)[..., : K + 1] / n)
 
 
 def _solve_w_picard(
@@ -442,7 +452,14 @@ def _newton_w_step(
     w0: np.ndarray,
     settings: SolverSettings,
 ) -> tuple[np.ndarray, int]:
-    """Damped Newton for F(w) = w - L P_W (v+w)^2 from the given start."""
+    """Damped Newton for F(w) = w - L P_W (v+w)^2 from the given start.
+
+    Each step takes the largest t of 1, 1/2, ..., 2^-19 whose residual
+    norm is at most (1 - t/4) times the current one.  The full step is
+    tried alone; once it is rejected, the 19 halvings are evaluated as one
+    stacked residual whose rows have the bits of one-by-one evaluations,
+    so every iterate is that of a sequential search.
+    """
     K = index.K
     x = _pack(w0, index)
 
@@ -460,21 +477,22 @@ def _newton_w_step(
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular w-Jacobian", iteration=iteration) from exc
-        t = 1.0
-        while True:
-            f_try = residual(x + t * step)
-            norm_try = float(np.abs(f_try).max())
-            if math.isfinite(norm_try) and norm_try <= (1.0 - 0.25 * t) * norm:
-                break
-            t *= 0.5
-            if t < 1e-6:
+        x_try = x + step
+        f_try = residual(x_try)
+        norm_try = float(np.abs(f_try).max())
+        if not (math.isfinite(norm_try) and norm_try <= 0.75 * norm):
+            xs = x + _W_HALVINGS[:, None] * step
+            fs = residual(xs)
+            norms = np.abs(fs).max(axis=-1)
+            passed = np.flatnonzero(np.isfinite(norms) & (norms <= (1.0 - 0.25 * _W_HALVINGS) * norm))
+            if not passed.size:
                 raise ConvergenceError(
                     "w-Newton line search failed (no nearby small solution)",
                     residual=norm,
                 )
-        x = x + t * step
-        f = f_try
-        norm = norm_try
+            i = passed[0]
+            x_try, f_try, norm_try = xs[i], fs[i], float(norms[i])
+        x, f, norm = x_try, f_try, norm_try
     raise ConvergenceError("w-Newton did not converge", residual=norm)
 
 

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import oracles
-from capwhitham import DomainError, WaveNumberPair, cli, coefficients, emitters, errors
-from capwhitham import symmetry_breaking
+from capwhitham import DomainError, SizeGuardError, WaveNumberPair, cli, coefficients
+from capwhitham import emitters, errors
+from capwhitham import symbol, symmetry_breaking
 from capwhitham.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "expansion_2_5.json"
@@ -839,6 +840,42 @@ def test_wave_truncation_size_guard_exit_code(tmp_path, capsys):
         "context": {"size": 4097, "guard": 4096},
     }
     assert list(tmp_path.iterdir()) == []
+
+
+_OVER_GRID = str(symbol.GRID_GUARD + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bifurcate", *_PAIR, "--T-grid", f"0.1:0.2:{_OVER_GRID}"),
+        ("phi", "root", *_PAIR, "--grid", _OVER_GRID),
+        ("phi", "curve", *_PAIR, "--grid", _OVER_GRID),
+        ("pairs", "--kmax", "6", "--refine", "--grid", _OVER_GRID),
+    ],
+    ids=["bifurcate-T-grid", "phi-root-grid", "phi-curve-grid", "pairs-refine-grid"],
+)
+def test_tension_grid_size_guard_exit_code(tmp_path, capsys, monkeypatch, argv):
+    # The guard refuses the grid before any tension array is built.
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a tension grid was built")
+
+    monkeypatch.setattr(np, "linspace", unbuilt)
+    monkeypatch.setattr(symmetry_breaking, "_tension_grid", unbuilt)
+    code, stdout, err = _run(capsys, *argv, "--out", str(tmp_path))
+    assert (code, stdout) == (4, "")
+    assert _stderr_envelope(err) == {
+        "code": 4,
+        "message": "tension grid exceeds the size guard",
+        "context": {"size": symbol.GRID_GUARD + 1, "guard": symbol.GRID_GUARD},
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tension_grids_at_the_size_guard_pass_it():
+    symbol.guard_grid_size(symbol.GRID_GUARD)
+    with pytest.raises(SizeGuardError):
+        symbol.guard_grid_size(symbol.GRID_GUARD + 1)
 
 
 def test_package_reads_no_environment_variable():

@@ -271,6 +271,27 @@ def test_solve_w_rejects_large_kernel_amplitude():
         solve_w(v, point.c0, point.kappa0, 0.1215)
 
 
+def test_kernel_grid_max_is_computed_once_per_profile(monkeypatch):
+    # Every remainder solve of a wave solve checks the same v against the
+    # amplitude cap, so its grid maximum is kept on the profile.
+    from capwhitham import waves
+
+    v = synthesize_v(PAIR_2_5, ModalParameters(0.01, 0.01, 0.3, 0.0), K=64)
+    n = 4 * 64 + 4
+    expected = float(np.max(np.abs(np.fft.irfft(v.modes * n, n))))
+    real, calls = waves._to_grid, []
+    monkeypatch.setattr(waves, "_to_grid", lambda *args: calls.append(args) or real(*args))
+    point = _point()
+    for c in (point.c0, point.c0 + 1e-4):
+        solve_w(v, c, point.kappa0, 0.1215)
+    assert len(calls) == 1
+    assert v.grid_max.hex() == expected.hex()
+    capped = synthesize_v(PAIR_2_5, ModalParameters(0.3, 0.3), K=32)
+    with pytest.raises(DomainError) as info:
+        solve_w(capped, point.c0, point.kappa0, 0.1215)
+    assert info.value.context == {"amplitude": capped.grid_max, "cap": 0.3}
+
+
 def test_solve_w_divergence_and_fold():
     # At r = 0.05 the fixed-point map has gain ~2.8 and diverges; the
     # Newton continuation then loses the small branch at a fold.
@@ -1004,6 +1025,155 @@ def test_newton_w_step_reports_its_iteration_budget(monkeypatch):
     with pytest.raises(ConvergenceError, match="w-Newton did not converge") as info:
         _newton_w_step(*start)
     assert settings.tol_w < info.value.context["residual"] <= 0.75 * initial
+
+
+@pytest.mark.parametrize("K", [64, 128])
+def test_stacked_fixed_point_image_equals_the_row_by_row_call_bitwise(K):
+    # The line search of _newton_w_step maps its 19 halvings as one stack.
+    from capwhitham.waves import _fixed_point_image
+
+    rng = np.random.default_rng(K)
+    v = np.zeros(K + 1, dtype=complex)
+    v[[2, 5]] = 0.02 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    ell = rng.standard_normal(K + 1)
+    ell[[2, 5]] = 0.0
+    ws = 1e-3 * (rng.standard_normal((19, K + 1)) + 1j * rng.standard_normal((19, K + 1)))
+    ws[:, [2, 5]] = 0.0
+    ws[:, 0] = ws[:, 0].real
+    for stack in (ws, ws[:1]):
+        images = _fixed_point_image(stack, v, ell, K)
+        assert images.shape == stack.shape
+        for w, image in zip(stack, images):
+            assert image.tobytes() == _fixed_point_image(w, v, ell, K).tobytes()
+
+
+def _sequential_newton_w_step(v_modes, ell, index, w0, settings, fractions):
+    """``_newton_w_step`` with its line-search trials evaluated one by one.
+
+    The reference for the stacked search: halve t from 1 until a trial's
+    residual norm is at most (1 - t/4) times the current one, and fail
+    below t = 1e-6.  Appends each accepted t to ``fractions``.
+    """
+    from capwhitham import waves
+    from capwhitham.waves import _fixed_point_image, _pack, _unpack, _w_jacobian
+
+    K = index.K
+    x = _pack(w0, index)
+
+    def residual(xv):
+        w = _unpack(xv, index)
+        return _pack(w - _fixed_point_image(w, v_modes, ell, K), index)
+
+    f = residual(x)
+    norm = float(np.abs(f).max())
+    for iteration in range(1, waves._MAX_ITER_W_NEWTON + 1):
+        if norm <= settings.tol_w:
+            return _unpack(x, index), iteration
+        jac = _w_jacobian(v_modes + _unpack(x, index), ell, index)
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("singular w-Jacobian", iteration=iteration) from exc
+        t = 1.0
+        while True:
+            f_try = residual(x + t * step)
+            norm_try = float(np.abs(f_try).max())
+            if math.isfinite(norm_try) and norm_try <= (1.0 - 0.25 * t) * norm:
+                break
+            t *= 0.5
+            if t < 1e-6:
+                raise ConvergenceError(
+                    "w-Newton line search failed (no nearby small solution)",
+                    residual=norm,
+                )
+        fractions.append(t)
+        x = x + t * step
+        f = f_try
+        norm = norm_try
+    raise ConvergenceError("w-Newton did not converge", residual=norm)
+
+
+# Acceptance criterion 8's request: past the fold of the small-solution
+# branch, its first remainder solve climbs in 14 w-Newton stages.
+BEYOND = ModalParameters(0.05, 0.05, theta1=math.pi / 20.0, theta2=0.0)
+
+
+def test_stacked_line_search_takes_the_sequential_iterates_bitwise(monkeypatch):
+    # Every climb stage of the beyond request, the ones that raise and
+    # the ones that return after damped steps, ends as the one-by-one
+    # search ends: the same w and iteration count, or the same error.
+    from capwhitham import waves
+
+    real, stages = waves._newton_w_step, []
+
+    def recording(*args):
+        stages.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(waves, "_newton_w_step", recording)
+    with pytest.raises(ConvergenceError):
+        solve_wave(PAIR_2_5, BEYOND, T0)
+    assert len(stages) == 14
+    damped, failed_searches = [], 0
+    for args in stages:
+        fractions = []
+        try:
+            w_ref, iterations_ref = _sequential_newton_w_step(*args, fractions)
+        except ConvergenceError as ref:
+            with pytest.raises(ConvergenceError) as info:
+                real(*args)
+            assert (info.value.message, info.value.context) == (ref.message, ref.context)
+            failed_searches += ref.message.startswith("w-Newton line search failed")
+            continue
+        w, iterations = real(*args)
+        assert (w.tobytes(), iterations) == (w_ref.tobytes(), iterations_ref)
+        damped += [t for t in fractions if t < 1.0]
+    assert damped and failed_searches
+
+
+def test_beyond_request_counts_w_jacobians_and_fixed_point_images(monkeypatch):
+    # Counted calls, not seconds: the stacked line search keeps the 116
+    # Newton steps of the climb and evaluates each rejected step's 19
+    # halvings in one image; one by one they took 1,040 images.
+    from capwhitham import waves
+
+    calls = {"_w_jacobian": 0, "_fixed_point_image": 0}
+    for name in calls:
+        real = getattr(waves, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(waves, name, counting)
+    with pytest.raises(ConvergenceError) as info:
+        solve_wave(PAIR_2_5, BEYOND, T0)
+    assert info.value.message.startswith("small-solution branch lost")
+    assert info.value.context == {"amplitude_fraction": 0.62939453125}
+    assert calls["_w_jacobian"] == 116
+    assert calls["_fixed_point_image"] <= 240
+
+
+def test_newton_w_step_computes_every_residual_through_the_fixed_point_image():
+    # The stacked and the one-row residuals share one FFT square: only the
+    # grid helpers and _fixed_point_image call numpy's FFT, and the stage
+    # reaches the grid through _fixed_point_image alone.
+    from capwhitham import waves
+
+    tree = ast.parse(Path(waves.__file__).read_text())
+    names = {
+        top.name: {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(top)}
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert {name for name, used in names.items() if "fft" in used} == {
+        "_to_grid",
+        "_from_grid",
+        "_fixed_point_image",
+    }
+    step = names["_newton_w_step"]
+    assert "_fixed_point_image" in step
+    assert not step & {"fft", "_to_grid", "_from_grid", "_square_modes"}
 
 
 def test_parameter_newton_reports_a_singular_jacobian(monkeypatch):
